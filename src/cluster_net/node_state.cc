@@ -377,11 +377,6 @@ void NodeClusterState::AppendInfo(std::string* out) const {
     add("replica_pull_backoffs:%" PRIu64, pull_backoffs());
     add("replica_last_backoff_micros:%" PRIu64, last_pull_backoff_micros());
   }
-  if (db_->replicator() != nullptr) {
-    add("inprocess_replica_lag:%zu", db_->replicator()->lag());
-    add("inprocess_replica_applied:%" PRIu64,
-        db_->replicator()->applied_ops());
-  }
 }
 
 }  // namespace tierbase::cluster_net

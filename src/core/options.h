@@ -26,11 +26,6 @@ enum class CachingPolicy {
 
 const char* CachingPolicyName(CachingPolicy policy);
 
-enum class ReplicationMode {
-  kNone,
-  kMasterReplica,  // One in-process replica applied from an oplog.
-};
-
 struct WriteBackOptions {
   /// Dirty-entry count that triggers an early flush.
   size_t flush_threshold = 1024;
@@ -60,7 +55,6 @@ struct DeferredFetchOptions {
 
 struct TierBaseOptions {
   CachingPolicy policy = CachingPolicy::kCacheOnly;
-  ReplicationMode replication = ReplicationMode::kNone;
 
   /// Cache-tier engine configuration (budget, shards, compressor, PMem).
   cache::HashEngineOptions cache;

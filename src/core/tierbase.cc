@@ -88,15 +88,6 @@ Status TierBase::Init() {
   }
   cache_ = std::make_unique<cache::HashEngine>(options_.cache);
 
-  if (options_.replication == ReplicationMode::kMasterReplica) {
-    Replicator::Options ropts;
-    ropts.replica_engine = options_.cache;
-    // The replica replays the master's oplog; that apply traffic is not
-    // client workload and must not feed the observatory.
-    ropts.replica_engine.analytics = nullptr;
-    replicator_ = std::make_unique<Replicator>(ropts);
-  }
-
   switch (options_.policy) {
     case CachingPolicy::kCacheOnly:
       break;
@@ -344,7 +335,6 @@ Status TierBase::SetInternal(const Slice& key, const Slice& value,
     }
   }
 
-  if (replicator_ != nullptr) replicator_->ReplicateSet(key, value);
   return Status::OK();
 }
 
@@ -392,10 +382,7 @@ Status TierBase::Get(const Slice& key, std::string* value) {
   if (options_.populate_on_miss) {
     // Populate without dirtying: this value is already durable in storage.
     Status ps = cache_->Set(key, *value);
-    if (ps.ok()) {
-      stats_populates_.fetch_add(1, std::memory_order_relaxed);
-      if (replicator_ != nullptr) replicator_->ReplicateSet(key, *value);
-    }
+    if (ps.ok()) stats_populates_.fetch_add(1, std::memory_order_relaxed);
     // OutOfSpace here is fine — serving from storage still works.
   }
   return Status::OK();
@@ -492,9 +479,6 @@ void TierBase::MultiGet(const std::vector<Slice>& keys,
     for (size_t p = 0; p < populate_keys.size(); ++p) {
       if (populate_statuses[p].ok()) {
         stats_populates_.fetch_add(1, std::memory_order_relaxed);
-        if (replicator_ != nullptr) {
-          replicator_->ReplicateSet(populate_keys[p], populate_values[p]);
-        }
       }
     }
   }
@@ -589,30 +573,16 @@ void TierBase::MultiSet(const std::vector<Slice>& keys,
       break;
     }
   }
-
-  if (replicator_ != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      if ((*statuses)[i].ok()) {
-        replicator_->ReplicateSet(keys[i], values[i]);
-      }
-    }
-  }
 }
 
 Status TierBase::Delete(const Slice& key) {
   switch (options_.policy) {
-    case CachingPolicy::kCacheOnly: {
-      Status s = cache_->Delete(key);
-      if (replicator_ != nullptr) replicator_->ReplicateDelete(key);
-      return s;
-    }
+    case CachingPolicy::kCacheOnly:
+      return cache_->Delete(key);
     case CachingPolicy::kWalFile:
-    case CachingPolicy::kWalPmem: {
+    case CachingPolicy::kWalPmem:
       TIERBASE_RETURN_IF_ERROR(LogMutation(key, Slice(), /*is_delete=*/true));
-      Status s = cache_->Delete(key);
-      if (replicator_ != nullptr) replicator_->ReplicateDelete(key);
-      return s;
-    }
+      return cache_->Delete(key);
     case CachingPolicy::kWriteThrough: {
       Status s;
       {
@@ -624,7 +594,6 @@ Status TierBase::Delete(const Slice& key) {
         return s;
       }
       cache_->Delete(key);
-      if (replicator_ != nullptr) replicator_->ReplicateDelete(key);
       return Status::OK();
     }
     case CachingPolicy::kWriteBack: {
@@ -632,7 +601,6 @@ Status TierBase::Delete(const Slice& key) {
       TIERBASE_RETURN_IF_ERROR(
           write_back_->MarkDirty(key, Slice(), /*is_delete=*/true));
       cache_->Delete(key);
-      if (replicator_ != nullptr) replicator_->ReplicateDelete(key);
       return Status::OK();
     }
   }
@@ -684,17 +652,11 @@ Status TierBase::Cas(const Slice& key, const Slice& expected,
       TIERBASE_RETURN_IF_ERROR(write_back_->MarkDirty(key, value, false));
       break;
   }
-  if (replicator_ != nullptr) replicator_->ReplicateSet(key, value);
   return Status::OK();
 }
 
 UsageStats TierBase::GetUsage() const {
   UsageStats usage = cache_->GetUsage();
-  if (replicator_ != nullptr) {
-    UsageStats replica = replicator_->replica().GetUsage();
-    usage.memory_bytes += replica.memory_bytes;
-    usage.pmem_bytes += replica.pmem_bytes;
-  }
   if (wal_ != nullptr) usage.disk_bytes += wal_->size();
   if (wal_ring_ != nullptr) {
     usage.pmem_bytes +=
@@ -707,7 +669,6 @@ Status TierBase::WaitIdle() {
   if (write_back_ != nullptr) {
     TIERBASE_RETURN_IF_ERROR(write_back_->FlushAll());
   }
-  if (replicator_ != nullptr) replicator_->WaitCaughtUp();
   if (wal_ != nullptr) TIERBASE_RETURN_IF_ERROR(wal_->Sync());
   if (storage_ != nullptr) TIERBASE_RETURN_IF_ERROR(storage_->WaitIdle());
   return Status::OK();

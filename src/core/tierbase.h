@@ -26,7 +26,6 @@
 #include "cache/hash_engine.h"
 #include "core/deferred_fetch.h"
 #include "core/options.h"
-#include "core/replication.h"
 #include "core/storage_adapter.h"
 #include "core/write_back.h"
 #include "core/write_through.h"
@@ -76,10 +75,6 @@ class TierBase : public KvEngine {
   /// cache-tier-only in this reproduction).
   cache::HashEngine* cache() { return cache_.get(); }
   StorageAdapter* storage() { return storage_; }
-  /// Non-null when ReplicationMode::kMasterReplica is configured (INFO
-  /// surfaces its lag; the wire-replication layer is separate).
-  Replicator* replicator() { return replicator_.get(); }
-  const Replicator* replicator() const { return replicator_.get(); }
   /// The workload observatory (live MRC / hot keys / keyspace shape), or
   /// null when options.analytics.enabled is false.
   analytics::WorkloadAnalytics* analytics() { return analytics_.get(); }
@@ -150,7 +145,6 @@ class TierBase : public KvEngine {
   std::unique_ptr<PerKeyCoalescer> write_through_;
   std::unique_ptr<WriteBackManager> write_back_;
   std::unique_ptr<DeferredFetcher> fetcher_;
-  std::unique_ptr<Replicator> replicator_;
 
   // WAL persistence modes.
   std::unique_ptr<lsm::WalWriter> wal_;

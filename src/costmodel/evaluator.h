@@ -28,8 +28,10 @@ struct EvaluationInput {
   WorkloadDemand demand;
   /// Client threads used for the replay (typically = instance cores).
   int replay_threads = 1;
-  /// Space-cost replication factor for configurations whose replica is not
-  /// actually instantiated in-process (e.g. emulated baselines).
+  /// Space-cost replication factor. The §6.4 dual-replica configurations
+  /// set it to 2, doubling the space demand of the measured single copy.
+  /// This is the only model of replica space cost: a measured engine
+  /// always holds one copy.
   double replication_factor = 1.0;
   /// Tolerance head-room ratios (§2.1).
   double perf_tolerance = 1.0;

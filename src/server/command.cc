@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -173,20 +172,11 @@ void CommandTable::RegisterInstruments() {
   // Cluster membership attaches after construction (set_cluster), and its
   // key set is dynamic (role-dependent), so the whole section is a block.
   registry_.AddBlock("Cluster", [this](std::string* out) {
-    char line[96];
     if (cluster_ != nullptr) {
       cluster_->AppendInfo(out);
       return;
     }
     out->append("cluster_enabled:0\r\n");
-    if (db_->replicator() != nullptr) {
-      snprintf(line, sizeof(line), "inprocess_replica_lag:%zu\r\n",
-               db_->replicator()->lag());
-      out->append(line);
-      snprintf(line, sizeof(line), "inprocess_replica_applied:%" PRIu64 "\r\n",
-               db_->replicator()->applied_ops());
-      out->append(line);
-    }
   });
 
   // One aggregated engine snapshot per render; the per-key callbacks below

@@ -1,7 +1,7 @@
 // Tests for the TierBase core: caching policies (cache-only, WAL, WAL-PMem,
 // write-through, write-back), the write-through coalescer, the write-back
-// manager (merging, backpressure, flush), deferred fetching, replication,
-// and crash recovery of the cache tier.
+// manager (merging, backpressure, flush), deferred fetching, and crash
+// recovery of the cache tier.
 
 #include <atomic>
 #include <map>
@@ -15,7 +15,6 @@
 #include "common/env.h"
 #include "core/deferred_fetch.h"
 #include "core/options.h"
-#include "core/replication.h"
 #include "core/storage_adapter.h"
 #include "core/tierbase.h"
 #include "core/write_back.h"
@@ -560,57 +559,6 @@ TEST(DeferredFetcherTest, DisabledModeStillCorrect) {
   std::string value;
   ASSERT_TRUE(fetcher.Fetch("k", &value).ok());
   EXPECT_EQ(value, "v");
-}
-
-// --- Replication. ---
-
-TEST(ReplicatorTest, ReplicaConverges) {
-  Replicator replicator;
-  for (int i = 0; i < 1000; ++i) {
-    replicator.ReplicateSet("key" + std::to_string(i), "v" + std::to_string(i));
-  }
-  replicator.ReplicateDelete("key500");
-  replicator.WaitCaughtUp();
-  EXPECT_EQ(replicator.applied_ops(), 1001u);
-  EXPECT_EQ(replicator.lag(), 0u);
-  std::string value;
-  ASSERT_TRUE(replicator.mutable_replica()->Get("key999", &value).ok());
-  EXPECT_EQ(value, "v999");
-  EXPECT_TRUE(replicator.mutable_replica()->Get("key500", &value).IsNotFound());
-}
-
-TEST(ReplicatorTest, LagBoundedByOplogCap) {
-  Replicator::Options options;
-  options.max_lag_ops = 64;
-  Replicator replicator(options);
-  for (int i = 0; i < 10000; ++i) {
-    replicator.ReplicateSet("k" + std::to_string(i % 100), "v");
-  }
-  EXPECT_LE(replicator.lag(), 64u);
-  replicator.WaitCaughtUp();
-  EXPECT_EQ(replicator.lag(), 0u);
-}
-
-TEST_F(TierBaseTest, ReplicationDoublesMemoryUsage) {
-  TierBaseOptions options;
-  options.replication = ReplicationMode::kMasterReplica;
-  auto db = TierBase::Open(options, nullptr);
-  ASSERT_TRUE(db.ok());
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(
-        (*db)->Set("key" + std::to_string(i), std::string(200, 'r')).ok());
-  }
-  ASSERT_TRUE((*db)->WaitIdle().ok());
-  TierBaseOptions solo;
-  auto db2 = TierBase::Open(solo, nullptr);
-  ASSERT_TRUE(db2.ok());
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(
-        (*db2)->Set("key" + std::to_string(i), std::string(200, 'r')).ok());
-  }
-  // Replicated instance carries roughly twice the memory.
-  EXPECT_GT((*db)->GetUsage().memory_bytes,
-            (*db2)->GetUsage().memory_bytes * 3 / 2);
 }
 
 // --- Hit-ratio accounting. ---

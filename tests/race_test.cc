@@ -7,7 +7,6 @@
 //   * cache eviction vs cross-shard MultiGet/MultiSet batches
 //   * the write-back FlusherLoop vs foreground Set/FlushAll
 //   * ElasticExecutor controller scale-up vs concurrent Submit/Execute
-//   * the replication apply thread vs concurrent reads
 //   * the server event loop vs a SHUTDOWN drain under client load
 //   * multi-reactor accept-distribute (cross-loop connection hand-off)
 //     vs a racing SHUTDOWN
@@ -36,7 +35,6 @@
 #include "common/clock.h"
 #include "common/histogram.h"
 #include "common/metrics.h"
-#include "core/replication.h"
 #include "core/storage_adapter.h"
 #include "core/tierbase.h"
 #include "core/write_back.h"
@@ -173,45 +171,6 @@ TEST(RaceTest, ExecutorScaleUpVsSubmit) {
   // Shutdown drains the queue: every submitted task ran exactly once.
   executor->Shutdown();
   EXPECT_EQ(done.load(), kSubmitters * kTasks);
-}
-
-// --- Seam 4: replication apply thread vs concurrent reads. --------------
-
-TEST(RaceTest, ReplicatorApplyVsReads) {
-  Replicator::Options opt;
-  opt.max_lag_ops = 64;  // Small oplog: appenders hit the space wait.
-  Replicator repl(opt);
-
-  constexpr int kWriters = 2;
-  constexpr int kOps = 300;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&repl, t] {
-      for (int i = 0; i < kOps; ++i) {
-        repl.ReplicateSet(Key(t, i % 40), "v" + std::to_string(i));
-        if (i % 10 == 9) repl.ReplicateDelete(Key(t, i % 40));
-      }
-    });
-  }
-  threads.emplace_back([&repl, &stop] {
-    std::string v;
-    while (!stop.load(std::memory_order_acquire)) {
-      (void)repl.applied_ops();
-      (void)repl.lag();
-      (void)repl.mutable_replica()->Get("k0_0", &v);
-    }
-  });
-  for (int t = 0; t < kWriters; ++t) threads[t].join();
-  repl.WaitCaughtUp();
-  stop.store(true, std::memory_order_release);
-  threads.back().join();
-
-  EXPECT_EQ(repl.lag(), 0u);
-  // k0_18 is only ever Set, never Deleted (i%40==18 never has i%10==9),
-  // so once caught up it must be visible on the replica.
-  std::string v;
-  EXPECT_TRUE(repl.mutable_replica()->Get(Key(0, 18), &v).ok());
 }
 
 // --- Seam 5: server event loop vs SHUTDOWN drain under load. ------------
