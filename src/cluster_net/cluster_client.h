@@ -153,7 +153,7 @@ class NetClusterClient : public KvEngine {
   Options options_;
   mutable common::Mutex mu_;
   WireRouting routing_ GUARDED_BY(mu_);
-  cluster::Router router_ GUARDED_BY(mu_){64};
+  Router router_ GUARDED_BY(mu_){64};
   std::map<std::string, std::unique_ptr<server::Client>> conns_
       GUARDED_BY(mu_);  // By node.
   std::set<std::string> reported_ GUARDED_BY(mu_);  // Failure reports this

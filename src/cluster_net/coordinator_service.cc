@@ -342,7 +342,7 @@ void CoordinatorService::ExecuteCluster(const server::RespCommand& cmd,
     server::AppendBulk(out, Routing().Serialize());
   } else if (EqualsUpper(sub, "ROUTE") && cmd.args.size() == 3) {
     WireRouting snapshot = Routing();
-    cluster::Router router = snapshot.BuildRouter();
+    Router router = snapshot.BuildRouter();
     std::string shard = router.Route(cmd.args[2]);
     if (shard.empty()) {
       server::AppendError(out, "CLUSTERDOWN no shards in the ring");

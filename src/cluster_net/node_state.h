@@ -47,7 +47,7 @@ namespace tierbase::cluster_net {
 /// shared_ptr under a short lock and route against it lock-free.
 struct RoutingView {
   WireRouting wire;
-  cluster::Router router;
+  Router router;
 
   explicit RoutingView(WireRouting w)
       : wire(std::move(w)), router(wire.BuildRouter()) {}

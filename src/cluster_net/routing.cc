@@ -75,8 +75,8 @@ Status WireRouting::Parse(const std::string& text, WireRouting* out) {
   return Status::OK();
 }
 
-cluster::Router WireRouting::BuildRouter() const {
-  cluster::Router router(virtual_nodes);
+Router WireRouting::BuildRouter() const {
+  Router router(virtual_nodes);
   for (const NodeRecord& n : nodes) {
     if (!n.is_replica && n.healthy) router.AddInstance(n.shard);
   }

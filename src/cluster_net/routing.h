@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/router.h"
+#include "cluster_net/router.h"
 #include "common/status.h"
 
 namespace tierbase::cluster_net {
@@ -48,7 +48,7 @@ struct WireRouting {
   static Status Parse(const std::string& text, WireRouting* out);
 
   /// Ring over every shard that currently has a healthy master.
-  cluster::Router BuildRouter() const;
+  Router BuildRouter() const;
 
   const NodeRecord* FindNode(const std::string& id) const;
   /// The healthy master serving `shard`, or nullptr while failed over.

@@ -1,14 +1,16 @@
-// Tests for the networked cluster subsystem (src/cluster_net/): wire
-// routing, the coordinator control plane, -MOVED handling, the smart
+// Tests for the networked cluster subsystem (src/cluster_net/): the
+// consistent-hash router, wire routing, the coordinator control plane, -MOVED handling, the smart
 // client's scatter–gather, wire replication with gap-triggered full
 // resync, replica promotion, kill-a-master-under-YCSB continuity, and the
-// RESP proxy.
+// RESP proxy, plus the Figure-3 topology of write-through data nodes over
+// their own LSM shards.
 //
 // Everything boots in-process on loopback with ephemeral ports, so the
 // suite also runs under ASan/UBSan in CI.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -21,7 +23,10 @@
 #include "cluster_net/node_state.h"
 #include "cluster_net/oplog.h"
 #include "cluster_net/proxy.h"
+#include "cluster_net/router.h"
 #include "cluster_net/routing.h"
+#include "common/env.h"
+#include "core/storage_adapter.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "tierbase/workload.h"
@@ -53,9 +58,9 @@ TEST(WireRoutingTest, SerializeParseRoundTrip) {
   EXPECT_EQ(7003, parsed.nodes[2].port);
 
   // The ring only contains shards with a healthy master: n2 is down.
-  cluster::Router router = parsed.BuildRouter();
-  EXPECT_TRUE(router.Contains("n1"));
-  EXPECT_FALSE(router.Contains("n2"));
+  std::map<std::string, double> shares = parsed.BuildRouter().OwnershipShares();
+  EXPECT_EQ(1u, shares.count("n1"));
+  EXPECT_EQ(0u, shares.count("n2"));
   EXPECT_EQ(nullptr, parsed.MasterOfShard("n2"));
   ASSERT_NE(nullptr, parsed.ReplicaOfShard("n1"));
   EXPECT_EQ("r1", parsed.ReplicaOfShard("n1")->id);
@@ -72,6 +77,145 @@ TEST(WireRoutingTest, ParseRejectsGarbage) {
   EXPECT_FALSE(
       WireRouting::Parse("epoch:1 vnodes:64\nn1 h:1 emperor n1 up\n", &parsed)
           .ok());
+}
+
+// --- Router: the ring every participant builds from a WireRouting. ---
+
+/// A routing snapshot of masters `up` (healthy) and `down` (failed, no
+/// replica promoted): the wire stack's only way to drop a shard.
+WireRouting Snapshot(uint64_t epoch, int vnodes,
+                     const std::vector<std::string>& up,
+                     const std::vector<std::string>& down = {}) {
+  WireRouting routing;
+  routing.epoch = epoch;
+  routing.virtual_nodes = vnodes;
+  uint16_t port = 7000;
+  for (const std::string& id : up) {
+    routing.nodes.push_back({id, "127.0.0.1", ++port, false, id, true});
+  }
+  for (const std::string& id : down) {
+    routing.nodes.push_back({id, "127.0.0.1", ++port, false, id, false});
+  }
+  return routing;
+}
+
+TEST(RouterTest, EmptyRingRoutesNowhere) {
+  Router router;
+  EXPECT_EQ(router.Route("key"), "");
+  EXPECT_TRUE(router.OwnershipShares().empty());
+}
+
+TEST(RouterTest, SingleInstanceOwnsEverything) {
+  Router router;
+  router.AddInstance("only");
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(router.Route("key" + std::to_string(i)), "only");
+  }
+}
+
+TEST(RouterTest, RoutingIsDeterministic) {
+  Router a, b;
+  for (const char* id : {"n1", "n2", "n3"}) {
+    a.AddInstance(id);
+    b.AddInstance(id);
+  }
+  for (int i = 0; i < 200; ++i) {
+    std::string key = "key" + std::to_string(i);
+    EXPECT_EQ(a.Route(key), b.Route(key));
+  }
+}
+
+TEST(RouterTest, LoadIsRoughlyBalanced) {
+  Router router(128);
+  for (int n = 0; n < 4; ++n) router.AddInstance("node" + std::to_string(n));
+  std::map<std::string, int> counts;
+  for (int i = 0; i < 40000; ++i) {
+    ++counts[router.Route("key" + std::to_string(i))];
+  }
+  for (const auto& [id, count] : counts) {
+    // Each of 4 nodes expects 10000; virtual nodes keep it within ~2x.
+    EXPECT_GT(count, 5000) << id;
+    EXPECT_LT(count, 20000) << id;
+  }
+  auto shares = router.OwnershipShares();
+  double total = 0;
+  for (const auto& [id, share] : shares) total += share;
+  EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+TEST(RouterTest, DuplicateAddIsNoop) {
+  Router router;
+  router.AddInstance("a");
+  router.AddInstance("a");
+  auto shares = router.OwnershipShares();
+  ASSERT_EQ(1u, shares.size());
+  EXPECT_NEAR(1.0, shares["a"], 1e-9);
+}
+
+TEST(RouterTest, VirtualNodesBoundOwnershipSkew) {
+  // With 128 vnodes per instance, no instance's uniform-keyspace share may
+  // stray past 2x from the fair 1/4 — the even-sharding tolerance the
+  // scatter-gather batch split relies on for balanced sub-batches.
+  Router router(128);
+  for (int n = 0; n < 4; ++n) router.AddInstance("node" + std::to_string(n));
+  auto shares = router.OwnershipShares();
+  ASSERT_EQ(4u, shares.size());
+  double min_share = 1.0, max_share = 0.0;
+  for (const auto& [id, share] : shares) {
+    min_share = std::min(min_share, share);
+    max_share = std::max(max_share, share);
+  }
+  EXPECT_GT(min_share, 0.25 / 2);
+  EXPECT_LT(max_share, 0.25 * 2);
+  EXPECT_LT(max_share / min_share, 3.0);
+}
+
+TEST(RouterTest, StaleSnapshotStillRoutesToDownShard) {
+  // A client holding the previous epoch's snapshot keeps routing to a
+  // shard that has since gone down — exactly what produces failed
+  // connects / -MOVED until the epoch-bump refresh.
+  WireRouting stale = Snapshot(1, 64, {"n1", "n2"});
+  Router stale_router = stale.BuildRouter();
+  std::string n1_key;
+  for (int i = 0; n1_key.empty(); ++i) {
+    ASSERT_LT(i, 10000);
+    std::string key = "key" + std::to_string(i);
+    if (stale_router.Route(key) == "n1") n1_key = key;
+  }
+
+  WireRouting fresh = Snapshot(2, 64, {"n2"}, {"n1"});
+  EXPECT_EQ("n1", stale_router.Route(n1_key));
+  EXPECT_GT(fresh.epoch, stale.epoch);
+  EXPECT_EQ("n2", fresh.BuildRouter().Route(n1_key));
+}
+
+TEST(RouterTest, DownShardKeysFallToSuccessorsOnly) {
+  Router before = Snapshot(1, 64, {"a", "b", "c", "d"}).BuildRouter();
+  Router after = Snapshot(2, 64, {"a", "c", "d"}, {"b"}).BuildRouter();
+  int moved = 0;
+  for (int i = 0; i < 5000; ++i) {
+    std::string key = "key" + std::to_string(i);
+    std::string owner = before.Route(key);
+    std::string now = after.Route(key);
+    if (owner == "b") {
+      EXPECT_NE("b", now);
+      ++moved;
+    } else {
+      // Consistent hashing: keys on surviving shards must not remap.
+      EXPECT_EQ(owner, now) << key;
+    }
+  }
+  EXPECT_GT(moved, 0);
+}
+
+TEST(RouterTest, SingleShardRingSurvivesOthersGoingDown) {
+  // Shrinking to one shard must leave it owning everything (the degenerate
+  // ring the cluster passes through during rolling kills).
+  Router one = Snapshot(3, 64, {"a"}, {"b"}).BuildRouter();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ("a", one.Route("key" + std::to_string(i)));
+  }
+  EXPECT_EQ("", Snapshot(4, 64, {}, {"a", "b"}).BuildRouter().Route("key"));
 }
 
 TEST(OpLogTest, SequencesAndGapDetection) {
@@ -112,6 +256,7 @@ TEST(OpLogTest, SequencesAndGapDetection) {
 // ---------------------------------------------------------------------------
 
 struct DataNode {
+  std::unique_ptr<LsmStorageAdapter> storage;  // Tiered nodes only; outlives db.
   std::unique_ptr<TierBase> db;
   std::unique_ptr<server::Server> srv;
   std::unique_ptr<NodeClusterState> cluster;
@@ -131,13 +276,27 @@ class ClusterNetTest : public ::testing::Test {
     ASSERT_TRUE(coordinator_->Start().ok());
   }
 
-  DataNode* StartNode(const std::string& id, size_t oplog_cap = 65536) {
+  /// Starts a cache-only data node, or with `tiered` a write-through node
+  /// over its own LSM storage tier.
+  DataNode* StartNode(const std::string& id, size_t oplog_cap = 65536,
+                      bool tiered = false) {
     auto node = std::make_unique<DataNode>();
     node->id = id;
     TierBaseOptions options;
     options.policy = CachingPolicy::kCacheOnly;
     options.cache.shards = 2;
-    auto db = TierBase::Open(options, nullptr);
+    if (tiered) {
+      if (dir_.empty()) dir_ = env::MakeTempDir("tb_cluster_net");
+      lsm::LsmOptions lsm_options;
+      lsm_options.dir = dir_ + "/" + id;
+      lsm_options.memtable_bytes = 256 * 1024;
+      auto storage = LsmStorageAdapter::Open(lsm_options);
+      EXPECT_TRUE(storage.ok());
+      node->storage = std::move(*storage);
+      options.policy = CachingPolicy::kWriteThrough;
+      options.cache.memory_budget = 1 << 20;
+    }
+    auto db = TierBase::Open(options, node->storage.get());
     EXPECT_TRUE(db.ok());
     node->db = std::move(*db);
 
@@ -187,10 +346,14 @@ class ClusterNetTest : public ::testing::Test {
     }
     for (auto& node : nodes_) node->srv->Stop();
     if (coordinator_ != nullptr) coordinator_->Stop();
+    // Close the LSM shards before deleting their directory.
+    nodes_.clear();
+    if (!dir_.empty()) env::RemoveDirRecursive(dir_);
   }
 
   std::unique_ptr<CoordinatorService> coordinator_;
   std::vector<std::unique_ptr<DataNode>> nodes_;
+  std::string dir_;  // Storage root of tiered nodes; empty if none.
 };
 
 TEST_F(ClusterNetTest, CoordinatorRegistersRoutesAndServesNodes) {
@@ -231,7 +394,7 @@ TEST_F(ClusterNetTest, MisroutedKeysAnswerMoved) {
   ASSERT_TRUE(Register(*n2).ok());
 
   // Find keys owned by each shard via the coordinator's own router.
-  cluster::Router router = coordinator_->Routing().BuildRouter();
+  Router router = coordinator_->Routing().BuildRouter();
   std::string n1_key, n2_key;
   for (int i = 0; n1_key.empty() || n2_key.empty(); ++i) {
     ASSERT_LT(i, 10000);
@@ -411,6 +574,7 @@ TEST_F(ClusterNetTest, FailoverPromotesReplicaAndClientsConverge) {
   cli.Close();
 
   const uint64_t epoch_before = coordinator_->epoch();
+  const uint64_t refreshes_before = client->GetStats().route_refreshes;
 
   // Kill the master. The next op routed to it fails, the client reports
   // the failure, the coordinator promotes r1 and bumps the epoch, and the
@@ -428,6 +592,9 @@ TEST_F(ClusterNetTest, FailoverPromotesReplicaAndClientsConverge) {
   // The lost-update window is bounded: every key survives because the
   // replica was caught up at kill time.
   EXPECT_EQ(kKeys, served);
+  // Failover costs one routing refresh, not one per key: after the first
+  // failed op the refreshed snapshot points every later read at r1.
+  EXPECT_LE(client->GetStats().route_refreshes, refreshes_before + 5);
   EXPECT_GT(coordinator_->epoch(), epoch_before);
   EXPECT_EQ(1u, coordinator_->failovers());
   EXPECT_FALSE(r1->cluster->is_replica());
@@ -444,6 +611,32 @@ TEST_F(ClusterNetTest, FailoverPromotesReplicaAndClientsConverge) {
   ASSERT_TRUE(client->Set("f0", "after-failover").ok());
   ASSERT_TRUE(client->Get("f0", &value).ok());
   EXPECT_EQ("after-failover", value);
+}
+
+TEST_F(ClusterNetTest, ClusterOfTieredNodes) {
+  // Three write-through TierBase data nodes, each over its own LSM shard,
+  // behind the coordinator and a smart client: the full Figure 3 topology.
+  StartCoordinator();
+  for (int n = 0; n < 3; ++n) {
+    DataNode* node = StartNode("tb" + std::to_string(n), 65536,
+                               /*tiered=*/true);
+    ASSERT_TRUE(Register(*node).ok());
+  }
+  auto client = SmartClient();
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(
+        client->Set("key" + std::to_string(i), "v" + std::to_string(i)).ok());
+  }
+  std::string value;
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(client->Get("key" + std::to_string(i), &value).ok());
+    ASSERT_EQ(value, "v" + std::to_string(i));
+  }
+  // Every shard's storage tier holds a share of the data.
+  for (auto& node : nodes_) {
+    ASSERT_TRUE(node->db->WaitIdle().ok());
+    EXPECT_GT(node->storage->GetUsage().keys, 0u) << node->id;
+  }
 }
 
 TEST_F(ClusterNetTest, KillMasterUnderYcsbKeepsServing) {

@@ -1,6 +1,7 @@
 // Cross-module integration tests: TierBase over a real LSM storage tier,
-// YCSB workloads end-to-end, crash recovery through the full stack, the
-// cost-evaluation framework driving real engines, and a TierBase cluster.
+// YCSB workloads end-to-end, crash recovery through the full stack, and the
+// cost-evaluation framework driving real engines. The clustered tiered
+// topology (Figure 3) is tested over the wire in cluster_net_test.
 
 #include <memory>
 #include <string>
@@ -9,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.h"
-#include "cluster/cluster_client.h"
-#include "cluster/coordinator.h"
 #include "common/env.h"
 #include "core/storage_adapter.h"
 #include "core/tierbase.h"
@@ -211,40 +210,6 @@ TEST_F(IntegrationTest, BreakEvenTableFromMeasuredConfigs) {
   EXPECT_EQ(table[0].fast, "raw");
   EXPECT_EQ(table[0].slow, "pbc");
   EXPECT_GT(table[0].seconds, 0);
-}
-
-TEST_F(IntegrationTest, ClusterOfTieredInstances) {
-  // Three TierBase write-through instances behind the cluster router, each
-  // with its own LSM shard — the full Figure 3 topology in-process.
-  cluster::Coordinator coordinator(64, /*replicas=*/1);
-  std::vector<std::unique_ptr<LsmStorageAdapter>> shards;
-  for (int n = 0; n < 3; ++n) {
-    shards.push_back(OpenStorage("shard" + std::to_string(n)));
-    TierBaseOptions options;
-    options.policy = CachingPolicy::kWriteThrough;
-    options.cache.memory_budget = 1 << 20;
-    auto db = TierBase::Open(options, shards.back().get());
-    ASSERT_TRUE(db.ok());
-    ASSERT_TRUE(coordinator
-                    .AddInstance(std::make_unique<cluster::Instance>(
-                        "tb" + std::to_string(n), std::move(db.value())))
-                    .ok());
-  }
-  cluster::ClusterClient client(&coordinator);
-  for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(
-        client.Set("key" + std::to_string(i), "v" + std::to_string(i)).ok());
-  }
-  ASSERT_TRUE(client.WaitIdle().ok());
-  std::string value;
-  for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(client.Get("key" + std::to_string(i), &value).ok());
-    ASSERT_EQ(value, "v" + std::to_string(i));
-  }
-  // Every shard's storage tier holds a share of the data.
-  for (auto& shard : shards) {
-    EXPECT_GT(shard->GetUsage().keys, 0u);
-  }
 }
 
 TEST_F(IntegrationTest, BaselineAndTierBaseAgreeUnderSameWorkload) {
