@@ -26,8 +26,8 @@
 //        run ops/8), --no-telemetry (disable the server's per-command
 //        clocking — run both ways to price the telemetry layer; the
 //        srv_* columns read 0 with it off),
-//        --io-threads N / --force-poll (server reactor config; rows are
-//        tagged with both), --connections LIST (comma list, conn sweep,
+//        --io-threads N (server reactor shards; rows are tagged with
+//        it), --connections LIST (comma list, conn sweep,
 //        up to 1024), --offered-load LIST (comma list of kops for the
 //        open-loop curve), --load-connections N (conns the load curve
 //        runs over, default 64), --load-seconds S (per-point duration).
@@ -388,7 +388,7 @@ struct SweepRow {
 };
 
 void EmitJson(FILE* f, uint64_t records, uint64_t ops, int io_threads,
-              const char* backend, const std::vector<Row>& rows,
+              const std::vector<Row>& rows,
               const std::vector<SweepRow>& conn_sweep,
               int load_connections,
               const std::vector<SweepRow>& load_curve) {
@@ -399,7 +399,7 @@ void EmitJson(FILE* f, uint64_t records, uint64_t ops, int io_threads,
   fprintf(f, "  \"records\": %" PRIu64 ",\n", records);
   fprintf(f, "  \"ops_pipelined_row\": %" PRIu64 ",\n", ops);
   fprintf(f, "  \"io_threads\": %d,\n", io_threads);
-  fprintf(f, "  \"backend\": \"%s\",\n", backend);
+  fprintf(f, "  \"backend\": \"epoll\",\n");
   fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -442,7 +442,6 @@ int Main(int argc, char** argv) {
   std::string json_path;
   bool telemetry = true;
   int io_threads = 1;
-  bool force_poll = false;
   std::vector<int> conn_sweep_sizes = {64, 256, 1024};
   std::vector<int> offered_loads_kops = {10, 20, 40, 60, 80};
   int load_connections = 64;
@@ -468,8 +467,6 @@ int Main(int argc, char** argv) {
     } else if (strcmp(argv[i], "--io-threads") == 0 && i + 1 < argc) {
       io_threads = atoi(argv[++i]);
       if (io_threads < 1) return 2;
-    } else if (strcmp(argv[i], "--force-poll") == 0) {
-      force_poll = true;
     } else if (strcmp(argv[i], "--connections") == 0 && i + 1 < argc) {
       if (!ParseIntList(argv[++i], 1024, &conn_sweep_sizes)) {
         fprintf(stderr, "--connections wants 1..1024 values\n");
@@ -489,7 +486,7 @@ int Main(int argc, char** argv) {
     } else {
       fprintf(stderr,
               "usage: %s [--smoke] [--json path] [--records N] [--ops N] "
-              "[--no-telemetry] [--io-threads N] [--force-poll] "
+              "[--no-telemetry] [--io-threads N] "
               "[--connections LIST] [--offered-load LIST] "
               "[--load-connections N] [--load-seconds S]\n",
               argv[0]);
@@ -517,7 +514,6 @@ int Main(int argc, char** argv) {
   server::ServerOptions server_options;
   server_options.net.port = 0;
   server_options.net.io_threads = io_threads;
-  server_options.net.force_poll = force_poll;
   server_options.net.max_connections = 2048;
   server_options.executor.mode = threading::ThreadMode::kSingle;
   server::Server srv(db->get(), server_options);
@@ -676,7 +672,6 @@ int Main(int argc, char** argv) {
   }
 
   const int srv_io_threads = srv.loop()->io_threads();
-  const std::string backend = srv.loop()->backend();
 
   srv.Stop();
 
@@ -686,13 +681,13 @@ int Main(int argc, char** argv) {
       fprintf(stderr, "cannot open %s\n", json_path.c_str());
       return 1;
     }
-    EmitJson(f, records, ops, srv_io_threads, backend.c_str(), rows,
-             conn_sweep, load_connections, load_curve);
+    EmitJson(f, records, ops, srv_io_threads, rows, conn_sweep,
+             load_connections, load_curve);
     fclose(f);
     printf("JSON written to %s\n", json_path.c_str());
   } else {
-    EmitJson(stdout, records, ops, srv_io_threads, backend.c_str(), rows,
-             conn_sweep, load_connections, load_curve);
+    EmitJson(stdout, records, ops, srv_io_threads, rows, conn_sweep,
+             load_connections, load_curve);
   }
   return 0;
 }

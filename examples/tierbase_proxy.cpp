@@ -18,7 +18,6 @@
 //                              server — see README "Serving over the network"
 //   --so-reuseport             per-loop SO_REUSEPORT listeners
 //   --tcp-backlog N            listen(2) backlog (default 128)
-//   --force-poll               portable poll(2) backend even on Linux
 //
 // The process exits on SHUTDOWN (or SIGINT/SIGTERM); data nodes are
 // unaffected.
@@ -48,7 +47,7 @@ int Usage(const char* argv0) {
           "usage: %s --coordinator HOST:PORT[,HOST:PORT...]\n"
           "          [--host H] [--port N] [--port-file PATH]\n"
           "          [--max-threads N] [--io-threads N] [--so-reuseport]\n"
-          "          [--tcp-backlog N] [--force-poll] [--no-analytics]\n"
+          "          [--tcp-backlog N] [--no-analytics]\n"
           "          [--analytics-sample-rate N]\n",
           argv0);
   return 2;
@@ -91,8 +90,6 @@ int main(int argc, char** argv) {
     } else if (strcmp(argv[i], "--tcp-backlog") == 0) {
       options.tcp_backlog = atoi(next("--tcp-backlog"));
       if (options.tcp_backlog < 1) return Usage(argv[0]);
-    } else if (strcmp(argv[i], "--force-poll") == 0) {
-      options.force_poll = true;
     } else if (strcmp(argv[i], "--no-analytics") == 0) {
       options.analytics.enabled = false;
     } else if (strcmp(argv[i], "--analytics-sample-rate") == 0) {

@@ -20,10 +20,8 @@
 //                       (default 1 — the classic single-reactor shape)
 //   --accept-policy P   round-robin | least-conn accept distribution
 //   --so-reuseport      per-loop SO_REUSEPORT listeners instead of
-//                       accept-distribute (Linux, io-threads > 1)
+//                       accept-distribute (io-threads > 1)
 //   --tcp-backlog N     listen(2) backlog (default 128)
-//   --force-poll        portable poll(2) backend + self-pipe wakeup even
-//                       where epoll/eventfd are available
 //   --shards N          cache shards (default 4)
 //   --memory-budget B   cache budget in bytes; 0 = unlimited (default 0)
 //   --wal-sync M        storage/WAL sync mode: interval (default, fsync at
@@ -100,7 +98,7 @@ int Usage(const char* argv0) {
           "          [--dir PATH] [--threads single|multi|elastic]\n"
           "          [--max-threads N] [--shards N] [--memory-budget B]\n"
           "          [--io-threads N] [--accept-policy round-robin|least-conn]\n"
-          "          [--so-reuseport] [--tcp-backlog N] [--force-poll]\n"
+          "          [--so-reuseport] [--tcp-backlog N]\n"
           "          [--wal-sync interval|every]\n"
           "          [--max-clients N] [--max-out-buffer B]\n"
           "          [--busy-watermark N]\n"
@@ -133,7 +131,6 @@ int main(int argc, char** argv) {
   std::string accept_policy = "round-robin";
   bool so_reuseport = false;
   int tcp_backlog = 128;
-  bool force_poll = false;
   std::string cluster_id;
   std::string replicaof;
   size_t oplog_cap = 65536;
@@ -187,8 +184,6 @@ int main(int argc, char** argv) {
     } else if (strcmp(argv[i], "--tcp-backlog") == 0) {
       tcp_backlog = atoi(next("--tcp-backlog"));
       if (tcp_backlog < 1) return Usage(argv[0]);
-    } else if (strcmp(argv[i], "--force-poll") == 0) {
-      force_poll = true;
     } else if (strcmp(argv[i], "--cluster-id") == 0) {
       cluster_id = next("--cluster-id");
     } else if (strcmp(argv[i], "--replicaof") == 0) {
@@ -275,7 +270,6 @@ int main(int argc, char** argv) {
   server_options.net.io_threads = io_threads;
   server_options.net.so_reuseport = so_reuseport;
   server_options.net.backlog = tcp_backlog;
-  server_options.net.force_poll = force_poll;
   if (accept_policy == "round-robin") {
     server_options.net.accept_policy = server::AcceptPolicy::kRoundRobin;
   } else if (accept_policy == "least-conn") {

@@ -88,9 +88,6 @@ void ClusterProxy::RegisterInstruments() {
       "Proxy", "connected_clients", "Connections currently open",
       metrics::MetricType::kGauge,
       [this] { return loop_ != nullptr ? loop_->connections_active() : 0; });
-  registry_.AddText("Proxy", "io_backend", [this] {
-    return std::string(loop_ != nullptr ? loop_->backend() : "unbound");
-  });
   registry_.AddCallback(
       "Proxy", "io_threads", "Event-loop shards serving clients",
       metrics::MetricType::kGauge, [this] {
@@ -198,7 +195,6 @@ Status ClusterProxy::Start() {
   net.port = options_.port;
   net.io_threads = options_.io_threads;
   net.so_reuseport = options_.so_reuseport;
-  net.force_poll = options_.force_poll;
   net.backlog = options_.tcp_backlog;
   loop_ = std::make_unique<server::EventLoop>(
       net, [this](std::shared_ptr<server::Connection> conn,

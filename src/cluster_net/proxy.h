@@ -44,8 +44,6 @@ class ClusterProxy {
     int io_threads = 1;
     /// Per-loop SO_REUSEPORT listeners instead of accept-distribute.
     bool so_reuseport = false;
-    /// Portable poll(2) backend even where epoll is available.
-    bool force_poll = false;
     /// listen(2) backlog (--tcp-backlog).
     int tcp_backlog = 128;
     NetClusterClient::Options backend;

@@ -14,7 +14,7 @@ EventLoop::~EventLoop() = default;
 Status EventLoop::Listen() {
   const int n = std::max(1, std::min(options_.io_threads, 64));
   options_.io_threads = n;
-#if defined(__linux__) && defined(SO_REUSEPORT)
+#ifdef SO_REUSEPORT
   reuseport_ = options_.so_reuseport && n > 1;
 #else
   reuseport_ = false;

@@ -1,6 +1,6 @@
 // The network front end's multi-reactor core. EventLoop is the facade over
-// N IoShard reactors (io_shard.h): epoll edge-triggered loops on Linux,
-// poll(2) elsewhere, sized by EventLoopOptions::io_threads.
+// N IoShard reactors (io_shard.h): edge-triggered epoll loops, sized by
+// EventLoopOptions::io_threads.
 //
 //                       ┌─ IoShard 0 ── owns conns {a, d, ...}
 //   listener ─ accept ──┼─ IoShard 1 ── owns conns {b, e, ...}
@@ -14,8 +14,7 @@
 // are touched only by that loop's thread, so the read → parse → dispatch →
 // write path never takes a cross-loop lock. Batches still execute on the
 // shared ElasticExecutor; completions come home to the owning loop through
-// the per-connection completion slot plus an eventfd (Linux) / self-pipe
-// wakeup.
+// the per-connection completion slot plus an eventfd wakeup.
 //
 // With io_threads == 1 (the default) this is exactly the classic
 // single-reactor server: one loop, one listener, identical semantics.
@@ -76,10 +75,6 @@ class EventLoop {
   /// Per-loop instruments (INFO per-loop block, tests). Valid after
   /// Listen(); index < shard_count().
   const IoShard* shard(size_t i) const { return shards_[i].get(); }
-  /// "epoll" or "poll" — the backend the shards run.
-  const char* backend() const {
-    return shards_.empty() ? "unbound" : shards_[0]->backend();
-  }
 
   // Gauges for INFO and tests — aggregated across all shards.
   uint64_t connections_accepted() const;

@@ -4,15 +4,11 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#endif
 
 #include <cerrno>
 #include <cstring>
@@ -119,63 +115,32 @@ void Connection::CompleteBatch(std::string&& output, bool close_after,
 // --- IoShard --------------------------------------------------------------
 
 IoShard::IoShard(int index, const EventLoopOptions& options, EventLoop* parent)
-    : index_(index),
-      options_(options),
-      parent_(parent),
-#ifdef __linux__
-      use_epoll_(!options.force_poll)
-#else
-      use_epoll_(false)
-#endif
-{
-}
+    : index_(index), options_(options), parent_(parent) {}
 
 IoShard::~IoShard() {
   if (listen_fd_ >= 0) close(listen_fd_);
-  if (wake_write_fd_ >= 0 && wake_write_fd_ != wake_read_fd_) {
-    close(wake_write_fd_);
-  }
-  if (wake_read_fd_ >= 0) close(wake_read_fd_);
-#ifdef __linux__
+  if (wake_fd_ >= 0) close(wake_fd_);
   if (epoll_fd_ >= 0) close(epoll_fd_);
-#endif
 }
 
-const char* IoShard::backend() const { return use_epoll_ ? "epoll" : "poll"; }
-
 Status IoShard::Open() {
-#ifdef __linux__
-  if (use_epoll_) {
-    epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) {
-      return Status::IOError(std::string("epoll_create1: ") + strerror(errno));
-    }
-    // eventfd wakeup: one fd instead of a pipe pair, and a single 8-byte
-    // read drains any number of queued notifications.
-    wake_read_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (wake_read_fd_ < 0) {
-      return Status::IOError(std::string("eventfd: ") + strerror(errno));
-    }
-    wake_write_fd_ = wake_read_fd_;
-    struct epoll_event ev;
-    memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN;
-    ev.data.fd = wake_read_fd_;
-    if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_read_fd_, &ev) != 0) {
-      return Status::IOError(std::string("epoll_ctl: ") + strerror(errno));
-    }
-    return Status::OK();
+  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) {
+    return Status::IOError(std::string("epoll_create1: ") + strerror(errno));
   }
-#endif
-  // Poll fallback keeps the portable self-pipe.
-  int fds[2];
-  if (pipe(fds) != 0) {
-    return Status::IOError(std::string("pipe: ") + strerror(errno));
+  // eventfd wakeup: one fd instead of a pipe pair, and a single 8-byte
+  // read drains any number of queued notifications.
+  wake_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    return Status::IOError(std::string("eventfd: ") + strerror(errno));
   }
-  wake_read_fd_ = fds[0];
-  wake_write_fd_ = fds[1];
-  TIERBASE_RETURN_IF_ERROR(SetNonBlocking(wake_read_fd_));
-  TIERBASE_RETURN_IF_ERROR(SetNonBlocking(wake_write_fd_));
+  struct epoll_event ev;
+  memset(&ev, 0, sizeof(ev));
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_fd_;
+  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+    return Status::IOError(std::string("epoll_ctl: ") + strerror(errno));
+  }
   return Status::OK();
 }
 
@@ -222,19 +187,15 @@ Status IoShard::OpenListener(uint16_t port, bool reuseport) {
   }
   listen_port_ = ntohs(addr.sin_port);
 
-#ifdef __linux__
-  if (use_epoll_) {
-    // Level-triggered on purpose: if one epoll_wait batch ends before the
-    // backlog empties, the next cycle re-reports it — no accept starvation.
-    struct epoll_event ev;
-    memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN;
-    ev.data.fd = listen_fd_;
-    if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
-      return Status::IOError(std::string("epoll_ctl: ") + strerror(errno));
-    }
+  // Level-triggered on purpose: if one epoll_wait batch ends before the
+  // backlog empties, the next cycle re-reports it — no accept starvation.
+  struct epoll_event ev;
+  memset(&ev, 0, sizeof(ev));
+  ev.events = EPOLLIN;
+  ev.data.fd = listen_fd_;
+  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
+    return Status::IOError(std::string("epoll_ctl: ") + strerror(errno));
   }
-#endif
   return Status::OK();
 }
 
@@ -244,34 +205,17 @@ void IoShard::RequestStop() {
 }
 
 void IoShard::Notify() {
-  if (wake_write_fd_ < 0) return;
-#ifdef __linux__
-  if (use_epoll_) {
-    uint64_t one = 1;
-    ssize_t unused = write(wake_write_fd_, &one, sizeof(one));
-    (void)unused;
-    return;
-  }
-#endif
-  char byte = 1;
-  // Nonblocking: if the pipe is full a wakeup is already pending.
-  ssize_t unused = write(wake_write_fd_, &byte, 1);
+  if (wake_fd_ < 0) return;
+  uint64_t one = 1;
+  ssize_t unused = write(wake_fd_, &one, sizeof(one));
   (void)unused;
 }
 
 void IoShard::DrainWakeupChannel() {
   wakeups_.fetch_add(1, std::memory_order_relaxed);
-#ifdef __linux__
-  if (use_epoll_) {
-    uint64_t count = 0;
-    ssize_t unused = read(wake_read_fd_, &count, sizeof(count));
-    (void)unused;  // eventfd read resets the counter; one read drains all.
-    return;
-  }
-#endif
-  char sink[256];
-  while (read(wake_read_fd_, sink, sizeof(sink)) > 0) {
-  }
+  uint64_t count = 0;
+  ssize_t unused = read(wake_fd_, &count, sizeof(count));
+  (void)unused;  // eventfd read resets the counter; one read drains all.
 }
 
 void IoShard::AdoptConnection(int fd) {
@@ -306,21 +250,17 @@ void IoShard::AddConnection(int fd) {
   const uint64_t id =
       (static_cast<uint64_t>(index_ + 1) << 48) | next_conn_id_++;
   auto conn = std::make_shared<Connection>(this, fd, id);
-#ifdef __linux__
-  if (use_epoll_) {
-    struct epoll_event ev;
-    memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN | EPOLLET;
-    ev.data.fd = fd;
-    if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      TB_LOG_WARN("server: epoll add failed: %s", strerror(errno));
-      close(fd);
-      parent_->ReleaseConnection();
-      return;
-    }
-    conn->armed_events = EPOLLIN | EPOLLET;
+  struct epoll_event ev;
+  memset(&ev, 0, sizeof(ev));
+  ev.events = EPOLLIN | EPOLLET;
+  ev.data.fd = fd;
+  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    TB_LOG_WARN("server: epoll add failed: %s", strerror(errno));
+    close(fd);
+    parent_->ReleaseConnection();
+    return;
   }
-#endif
+  conn->armed_events = EPOLLIN | EPOLLET;
   conns_.emplace(fd, std::move(conn));
   assigned_.fetch_add(1, std::memory_order_relaxed);
   active_.fetch_add(1, std::memory_order_relaxed);
@@ -389,8 +329,6 @@ void IoShard::CloseConnection(const std::shared_ptr<Connection>& conn) {
 }
 
 void IoShard::UpdateInterest(const std::shared_ptr<Connection>& conn) {
-#ifdef __linux__
-  if (!use_epoll_) return;
   uint32_t want = EPOLLIN | EPOLLET;
   if (!conn->out.empty()) want |= EPOLLOUT;
   if (want == conn->armed_events) return;
@@ -402,9 +340,6 @@ void IoShard::UpdateInterest(const std::shared_ptr<Connection>& conn) {
   // writable when EPOLLOUT is added, an event fires — no lost edge.
   epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd_, &ev);
   conn->armed_events = want;
-#else
-  (void)conn;
-#endif
 }
 
 bool IoShard::TryDispatch(const std::shared_ptr<Connection>& conn) {
@@ -529,7 +464,7 @@ void IoShard::DrainCompletions() {
       CloseConnection(conn);
       continue;
     }
-    HandleWritable(conn);  // Opportunistic flush without waiting for poll.
+    HandleWritable(conn);  // Opportunistic flush without waiting for EPOLLOUT.
     if (ConnAlive(conn->fd_, conn) && !conn->closing) {
       TryDispatch(conn);  // Pipeline input buffered during execution.
       if (ConnAlive(conn->fd_, conn)) UpdateInterest(conn);
@@ -637,15 +572,7 @@ bool IoShard::StoppingAndDrained() {
 }
 
 void IoShard::Run() {
-#ifdef __linux__
-  if (use_epoll_) {
-    RunEpoll();
-  } else {
-    RunPoll();
-  }
-#else
-  RunPoll();
-#endif
+  RunEpoll();
 
   // Teardown: every remaining socket closes (in-flight completions
   // detach), and any last hand-offs are refused.
@@ -664,7 +591,6 @@ void IoShard::Run() {
 }
 
 void IoShard::RunEpoll() {
-#ifdef __linux__
   constexpr int kMaxEvents = 128;
   struct epoll_event events[kMaxEvents];
 
@@ -683,7 +609,7 @@ void IoShard::RunEpoll() {
     for (int i = 0; i < rc; ++i) {
       const int fd = events[i].data.fd;
       const uint32_t ev = events[i].events;
-      if (fd == wake_read_fd_) {
+      if (fd == wake_fd_) {
         DrainWakeupChannel();
         continue;
       }
@@ -708,69 +634,6 @@ void IoShard::RunEpoll() {
       }
       if (ev & EPOLLOUT) HandleWritable(conn);
       if (ConnAlive(fd, conn)) UpdateInterest(conn);
-    }
-
-    DrainPendingAccepts();
-    DrainCompletions();
-  }
-#endif
-}
-
-void IoShard::RunPoll() {
-  std::vector<pollfd> fds;
-  std::vector<std::shared_ptr<Connection>> polled;
-
-  for (;;) {
-    if (StoppingAndDrained()) break;
-    const bool stopping = stop_requested_.load(std::memory_order_acquire);
-
-    fds.clear();
-    polled.clear();
-    if (!stopping && listen_fd_ >= 0) {
-      fds.push_back({listen_fd_, POLLIN, 0});
-    }
-    const size_t wake_idx = fds.size();
-    fds.push_back({wake_read_fd_, POLLIN, 0});
-    const size_t first_conn = fds.size();
-    for (const auto& [fd, conn] : conns_) {
-      short events = 0;
-      // While a batch is in flight keep reading (pipelining input), and
-      // ask for POLLOUT only when bytes are pending.
-      if (!conn->closing) events |= POLLIN;
-      if (!conn->out.empty()) events |= POLLOUT;
-      if (events == 0) events = POLLIN;  // Still notice hangups.
-      fds.push_back({fd, events, 0});
-      polled.push_back(conn);
-    }
-
-    int rc = poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                  options_.poll_interval_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      TB_LOG_ERROR("server: poll failed: %s", strerror(errno));
-      break;
-    }
-
-    if (wake_idx > 0 && (fds[0].revents & POLLIN)) AcceptNew();
-    if (fds[wake_idx].revents & POLLIN) DrainWakeupChannel();
-
-    for (size_t c = 0; c < polled.size(); ++c) {
-      const pollfd& p = fds[first_conn + c];
-      const std::shared_ptr<Connection>& conn = polled[c];
-      if (!ConnAlive(p.fd, conn)) continue;  // Closed earlier this cycle.
-      if (p.revents & (POLLERR | POLLNVAL)) {
-        CloseConnection(conn);
-        continue;
-      }
-      if (p.revents & POLLIN) {
-        HandleReadable(conn);
-        if (!ConnAlive(p.fd, conn)) continue;
-      } else if (p.revents & POLLHUP) {
-        // POLLHUP without readable data: nothing more will arrive.
-        CloseConnection(conn);
-        continue;
-      }
-      if (p.revents & POLLOUT) HandleWritable(conn);
     }
 
     DrainPendingAccepts();

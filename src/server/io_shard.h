@@ -1,14 +1,11 @@
 // IoShard: one reactor of the multi-reactor network core. Each shard is a
-// self-contained event loop — epoll edge-triggered on Linux (poll(2)
-// fallback elsewhere, or with EventLoopOptions::force_poll) — that OWNS a
-// disjoint set of connections: their sockets, read buffers, reply queues
+// self-contained edge-triggered epoll event loop that OWNS a disjoint set of connections: their sockets, read buffers, reply queues
 // and dispatch state live on the shard's thread and are never touched by
 // another loop. The read → parse → dispatch → write path therefore takes
 // no cross-loop lock; the only cross-thread seams are the per-connection
 // completion slot (dispatcher threads finishing a batch), the pending-
 // accept hand-off queue (the acceptor assigning a fresh socket), and the
-// wakeup channel — eventfd on the Linux epoll backend, a self-pipe on the
-// poll fallback.
+// eventfd wakeup channel.
 //
 // Scatter output. Replies are queued as per-batch chunks (the exact
 // strings CompleteBatch delivered, moved, never concatenated) and flushed
@@ -72,14 +69,10 @@ struct EventLoopOptions {
   int io_threads = 1;
   /// With io_threads > 1, give every loop its own SO_REUSEPORT listener
   /// (the kernel distributes accepts) instead of accept-distribute from
-  /// loop 0. Linux only; ignored elsewhere.
+  /// loop 0.
   bool so_reuseport = false;
   /// Accept-distribute policy (ignored under so_reuseport).
   AcceptPolicy accept_policy = AcceptPolicy::kRoundRobin;
-  /// Use the portable poll(2) backend (self-pipe wakeup) even where epoll
-  /// is available. The non-Linux build always runs this backend; the flag
-  /// exists so Linux tests cover it too.
-  bool force_poll = false;
 
   // --- Overload protection (see README "Fault tolerance"). ---
   /// 0 = unlimited. GLOBAL cap across all loops: accepts past this many
@@ -166,7 +159,7 @@ class Connection {
   OutQueue out;          // Reply chunks awaiting the scatter write.
   bool busy = false;     // A dispatch batch is in flight.
   bool closing = false;  // Close once `out` drains.
-  uint32_t armed_events = 0;  // epoll backend: interest mask registered.
+  uint32_t armed_events = 0;  // epoll interest mask registered.
 
   // --- Cross-thread completion slot. ---
   common::Mutex mu_;
@@ -187,7 +180,7 @@ class IoShard {
 
   int index() const { return index_; }
 
-  /// Creates the wakeup channel and (on the epoll backend) the epoll set.
+  /// Creates the epoll set and its eventfd wakeup channel.
   Status Open();
   /// Binds and listens on options.host:`port` (0 = ephemeral). With
   /// `reuseport`, sets SO_REUSEPORT before bind so sibling shards can
@@ -201,7 +194,7 @@ class IoShard {
   void Run();
   /// Requests a graceful stop; any thread. Idempotent.
   void RequestStop();
-  /// Writes into the wakeup channel; any thread.
+  /// Writes into the wakeup eventfd; any thread.
   void Notify();
 
   /// Hands a freshly accepted, already-admitted socket to this shard from
@@ -219,11 +212,8 @@ class IoShard {
   uint64_t slow_consumer_disconnects() const { return slow_consumer_.load(); }
   uint64_t busy_shed_commands() const { return busy_shed_.load(); }
   uint64_t dispatch_inflight() const { return inflight_.load(); }
-  /// Times the loop was woken through the wakeup channel (eventfd on the
-  /// epoll backend, self-pipe on the poll fallback).
+  /// Times the loop was woken through the wakeup eventfd.
   uint64_t wakeups() const { return wakeups_.load(); }
-  /// "epoll" or "poll" — which backend this shard runs.
-  const char* backend() const;
 
  private:
   friend class Connection;
@@ -250,21 +240,17 @@ class IoShard {
   bool ConnAlive(int fd, const std::shared_ptr<Connection>& conn) const;
 
   void RunEpoll();
-  void RunPoll();
-  /// epoll backend: (re-)arms the connection's interest mask — always
-  /// EPOLLIN|EPOLLET, plus EPOLLOUT while replies are pending. No-op on
-  /// the poll backend (poll rebuilds its fd set every cycle).
+  /// (Re-)arms the connection's interest mask — always EPOLLIN|EPOLLET,
+  /// plus EPOLLOUT while replies are pending.
   void UpdateInterest(const std::shared_ptr<Connection>& conn);
 
   const int index_;
   const EventLoopOptions& options_;  // Owned by the parent EventLoop.
   EventLoop* const parent_;
-  const bool use_epoll_;
 
   int epoll_fd_ = -1;
   int listen_fd_ = -1;
-  int wake_read_fd_ = -1;   // eventfd (epoll backend: same as write side).
-  int wake_write_fd_ = -1;  // Self-pipe write end (poll backend).
+  int wake_fd_ = -1;  // eventfd.
   uint16_t listen_port_ = 0;
   uint64_t next_conn_id_ = 1;
   uint64_t stop_seen_at_ = 0;

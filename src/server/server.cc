@@ -53,13 +53,8 @@ Server::Server(TierBase* db, ServerOptions options)
        metrics::MetricType::kCounter,
        [this] { return loop_ != nullptr ? loop_->protocol_errors() : 0; });
 
-  // Multi-reactor shape: how many loops, which backend, and the per-loop
-  // breakdown (connection ownership, accept balance, wakeup traffic).
-  reg->AddText("Server", "io_backend", [this] {
-    return std::string(loop_ != nullptr ? loop_->backend()
-                       : options_.net.force_poll ? "poll"
-                                                 : "unbound");
-  });
+  // Multi-reactor shape: how many loops and the per-loop breakdown
+  // (connection ownership, accept balance, wakeup traffic).
   poll("io_threads", "Event-loop shards serving connections",
        metrics::MetricType::kGauge, [this] {
          return loop_ != nullptr

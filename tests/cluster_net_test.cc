@@ -696,10 +696,9 @@ TEST_F(ClusterNetTest, ProxyServesNaiveClientsAndScatterGathers) {
 
   ClusterProxy::Options options;
   options.port = 0;
-  // Two loops on the portable poll(2) backend: the scatter-gather path must
-  // behave identically regardless of reactor backend or shard count.
+  // Two loops: the scatter-gather path must behave identically regardless
+  // of reactor shard count.
   options.io_threads = 2;
-  options.force_poll = true;
   options.backend.coordinators.push_back(
       "127.0.0.1:" + std::to_string(coordinator_->port()));
   ClusterProxy proxy(options);

@@ -182,7 +182,6 @@ class ServerTest : public ::testing::Test {
     server_options.net.port = 0;  // Ephemeral.
     server_options.net.io_threads = io_threads_;
     server_options.net.so_reuseport = so_reuseport_;
-    server_options.net.force_poll = force_poll_;
     server_options.executor.mode = mode;
     server_options.executor.max_threads = 2;
     srv_ = std::make_unique<Server>(db_.get(), server_options);
@@ -203,7 +202,6 @@ class ServerTest : public ::testing::Test {
   analytics::WorkloadAnalyticsOptions analytics_options_;
   int io_threads_ = 1;
   bool so_reuseport_ = false;
-  bool force_poll_ = false;
 };
 
 /// Raw socket for torture tests: write arbitrary bytes, read with timeout.
@@ -637,42 +635,23 @@ TEST_F(ServerTest, MultiLoopThreadModeMatrix) {
   }
 }
 
-// Backend variants: SO_REUSEPORT per-loop listeners and the portable
-// poll(2) fallback serve identical traffic.
-TEST_F(ServerTest, ReuseportAndForcePollVariants) {
-  struct Variant {
-    bool so_reuseport;
-    bool force_poll;
-  };
-  for (const Variant& variant : {Variant{true, false}, Variant{false, true},
-                                 Variant{true, true}}) {
-    io_threads_ = 2;
-    so_reuseport_ = variant.so_reuseport;
-    force_poll_ = variant.force_poll;
-    StartServer();
-#ifdef __linux__
-    EXPECT_STREQ(variant.force_poll ? "poll" : "epoll",
-                 srv_->loop()->backend());
-#else
-    EXPECT_STREQ("poll", srv_->loop()->backend());
-#endif
-    std::vector<std::unique_ptr<Client>> clients;
-    RespValue v;
-    for (int c = 0; c < 4; ++c) {
-      clients.push_back(std::make_unique<Client>());
-      ASSERT_TRUE(Connect(clients.back().get()).ok());
-      ASSERT_TRUE(
-          clients.back()->Call({"SET", "rk" + std::to_string(c), "x"}, &v)
-              .ok());
-    }
-    for (int c = 0; c < 4; ++c) {
-      ASSERT_TRUE(clients[c]->Call({"GET", "rk" + std::to_string(c)}, &v)
-                      .ok());
-      EXPECT_EQ("x", v.str);
-    }
-    srv_->Stop();
-    srv_.reset();
-    db_.reset();
+// SO_REUSEPORT per-loop listeners serve the same traffic as
+// accept-distribute.
+TEST_F(ServerTest, ReuseportListenersServeTraffic) {
+  io_threads_ = 2;
+  so_reuseport_ = true;
+  StartServer();
+  std::vector<std::unique_ptr<Client>> clients;
+  RespValue v;
+  for (int c = 0; c < 4; ++c) {
+    clients.push_back(std::make_unique<Client>());
+    ASSERT_TRUE(Connect(clients.back().get()).ok());
+    ASSERT_TRUE(
+        clients.back()->Call({"SET", "rk" + std::to_string(c), "x"}, &v).ok());
+  }
+  for (int c = 0; c < 4; ++c) {
+    ASSERT_TRUE(clients[c]->Call({"GET", "rk" + std::to_string(c)}, &v).ok());
+    EXPECT_EQ("x", v.str);
   }
 }
 
@@ -816,7 +795,7 @@ TEST_F(ServerTest, ShutdownDrainsPipelinedClientsOnEveryLoop) {
 
 // INFO "# Server" carries the per-loop breakdown the observability
 // satellite promises: connected_clients_loop<i>, accepts_loop<i>,
-// loop_wakeups_loop<i>, plus io_threads/io_backend.
+// loop_wakeups_loop<i>, plus io_threads.
 TEST_F(ServerTest, InfoReportsPerLoopBreakdown) {
   io_threads_ = 2;
   StartServer();
@@ -833,7 +812,6 @@ TEST_F(ServerTest, InfoReportsPerLoopBreakdown) {
   }
   ASSERT_TRUE(clients[0]->Call({"INFO"}, &v).ok());
   EXPECT_NE(std::string::npos, v.str.find("io_threads:2")) << v.str;
-  EXPECT_NE(std::string::npos, v.str.find("io_backend:")) << v.str;
   EXPECT_NE(std::string::npos, v.str.find("connected_clients_loop0:"))
       << v.str;
   EXPECT_NE(std::string::npos, v.str.find("connected_clients_loop1:"))
