@@ -9,7 +9,8 @@
 //   --host H               bind address (default 127.0.0.1)
 //   --port N               listen port; 0 = ephemeral (default 7000)
 //   --port-file PATH       write the bound port to PATH once listening
-//   --vnodes N             virtual nodes per shard on the ring (default 64)
+//   --vnodes N             virtual nodes per shard on the ring, 1..4096
+//                          (default 64)
 //   --probe-interval-ms N  PING every node this often and fail the
 //                          unresponsive; 0 = rely on client reports
 //                          (default 0)
@@ -66,14 +67,21 @@ int main(int argc, char** argv) {
     } else if (strcmp(argv[i], "--port-file") == 0) {
       port_file = next("--port-file");
     } else if (strcmp(argv[i], "--vnodes") == 0) {
-      options.virtual_nodes = atoi(next("--vnodes"));
+      // Same bound the nodes and clients enforce when parsing routing.
+      char* end = nullptr;
+      long vnodes = strtol(next("--vnodes"), &end, 10);
+      if (*end != '\0' || vnodes < 1 ||
+          vnodes > cluster_net::WireRouting::kMaxVirtualNodes) {
+        return Usage(argv[0]);
+      }
+      options.virtual_nodes = static_cast<int>(vnodes);
     } else if (strcmp(argv[i], "--probe-interval-ms") == 0) {
       probe_ms = atoi(next("--probe-interval-ms"));
     } else {
       return Usage(argv[0]);
     }
   }
-  if (options.virtual_nodes <= 0 || probe_ms < 0) return Usage(argv[0]);
+  if (probe_ms < 0) return Usage(argv[0]);
   options.probe_interval_micros = static_cast<uint64_t>(probe_ms) * 1000;
 
   cluster_net::CoordinatorService service(options);

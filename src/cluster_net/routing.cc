@@ -1,10 +1,42 @@
 #include "cluster_net/routing.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 namespace tierbase::cluster_net {
+
+namespace {
+
+/// Parses "epoch:<n> vnodes:<v>". strtoull/strtol report overflow (sscanf's
+/// %d would be undefined behaviour on it), and vnodes must lie in
+/// [1, kMaxVirtualNodes].
+bool ParseHeader(const std::string& line, uint64_t* epoch, int* vnodes) {
+  const char* p = line.c_str();
+  if (strncmp(p, "epoch:", 6) != 0 ||
+      !isdigit(static_cast<unsigned char>(p[6]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long e = strtoull(p + 6, &end, 10);
+  if (errno == ERANGE || strncmp(end, " vnodes:", 8) != 0) return false;
+  p = end + 8;
+  if (!isdigit(static_cast<unsigned char>(*p))) return false;
+  long v = strtol(p, &end, 10);
+  if (errno == ERANGE || v < 1 || v > WireRouting::kMaxVirtualNodes ||
+      (*end != '\0' && !isspace(static_cast<unsigned char>(*end)))) {
+    return false;
+  }
+  *epoch = e;
+  *vnodes = static_cast<int>(v);
+  return true;
+}
+
+}  // namespace
 
 std::string WireRouting::Serialize() const {
   std::string out;
@@ -34,14 +66,9 @@ Status WireRouting::Parse(const std::string& text, WireRouting* out) {
   if (!std::getline(in, line)) {
     return Status::Corruption("empty routing payload");
   }
-  unsigned long long epoch = 0;
-  int vnodes = 0;
-  if (sscanf(line.c_str(), "epoch:%llu vnodes:%d", &epoch, &vnodes) != 2 ||
-      vnodes <= 0) {
+  if (!ParseHeader(line, &out->epoch, &out->virtual_nodes)) {
     return Status::Corruption("bad routing header: " + line);
   }
-  out->epoch = epoch;
-  out->virtual_nodes = vnodes;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream fields(line);

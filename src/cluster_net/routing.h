@@ -37,6 +37,11 @@ struct NodeRecord {
 };
 
 struct WireRouting {
+  /// Upper bound on virtual_nodes. Parse rejects larger values: the field
+  /// arrives off the wire, and every BuildRouter inserts that many ring
+  /// points per shard.
+  static constexpr int kMaxVirtualNodes = 4096;
+
   uint64_t epoch = 0;
   int virtual_nodes = 64;
   std::vector<NodeRecord> nodes;

@@ -1,6 +1,7 @@
 // IoShard: one reactor of the multi-reactor network core. Each shard is a
-// self-contained edge-triggered epoll event loop that OWNS a disjoint set of connections: their sockets, read buffers, reply queues
-// and dispatch state live on the shard's thread and are never touched by
+// self-contained edge-triggered epoll event loop that OWNS a disjoint set
+// of connections: their sockets, read buffers, reply queues and dispatch
+// state live on the shard's thread and are never touched by
 // another loop. The read → parse → dispatch → write path therefore takes
 // no cross-loop lock; the only cross-thread seams are the per-connection
 // completion slot (dispatcher threads finishing a batch), the pending-

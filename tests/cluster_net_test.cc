@@ -1,7 +1,8 @@
 // Tests for the networked cluster subsystem (src/cluster_net/): the
-// consistent-hash router, wire routing, the coordinator control plane, -MOVED handling, the smart
-// client's scatter–gather, wire replication with gap-triggered full
-// resync, replica promotion, kill-a-master-under-YCSB continuity, and the
+// consistent-hash router, wire routing, the coordinator control plane,
+// -MOVED handling, the smart client's scatter–gather, wire replication
+// with gap-triggered full resync, replica promotion,
+// kill-a-master-under-YCSB continuity, and the
 // RESP proxy, plus the Figure-3 topology of write-through data nodes over
 // their own LSM shards.
 //
@@ -77,6 +78,22 @@ TEST(WireRoutingTest, ParseRejectsGarbage) {
   EXPECT_FALSE(
       WireRouting::Parse("epoch:1 vnodes:64\nn1 h:1 emperor n1 up\n", &parsed)
           .ok());
+  // vnodes comes off the wire: an oversize or overflowing count must be
+  // rejected, not turned into billions of ring points per BuildRouter.
+  EXPECT_FALSE(WireRouting::Parse("epoch:1 vnodes:0\n", &parsed).ok());
+  EXPECT_FALSE(WireRouting::Parse("epoch:1 vnodes:-3\n", &parsed).ok());
+  EXPECT_FALSE(WireRouting::Parse("epoch:1 vnodes:4097\n", &parsed).ok());
+  EXPECT_FALSE(WireRouting::Parse("epoch:1 vnodes:2000000000\n", &parsed).ok());
+  EXPECT_FALSE(
+      WireRouting::Parse("epoch:1 vnodes:99999999999999999999\n", &parsed)
+          .ok());
+  EXPECT_FALSE(
+      WireRouting::Parse("epoch:99999999999999999999 vnodes:64\n", &parsed)
+          .ok());
+  EXPECT_FALSE(WireRouting::Parse("epoch:1 vnodes:64x\n", &parsed).ok());
+  // The bound itself is accepted.
+  ASSERT_TRUE(WireRouting::Parse("epoch:1 vnodes:4096\n", &parsed).ok());
+  EXPECT_EQ(WireRouting::kMaxVirtualNodes, parsed.virtual_nodes);
 }
 
 // --- Router: the ring every participant builds from a WireRouting. ---
@@ -256,7 +273,8 @@ TEST(OpLogTest, SequencesAndGapDetection) {
 // ---------------------------------------------------------------------------
 
 struct DataNode {
-  std::unique_ptr<LsmStorageAdapter> storage;  // Tiered nodes only; outlives db.
+  // Tiered nodes only; declared first so it outlives db.
+  std::unique_ptr<LsmStorageAdapter> storage;
   std::unique_ptr<TierBase> db;
   std::unique_ptr<server::Server> srv;
   std::unique_ptr<NodeClusterState> cluster;
