@@ -221,7 +221,17 @@ void IoShard::DrainWakeupChannel() {
 void IoShard::AdoptConnection(int fd) {
   {
     common::MutexLock lock(&pending_mu_);
-    pending_accepts_.push_back(fd);
+    if (!exited_) {
+      pending_accepts_.push_back(fd);
+      fd = -1;
+    }
+  }
+  if (fd >= 0) {
+    // This loop already ran its teardown; nobody would ever adopt (or
+    // close) the socket, and its client would wait forever.
+    close(fd);
+    parent_->ReleaseConnection();
+    return;
   }
   Notify();
 }
@@ -583,6 +593,7 @@ void IoShard::Run() {
   {
     common::MutexLock lock(&pending_mu_);
     pending.swap(pending_accepts_);
+    exited_ = true;  // Later hand-offs are refused by AdoptConnection.
   }
   for (int fd : pending) {
     close(fd);

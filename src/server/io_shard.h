@@ -263,6 +263,7 @@ class IoShard {
   // Accept hand-off: the acceptor thread parks admitted sockets here.
   common::Mutex pending_mu_;
   std::vector<int> pending_accepts_ GUARDED_BY(pending_mu_);
+  bool exited_ GUARDED_BY(pending_mu_) = false;  // Run() has returned.
 
   // Completion queue: connections whose batch finished (loop scans their
   // slots).
