@@ -101,7 +101,12 @@ TEST(RaceTest, CacheMultiOpsVsEviction) {
 // --- Seam 2: write-back flusher vs foreground writes and FlushAll. ------
 
 TEST(RaceTest, WriteBackFlusherVsForeground) {
-  MockStorageAdapter storage;
+  // A slow storage tier keeps flushed batches in the dirty set long enough
+  // for re-dirtied keys to merge even when the flusher has a core of its
+  // own and would otherwise keep up with the writers.
+  MockStorageAdapter::Options storage_opt;
+  storage_opt.latency_micros = 50;
+  MockStorageAdapter storage(storage_opt);
   WriteBackOptions opt;
   opt.flush_threshold = 8;
   opt.flush_interval_micros = 500;
