@@ -2,9 +2,8 @@
 // consistent-hash router, wire routing, the coordinator control plane,
 // -MOVED handling, the smart client's scatter–gather, wire replication
 // with gap-triggered full resync, replica promotion,
-// kill-a-master-under-YCSB continuity, and the
-// RESP proxy, plus the Figure-3 topology of write-through data nodes over
-// their own LSM shards.
+// kill-a-master-under-YCSB continuity, the RESP proxy, and the Figure-3
+// topology of write-through data nodes over their own LSM shards.
 //
 // Everything boots in-process on loopback with ephemeral ports, so the
 // suite also runs under ASan/UBSan in CI.
@@ -59,7 +58,7 @@ TEST(WireRoutingTest, SerializeParseRoundTrip) {
   EXPECT_EQ(7003, parsed.nodes[2].port);
 
   // The ring only contains shards with a healthy master: n2 is down.
-  std::map<std::string, double> shares = parsed.BuildRouter().OwnershipShares();
+  auto shares = parsed.BuildRouter().OwnershipShares();
   EXPECT_EQ(1u, shares.count("n1"));
   EXPECT_EQ(0u, shares.count("n2"));
   EXPECT_EQ(nullptr, parsed.MasterOfShard("n2"));
@@ -83,7 +82,8 @@ TEST(WireRoutingTest, ParseRejectsGarbage) {
   EXPECT_FALSE(WireRouting::Parse("epoch:1 vnodes:0\n", &parsed).ok());
   EXPECT_FALSE(WireRouting::Parse("epoch:1 vnodes:-3\n", &parsed).ok());
   EXPECT_FALSE(WireRouting::Parse("epoch:1 vnodes:4097\n", &parsed).ok());
-  EXPECT_FALSE(WireRouting::Parse("epoch:1 vnodes:2000000000\n", &parsed).ok());
+  EXPECT_FALSE(
+      WireRouting::Parse("epoch:1 vnodes:2000000000\n", &parsed).ok());
   EXPECT_FALSE(
       WireRouting::Parse("epoch:1 vnodes:99999999999999999999\n", &parsed)
           .ok());
