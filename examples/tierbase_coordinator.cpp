@@ -17,6 +17,7 @@
 //
 // The process exits on SHUTDOWN (or SIGINT/SIGTERM).
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -67,14 +68,11 @@ int main(int argc, char** argv) {
     } else if (strcmp(argv[i], "--port-file") == 0) {
       port_file = next("--port-file");
     } else if (strcmp(argv[i], "--vnodes") == 0) {
-      // Same bound the nodes and clients enforce when parsing routing.
-      char* end = nullptr;
-      long vnodes = strtol(next("--vnodes"), &end, 10);
-      if (*end != '\0' || vnodes < 1 ||
-          vnodes > cluster_net::WireRouting::kMaxVirtualNodes) {
-        return Usage(argv[0]);
-      }
-      options.virtual_nodes = static_cast<int>(vnodes);
+      // Start() checks the range; here only reject junk and int overflow.
+      const char* value = next("--vnodes");
+      const char* end = value + strlen(value);
+      auto [ptr, ec] = std::from_chars(value, end, options.virtual_nodes);
+      if (ec != std::errc() || ptr != end) return Usage(argv[0]);
     } else if (strcmp(argv[i], "--probe-interval-ms") == 0) {
       probe_ms = atoi(next("--probe-interval-ms"));
     } else {

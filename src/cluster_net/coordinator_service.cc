@@ -67,6 +67,14 @@ CoordinatorService::~CoordinatorService() { Stop(); }
 
 Status CoordinatorService::Start() {
   if (running_) return Status::InvalidArgument("coordinator already running");
+  // Nodes and clients reject routing payloads outside this range, so an
+  // out-of-range ring size would fail every route cluster-wide.
+  if (options_.virtual_nodes < 1 ||
+      options_.virtual_nodes > WireRouting::kMaxVirtualNodes) {
+    return Status::InvalidArgument(
+        "virtual_nodes must be in 1.." +
+        std::to_string(WireRouting::kMaxVirtualNodes));
+  }
   server::EventLoopOptions net;
   net.host = options_.host;
   net.port = options_.port;

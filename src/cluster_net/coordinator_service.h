@@ -42,6 +42,8 @@ class CoordinatorService {
   struct Options {
     std::string host = "127.0.0.1";
     uint16_t port = 0;  // 0 = ephemeral.
+    /// Ring points per shard; Start() rejects values outside
+    /// [1, WireRouting::kMaxVirtualNodes].
     int virtual_nodes = 64;
     /// PING every node this often and fail unresponsive ones; 0 = off.
     uint64_t probe_interval_micros = 0;

@@ -95,6 +95,22 @@ TEST(WireRoutingTest, ParseRejectsGarbage) {
   EXPECT_EQ(WireRouting::kMaxVirtualNodes, parsed.virtual_nodes);
 }
 
+TEST(CoordinatorServiceTest, StartRejectsOutOfRangeVirtualNodes) {
+  // Every payload such a coordinator served would fail Parse on the
+  // nodes and clients, so it must fail once, at start-up.
+  for (int vnodes : {0, -1, WireRouting::kMaxVirtualNodes + 1}) {
+    CoordinatorService::Options options;
+    options.virtual_nodes = vnodes;
+    CoordinatorService coordinator(options);
+    EXPECT_TRUE(coordinator.Start().IsInvalidArgument()) << vnodes;
+  }
+  CoordinatorService::Options options;
+  options.virtual_nodes = WireRouting::kMaxVirtualNodes;
+  CoordinatorService coordinator(options);
+  EXPECT_TRUE(coordinator.Start().ok());
+  coordinator.Stop();
+}
+
 TEST(OpLogTest, SequencesAndGapDetection) {
   OpLog log(4);
   for (int i = 0; i < 3; ++i) {

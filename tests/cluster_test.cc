@@ -1,34 +1,44 @@
-// Tests for the in-process cluster: consistent-hash router, coordinator
-// failover, and the cluster client's routing/replication/failover paths.
-
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
+// Tests for the consistent-hash router (src/cluster_net/router.h): ring
+// placement, determinism, virtual-node balance, and how keys move when a
+// routing snapshot marks a shard down.
 
 #include <gtest/gtest.h>
 
-#include "cache/hash_engine.h"
-#include "cluster/cluster_client.h"
-#include "cluster/coordinator.h"
-#include "cluster/instance.h"
-#include "cluster/router.h"
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "cluster_net/router.h"
+#include "cluster_net/routing.h"
 
 namespace tierbase {
-namespace cluster {
+namespace cluster_net {
 namespace {
 
-std::unique_ptr<Instance> MakeInstance(const std::string& id) {
-  return std::make_unique<Instance>(id,
-                                    std::make_unique<cache::HashEngine>());
+/// A routing snapshot of masters `up` (healthy) and `down` (failed, no
+/// replica promoted): the wire stack's only way to drop a shard.
+WireRouting Snapshot(uint64_t epoch, int vnodes,
+                     const std::vector<std::string>& up,
+                     const std::vector<std::string>& down = {}) {
+  WireRouting routing;
+  routing.epoch = epoch;
+  routing.virtual_nodes = vnodes;
+  uint16_t port = 7000;
+  for (const std::string& id : up) {
+    routing.nodes.push_back({id, "127.0.0.1", ++port, false, id, true});
+  }
+  for (const std::string& id : down) {
+    routing.nodes.push_back({id, "127.0.0.1", ++port, false, id, false});
+  }
+  return routing;
 }
-
-// --- Router. ---
 
 TEST(RouterTest, EmptyRingRoutesNowhere) {
   Router router;
   EXPECT_EQ(router.Route("key"), "");
-  EXPECT_TRUE(router.RouteReplicas("key", 2).empty());
+  EXPECT_TRUE(router.OwnershipShares().empty());
 }
 
 TEST(RouterTest, SingleInstanceOwnsEverything) {
@@ -69,319 +79,24 @@ TEST(RouterTest, LoadIsRoughlyBalanced) {
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
-TEST(RouterTest, RemovalOnlyRemapsOwnedKeys) {
-  Router router(64);
-  for (const char* id : {"a", "b", "c", "d"}) router.AddInstance(id);
-  std::map<std::string, std::string> before;
+TEST(RouterTest, DuplicateAddIsNoop) {
+  // A ring built a, b, a must be the ring built a, b: a second add that
+  // inserted extra points would tilt ownership toward "a" (about 2/3).
+  Router once, twice;
+  once.AddInstance("a");
+  once.AddInstance("b");
+  twice.AddInstance("a");
+  twice.AddInstance("b");
+  twice.AddInstance("a");
+  auto once_shares = once.OwnershipShares();
+  auto twice_shares = twice.OwnershipShares();
+  ASSERT_EQ(2u, twice_shares.size());
+  for (const char* id : {"a", "b"}) {
+    EXPECT_DOUBLE_EQ(once_shares[id], twice_shares[id]) << id;
+  }
   for (int i = 0; i < 5000; ++i) {
     std::string key = "key" + std::to_string(i);
-    before[key] = router.Route(key);
-  }
-  router.RemoveInstance("b");
-  int moved_from_surviving = 0;
-  for (const auto& [key, owner] : before) {
-    std::string now = router.Route(key);
-    EXPECT_NE(now, "b");
-    if (owner != "b" && now != owner) ++moved_from_surviving;
-  }
-  // Consistent hashing: keys on surviving nodes stay put.
-  EXPECT_EQ(moved_from_surviving, 0);
-}
-
-TEST(RouterTest, ReplicasAreDistinct) {
-  Router router;
-  for (const char* id : {"a", "b", "c"}) router.AddInstance(id);
-  for (int i = 0; i < 100; ++i) {
-    auto replicas = router.RouteReplicas("key" + std::to_string(i), 2);
-    ASSERT_EQ(replicas.size(), 2u);
-    EXPECT_NE(replicas[0], replicas[1]);
-    // The primary matches Route().
-    EXPECT_EQ(replicas[0], router.Route("key" + std::to_string(i)));
-  }
-}
-
-TEST(RouterTest, MoreReplicasThanInstancesClamped) {
-  Router router;
-  router.AddInstance("a");
-  router.AddInstance("b");
-  auto replicas = router.RouteReplicas("key", 5);
-  EXPECT_EQ(replicas.size(), 2u);
-}
-
-TEST(RouterTest, DuplicateAddIsNoop) {
-  Router router;
-  router.AddInstance("a");
-  router.AddInstance("a");
-  EXPECT_EQ(router.num_instances(), 1u);
-}
-
-// --- Coordinator. ---
-
-TEST(CoordinatorTest, RegistersAndRejectsDuplicates) {
-  Coordinator coordinator;
-  ASSERT_TRUE(coordinator.AddInstance(MakeInstance("n1")).ok());
-  EXPECT_TRUE(
-      coordinator.AddInstance(MakeInstance("n1")).IsInvalidArgument());
-  EXPECT_EQ(coordinator.healthy_count(), 1u);
-}
-
-TEST(CoordinatorTest, FailureBumpsEpochAndRemovesFromRing) {
-  Coordinator coordinator;
-  ASSERT_TRUE(coordinator.AddInstance(MakeInstance("n1")).ok());
-  ASSERT_TRUE(coordinator.AddInstance(MakeInstance("n2")).ok());
-  uint64_t epoch = coordinator.epoch();
-  ASSERT_TRUE(coordinator.ReportFailure("n1").ok());
-  EXPECT_GT(coordinator.epoch(), epoch);
-  EXPECT_EQ(coordinator.healthy_count(), 1u);
-  auto routing = coordinator.GetRouting();
-  EXPECT_FALSE(routing.router.Contains("n1"));
-  // Double-report is idempotent.
-  ASSERT_TRUE(coordinator.ReportFailure("n1").ok());
-  EXPECT_TRUE(coordinator.ReportFailure("ghost").IsNotFound());
-}
-
-TEST(CoordinatorTest, RecoveryRestoresInstance) {
-  Coordinator coordinator;
-  ASSERT_TRUE(coordinator.AddInstance(MakeInstance("n1")).ok());
-  ASSERT_TRUE(coordinator.ReportFailure("n1").ok());
-  ASSERT_TRUE(coordinator.Recover("n1").ok());
-  EXPECT_EQ(coordinator.healthy_count(), 1u);
-  EXPECT_TRUE(coordinator.GetRouting().router.Contains("n1"));
-  EXPECT_TRUE(coordinator.Find("n1")->healthy());
-}
-
-// --- Instance. ---
-
-TEST(InstanceTest, UnhealthyRejectsOps) {
-  auto instance = MakeInstance("n1");
-  ASSERT_TRUE(instance->Set("k", "v").ok());
-  instance->set_healthy(false);
-  std::string value;
-  EXPECT_TRUE(instance->Get("k", &value).IsUnavailable());
-  EXPECT_TRUE(instance->Set("k", "v2").IsUnavailable());
-  instance->set_healthy(true);
-  ASSERT_TRUE(instance->Get("k", &value).ok());
-  EXPECT_EQ(value, "v");
-}
-
-// --- ClusterClient. ---
-
-TEST(ClusterClientTest, BasicOpsAcrossShards) {
-  Coordinator coordinator(64, /*replicas=*/1);
-  for (int n = 0; n < 3; ++n) {
-    ASSERT_TRUE(
-        coordinator.AddInstance(MakeInstance("n" + std::to_string(n))).ok());
-  }
-  ClusterClient client(&coordinator);
-  for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(
-        client.Set("key" + std::to_string(i), "v" + std::to_string(i)).ok());
-  }
-  std::string value;
-  for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(client.Get("key" + std::to_string(i), &value).ok());
-    ASSERT_EQ(value, "v" + std::to_string(i));
-  }
-  // Data actually spread across instances.
-  int populated = 0;
-  for (Instance* instance : coordinator.instances()) {
-    if (instance->GetUsage().keys > 0) ++populated;
-  }
-  EXPECT_EQ(populated, 3);
-  EXPECT_EQ(client.GetUsage().keys, 300u);
-}
-
-TEST(ClusterClientTest, DeleteRemovesEverywhere) {
-  Coordinator coordinator(64, /*replicas=*/2);
-  for (int n = 0; n < 3; ++n) {
-    ASSERT_TRUE(
-        coordinator.AddInstance(MakeInstance("n" + std::to_string(n))).ok());
-  }
-  ClusterClient client(&coordinator);
-  ASSERT_TRUE(client.Set("k", "v").ok());
-  ASSERT_TRUE(client.Delete("k").ok());
-  std::string value;
-  EXPECT_TRUE(client.Get("k", &value).IsNotFound());
-}
-
-TEST(ClusterClientTest, FailoverServesFromReplica) {
-  Coordinator coordinator(64, /*replicas=*/2);
-  for (int n = 0; n < 3; ++n) {
-    ASSERT_TRUE(
-        coordinator.AddInstance(MakeInstance("n" + std::to_string(n))).ok());
-  }
-  ClusterClient client(&coordinator);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(client.Set("key" + std::to_string(i), "replicated").ok());
-  }
-  // Kill the primary of some key mid-flight (without telling the
-  // coordinator: the client must detect it via Unavailable).
-  std::string victim = coordinator.GetRouting().router.Route("key42");
-  coordinator.Find(victim)->set_healthy(false);
-
-  std::string value;
-  ASSERT_TRUE(client.Get("key42", &value).ok());
-  EXPECT_EQ(value, "replicated");
-  EXPECT_GE(client.GetStats().failovers, 1u);
-  // The coordinator learned of the failure.
-  EXPECT_EQ(coordinator.healthy_count(), 2u);
-
-  // All keys remain readable with one node down.
-  int readable = 0;
-  for (int i = 0; i < 200; ++i) {
-    if (client.Get("key" + std::to_string(i), &value).ok()) ++readable;
-  }
-  EXPECT_EQ(readable, 200);
-}
-
-TEST(ClusterClientTest, WritesContinueAfterFailover) {
-  Coordinator coordinator(64, /*replicas=*/2);
-  for (int n = 0; n < 3; ++n) {
-    ASSERT_TRUE(
-        coordinator.AddInstance(MakeInstance("n" + std::to_string(n))).ok());
-  }
-  ClusterClient client(&coordinator);
-  coordinator.Find("n1")->set_healthy(false);
-  int ok = 0;
-  std::string value;
-  for (int i = 0; i < 200; ++i) {
-    std::string key = "key" + std::to_string(i);
-    if (client.Set(key, "v").ok() && client.Get(key, &value).ok()) ++ok;
-  }
-  EXPECT_EQ(ok, 200);
-}
-
-TEST(ClusterClientTest, EmptyClusterIsUnavailable) {
-  Coordinator coordinator;
-  ClusterClient client(&coordinator);
-  std::string value;
-  EXPECT_TRUE(client.Set("k", "v").IsUnavailable());
-  EXPECT_TRUE(client.Get("k", &value).IsUnavailable());
-}
-
-TEST(ClusterClientTest, ScaleOutAddsCapacityWithoutDisruption) {
-  Coordinator coordinator(64, 1);
-  ASSERT_TRUE(coordinator.AddInstance(MakeInstance("n0")).ok());
-  ClusterClient client(&coordinator);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(client.Set("key" + std::to_string(i), "v").ok());
-  }
-  // Scale out: new instance joins; old data reachable only if its owner is
-  // unchanged, which consistent hashing guarantees for most keys. (In
-  // production a data migration follows; here we verify routing epochs and
-  // that all *new* writes land correctly.)
-  ASSERT_TRUE(coordinator.AddInstance(MakeInstance("n1")).ok());
-  for (int i = 100; i < 200; ++i) {
-    ASSERT_TRUE(client.Set("key" + std::to_string(i), "v2").ok());
-  }
-  std::string value;
-  for (int i = 100; i < 200; ++i) {
-    ASSERT_TRUE(client.Get("key" + std::to_string(i), &value).ok());
-    EXPECT_EQ(value, "v2");
-  }
-  EXPECT_GT(coordinator.Find("n1")->GetUsage().keys, 0u);
-}
-
-}  // namespace
-}  // namespace cluster
-}  // namespace tierbase
-
-// Regression: a node whose health flag was flipped externally (process
-// death, not a coordinator decision) must still be removed from the ring
-// when a client reports it — membership, not the flag, is the source of
-// truth for routing.
-namespace tierbase {
-namespace cluster {
-namespace {
-
-TEST(CoordinatorTest, ExternallyFailedNodeRemovedFromRingOnReport) {
-  Coordinator coordinator;
-  ASSERT_TRUE(coordinator.AddInstance(MakeInstance("n1")).ok());
-  ASSERT_TRUE(coordinator.AddInstance(MakeInstance("n2")).ok());
-  coordinator.Find("n1")->set_healthy(false);  // Dies without telling anyone.
-  EXPECT_TRUE(coordinator.GetRouting().router.Contains("n1"));
-  uint64_t epoch = coordinator.epoch();
-  ASSERT_TRUE(coordinator.ReportFailure("n1").ok());
-  EXPECT_FALSE(coordinator.GetRouting().router.Contains("n1"));
-  EXPECT_GT(coordinator.epoch(), epoch);
-}
-
-TEST(ClusterClientTest, FailoverCostIsOneRefreshNotPerKey) {
-  Coordinator coordinator(64, /*replicas=*/2);
-  for (int n = 0; n < 3; ++n) {
-    ASSERT_TRUE(
-        coordinator.AddInstance(MakeInstance("m" + std::to_string(n))).ok());
-  }
-  ClusterClient client(&coordinator);
-  for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(client.Set("key" + std::to_string(i), "v").ok());
-  }
-  coordinator.Find("m0")->set_healthy(false);
-  std::string value;
-  int served = 0;
-  for (int i = 0; i < 600; ++i) {
-    if (client.Get("key" + std::to_string(i), &value).ok()) ++served;
-  }
-  EXPECT_EQ(served, 600);
-  // After the first Unavailable the routing refresh removes the dead node;
-  // later reads must not keep tripping over it.
-  EXPECT_LE(client.GetStats().failovers, 5u);
-}
-
-}  // namespace
-}  // namespace cluster
-}  // namespace tierbase
-
-// Router edge cases the networked path (src/cluster_net/) leans on: a
-// stale routing snapshot keeps routing to a removed instance (which is
-// exactly what produces -MOVED / failed connects until the epoch-bump
-// refresh), and virtual nodes bound the ownership skew that scatter-gather
-// batch sizing inherits.
-namespace tierbase {
-namespace cluster {
-namespace {
-
-TEST(RouterTest, StaleSnapshotStillRoutesToRemovedInstance) {
-  Coordinator coordinator;
-  ASSERT_TRUE(coordinator.AddInstance(MakeInstance("n1")).ok());
-  ASSERT_TRUE(coordinator.AddInstance(MakeInstance("n2")).ok());
-  Coordinator::RoutingSnapshot stale = coordinator.GetRouting();
-
-  // Find a key the stale snapshot sends to n1, then remove n1.
-  std::string n1_key;
-  for (int i = 0; n1_key.empty(); ++i) {
-    ASSERT_LT(i, 10000);
-    std::string key = "key" + std::to_string(i);
-    if (stale.router.Route(key) == "n1") n1_key = key;
-  }
-  ASSERT_TRUE(coordinator.ReportFailure("n1").ok());
-
-  // The stale copy still names the dead owner (a client acting on it gets
-  // Unavailable/-MOVED); the fresh snapshot has a new owner and a bumped
-  // epoch — the signal that triggers the pull-based refresh.
-  EXPECT_EQ("n1", stale.router.Route(n1_key));
-  Coordinator::RoutingSnapshot fresh = coordinator.GetRouting();
-  EXPECT_GT(fresh.epoch, stale.epoch);
-  EXPECT_EQ("n2", fresh.router.Route(n1_key));
-}
-
-TEST(RouterTest, RemovedInstanceKeysFallToSuccessorsOnly) {
-  Router router(64);
-  for (const char* id : {"a", "b", "c", "d"}) router.AddInstance(id);
-  std::map<std::string, std::string> before;
-  for (int i = 0; i < 2000; ++i) {
-    std::string key = "key" + std::to_string(i);
-    before[key] = router.Route(key);
-  }
-  router.RemoveInstance("b");
-  for (const auto& [key, owner] : before) {
-    std::string now = router.Route(key);
-    if (owner == "b") {
-      EXPECT_NE("b", now);
-    } else {
-      // Keys not owned by the removed instance must not remap at all.
-      EXPECT_EQ(owner, now) << key;
-    }
+    EXPECT_EQ(once.Route(key), twice.Route(key)) << key;
   }
 }
 
@@ -403,21 +118,54 @@ TEST(RouterTest, VirtualNodesBoundOwnershipSkew) {
   EXPECT_LT(max_share / min_share, 3.0);
 }
 
-TEST(RouterTest, SingleNodeRingSurvivesRemovalOfOthers) {
-  // Shrinking to one instance must leave that instance owning everything
-  // (the degenerate ring the cluster passes through during rolling kills).
-  Router router;
-  router.AddInstance("a");
-  router.AddInstance("b");
-  router.RemoveInstance("b");
-  EXPECT_EQ(1u, router.num_instances());
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ("a", router.Route("key" + std::to_string(i)));
+TEST(RouterTest, StaleSnapshotStillRoutesToDownShard) {
+  // A client holding the previous epoch's snapshot keeps routing to a
+  // shard that has since gone down — exactly what produces failed
+  // connects / -MOVED until the epoch-bump refresh.
+  WireRouting stale = Snapshot(1, 64, {"n1", "n2"});
+  Router stale_router = stale.BuildRouter();
+  std::string n1_key;
+  for (int i = 0; n1_key.empty(); ++i) {
+    ASSERT_LT(i, 10000);
+    std::string key = "key" + std::to_string(i);
+    if (stale_router.Route(key) == "n1") n1_key = key;
   }
-  router.RemoveInstance("a");
-  EXPECT_EQ("", router.Route("key"));
+
+  WireRouting fresh = Snapshot(2, 64, {"n2"}, {"n1"});
+  EXPECT_EQ("n1", stale_router.Route(n1_key));
+  EXPECT_GT(fresh.epoch, stale.epoch);
+  EXPECT_EQ("n2", fresh.BuildRouter().Route(n1_key));
+}
+
+TEST(RouterTest, DownShardKeysFallToSuccessorsOnly) {
+  Router before = Snapshot(1, 64, {"a", "b", "c", "d"}).BuildRouter();
+  Router after = Snapshot(2, 64, {"a", "c", "d"}, {"b"}).BuildRouter();
+  int moved = 0;
+  for (int i = 0; i < 5000; ++i) {
+    std::string key = "key" + std::to_string(i);
+    std::string owner = before.Route(key);
+    std::string now = after.Route(key);
+    if (owner == "b") {
+      EXPECT_NE("b", now);
+      ++moved;
+    } else {
+      // Consistent hashing: keys on surviving shards must not remap.
+      EXPECT_EQ(owner, now) << key;
+    }
+  }
+  EXPECT_GT(moved, 0);
+}
+
+TEST(RouterTest, SingleShardRingSurvivesOthersGoingDown) {
+  // Shrinking to one shard must leave it owning everything (the degenerate
+  // ring the cluster passes through during rolling kills).
+  Router one = Snapshot(3, 64, {"a"}, {"b"}).BuildRouter();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ("a", one.Route("key" + std::to_string(i)));
+  }
+  EXPECT_EQ("", Snapshot(4, 64, {}, {"a", "b"}).BuildRouter().Route("key"));
 }
 
 }  // namespace
-}  // namespace cluster
+}  // namespace cluster_net
 }  // namespace tierbase
