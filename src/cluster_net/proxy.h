@@ -4,10 +4,11 @@
 // single server; the proxy routes per key and scatter–gathers batches
 // across the cluster server-side through an embedded NetClusterClient.
 //
-// The proxy reuses the server's poll(2) event loop and executor: pipelined
-// command batches arrive as one dispatch, runs of GETs/SETs (and explicit
-// MGET/MSET) become cluster MultiGet/MultiSet — so a client that pipelines
-// N reads pays one scatter–gather round instead of N routed round trips.
+// The proxy reuses the server's multi-reactor event loop and executor:
+// pipelined command batches arrive as one dispatch, runs of GETs/SETs (and
+// explicit MGET/MSET) become cluster MultiGet/MultiSet — so a client that
+// pipelines N reads pays one scatter–gather round instead of N routed
+// round trips.
 // Rich-type and TTL commands forward verbatim to the owning node.
 //
 // Smart-client vs proxy trade-off (README "Running a cluster"): the smart

@@ -582,26 +582,6 @@ bool IoShard::StoppingAndDrained() {
 }
 
 void IoShard::Run() {
-  RunEpoll();
-
-  // Teardown: every remaining socket closes (in-flight completions
-  // detach), and any last hand-offs are refused.
-  while (!conns_.empty()) {
-    CloseConnection(conns_.begin()->second);
-  }
-  std::vector<int> pending;
-  {
-    common::MutexLock lock(&pending_mu_);
-    pending.swap(pending_accepts_);
-    exited_ = true;  // Later hand-offs are refused by AdoptConnection.
-  }
-  for (int fd : pending) {
-    close(fd);
-    parent_->ReleaseConnection();
-  }
-}
-
-void IoShard::RunEpoll() {
   constexpr int kMaxEvents = 128;
   struct epoll_event events[kMaxEvents];
 
@@ -649,6 +629,22 @@ void IoShard::RunEpoll() {
 
     DrainPendingAccepts();
     DrainCompletions();
+  }
+
+  // Teardown: every remaining socket closes (in-flight completions
+  // detach), and any last hand-offs are refused.
+  while (!conns_.empty()) {
+    CloseConnection(conns_.begin()->second);
+  }
+  std::vector<int> pending;
+  {
+    common::MutexLock lock(&pending_mu_);
+    pending.swap(pending_accepts_);
+    exited_ = true;  // Later hand-offs are refused by AdoptConnection.
+  }
+  for (int fd : pending) {
+    close(fd);
+    parent_->ReleaseConnection();
   }
 }
 

@@ -240,7 +240,6 @@ class IoShard {
   void DrainWakeupChannel();
   bool ConnAlive(int fd, const std::shared_ptr<Connection>& conn) const;
 
-  void RunEpoll();
   /// (Re-)arms the connection's interest mask — always EPOLLIN|EPOLLET,
   /// plus EPOLLOUT while replies are pending.
   void UpdateInterest(const std::shared_ptr<Connection>& conn);
