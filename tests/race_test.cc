@@ -122,6 +122,10 @@ TEST(RaceTest, WriteBackFlusherVsForeground) {
       for (int i = 0; i < kOps; ++i) {
         std::string k = Key(t, i % 50);  // Re-dirty keys: merge path.
         ASSERT_TRUE(wb.MarkDirty(k, "v" + std::to_string(i), false).ok());
+        // An immediate second update merges unless a whole flush cycle
+        // (including its storage latency) slipped in between, so merges
+        // happen however fast the flusher drains relative to the writers.
+        ASSERT_TRUE(wb.MarkDirty(k, "w" + std::to_string(i), false).ok());
         std::string v;
         bool del = false;
         (void)wb.GetDirty(k, &v, &del);
