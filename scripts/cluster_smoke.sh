@@ -77,7 +77,10 @@ KEYS=40
 for i in $(seq 1 $KEYS); do
   expect "OK" "$PP" SET "smoke:$i" "v$i"
 done
-expect "\"v7\"" "$PP" GET smoke:7
+for i in $(seq 1 $KEYS); do
+  expect "\"v$i\"" "$PP" GET "smoke:$i"
+done
+PROXY_GETS=$KEYS
 N1_KEYS=$("$CLI" -p "$N1" DBSIZE | tr -dc '0-9')
 N2_KEYS=$("$CLI" -p "$N2" DBSIZE | tr -dc '0-9')
 [ "$((N1_KEYS + N2_KEYS))" -eq "$KEYS" ] || \
@@ -92,6 +95,14 @@ ACKED=$("$CLI" -p "$N1" WAIT 1 5000 | tr -dc '0-9')
 R1_KEYS=$("$CLI" -p "$R1" DBSIZE | tr -dc '0-9')
 [ "$R1_KEYS" -eq "$N1_KEYS" ] || fail "replica holds $R1_KEYS != $N1_KEYS"
 echo "smoke: $KEYS keys split $N1_KEYS/$N2_KEYS, replica caught up"
+
+# --- The proxy's own METRICS: the format lints, and its GET histogram
+# counts every GET sent through it. ---
+GET_COUNT=$(BUILD_DIR="$BUILD_DIR" "$(dirname "$0")/metrics_scrape.sh" "$PP" \
+  tierbase_cmd_get_latency_us_count) || fail "proxy METRICS scrape"
+[ "$GET_COUNT" -ge "$PROXY_GETS" ] || \
+  fail "proxy GET histogram counts $GET_COUNT < $PROXY_GETS GETs sent"
+echo "smoke: proxy METRICS lint OK, $GET_COUNT GETs in its histogram"
 
 # --- YCSB through both cluster paths. ---
 "$YCSB" --workload A --records 5000 --ops 5000 --batch 16 \
@@ -114,7 +125,11 @@ expect "OK" "$PP" SET smoke:after failover
 expect "\"failover\"" "$PP" GET smoke:after
 echo "smoke: master killed, replica promoted (epoch $EPOCH0 -> $EPOCH1), no keys lost"
 
-# --- FLUSHALL through the proxy reaches the whole cluster. ---
+# --- FLUSHALL on each surviving node directly: the proxy does not serve
+# node-local verbs. ---
+if "$CLI" -p "$PP" FLUSHALL >/dev/null 2>&1; then
+  fail "proxy accepted FLUSHALL"
+fi
 expect "OK" "$N2" FLUSHALL
 expect "OK" "$R1" FLUSHALL
 [ "$("$CLI" -p "$N2" DBSIZE | tr -dc '0-9')" -eq 0 ] || fail "FLUSHALL n2"

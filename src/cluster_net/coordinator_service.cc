@@ -11,6 +11,7 @@ namespace tierbase::cluster_net {
 
 namespace {
 
+using server::AppendOkOrError;
 using server::EqualsUpper;
 
 /// Ids, hosts and shard names travel in the whitespace/line-delimited
@@ -32,13 +33,25 @@ CoordinatorService::CoordinatorService(Options options)
     : options_(std::move(options)) {
   routing_.virtual_nodes = options_.virtual_nodes;
   routing_.epoch = 1;
+  server::ServerOptions server_options;
+  server_options.net.host = options_.host;
+  server_options.net.port = options_.port;
+  server_options.executor.mode = threading::ThreadMode::kSingle;
+  server_ = std::make_unique<server::Server>(server::CommandTable::Backend{},
+                                             server_options);
+  server_->commands()->AddRow(
+      {"CLUSTER", 2, 7, 0},
+      [this](const server::RespCommand& cmd, std::string* out) {
+        ClusterCommand(cmd, out);
+      });
   RegisterInstruments();
 }
 
 void CoordinatorService::RegisterInstruments() {
-  auto poll = [this](const char* key, const char* help, metrics::MetricType t,
-                     std::function<uint64_t()> fn) {
-    registry_.AddCallback("Coordinator", key, help, t, std::move(fn));
+  metrics::MetricsRegistry* reg = server_->commands()->registry();
+  auto poll = [reg](const char* key, const char* help, metrics::MetricType t,
+                    std::function<uint64_t()> fn) {
+    reg->AddCallback("Coordinator", key, help, t, std::move(fn));
   };
   poll("cluster_epoch", "Authoritative routing epoch",
        metrics::MetricType::kGauge, [this] { return epoch(); });
@@ -66,7 +79,9 @@ void CoordinatorService::RegisterInstruments() {
 CoordinatorService::~CoordinatorService() { Stop(); }
 
 Status CoordinatorService::Start() {
-  if (running_) return Status::InvalidArgument("coordinator already running");
+  if (server_->running()) {
+    return Status::InvalidArgument("coordinator already running");
+  }
   // Nodes and clients reject routing payloads outside this range, so an
   // out-of-range ring size would fail every route cluster-wide.
   if (options_.virtual_nodes < 1 ||
@@ -75,45 +90,18 @@ Status CoordinatorService::Start() {
         "virtual_nodes must be in 1.." +
         std::to_string(WireRouting::kMaxVirtualNodes));
   }
-  server::EventLoopOptions net;
-  net.host = options_.host;
-  net.port = options_.port;
-  loop_ = std::make_unique<server::EventLoop>(
-      net, [this](std::shared_ptr<server::Connection> conn,
-                  server::CommandBatch batch) {
-        // Control-plane commands are cheap; execute on the loop thread.
-        std::string out;
-        bool close_connection = false;
-        bool shutdown_server = false;
-        Execute(batch.cmds, &out, &close_connection, &shutdown_server);
-        conn->CompleteBatch(std::move(out), close_connection,
-                            shutdown_server);
-      });
-  Status s = loop_->Listen();
-  if (!s.ok()) {
-    loop_.reset();
-    return s;
-  }
-  loop_thread_ = std::thread([this] { loop_->Run(); });
+  TIERBASE_RETURN_IF_ERROR(server_->Start());
   if (options_.probe_interval_micros > 0) {
     stop_probe_.store(false);
     probe_thread_ = std::thread(&CoordinatorService::ProbeLoop, this);
   }
-  running_ = true;
   return Status::OK();
 }
 
 void CoordinatorService::Stop() {
-  if (!running_) return;
   stop_probe_.store(true, std::memory_order_release);
   if (probe_thread_.joinable()) probe_thread_.join();
-  loop_->Stop();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  running_ = false;
-}
-
-void CoordinatorService::Wait() {
-  if (loop_thread_.joinable()) loop_thread_.join();
+  server_->Stop();
 }
 
 uint64_t CoordinatorService::epoch() const {
@@ -302,46 +290,7 @@ void CoordinatorService::ProbeLoop() {
 // RESP front end.
 // ---------------------------------------------------------------------------
 
-void CoordinatorService::Execute(
-    const std::vector<server::RespCommand>& cmds, std::string* out,
-    bool* close_connection, bool* shutdown_server) {
-  for (const server::RespCommand& cmd : cmds) {
-    if (cmd.args.empty()) {
-      server::AppendError(out, "ERR empty command");
-      continue;
-    }
-    const Slice& name = cmd.args[0];
-    if (EqualsUpper(name, "PING")) {
-      server::AppendSimpleString(out, "PONG");
-    } else if (EqualsUpper(name, "QUIT")) {
-      server::AppendSimpleString(out, "OK");
-      *close_connection = true;
-    } else if (EqualsUpper(name, "SHUTDOWN")) {
-      server::AppendSimpleString(out, "OK");
-      *close_connection = true;
-      *shutdown_server = true;
-    } else if (EqualsUpper(name, "COMMAND")) {
-      server::AppendArrayHeader(out, 0);
-    } else if (EqualsUpper(name, "INFO")) {
-      std::string body;
-      registry_.RenderInfo(&body);
-      server::AppendBulk(out, body);
-    } else if (EqualsUpper(name, "METRICS")) {
-      std::string body;
-      registry_.RenderPrometheus(&body);
-      server::AppendBulk(out, body);
-    } else if (EqualsUpper(name, "CLUSTER") && cmd.args.size() >= 2) {
-      ExecuteCluster(cmd, out);
-    } else {
-      std::string msg = "ERR unknown command '";
-      msg.append(name.data(), std::min<size_t>(name.size(), 64));
-      msg += "'";
-      server::AppendError(out, msg);
-    }
-  }
-}
-
-void CoordinatorService::ExecuteCluster(const server::RespCommand& cmd,
+void CoordinatorService::ClusterCommand(const server::RespCommand& cmd,
                                         std::string* out) {
   const Slice& sub = cmd.args[1];
   if (EqualsUpper(sub, "EPOCH") && cmd.args.size() == 2) {
@@ -361,8 +310,9 @@ void CoordinatorService::ExecuteCluster(const server::RespCommand& cmd,
         out, shard + " " + (master == nullptr ? "?:0" : master->endpoint()));
   } else if (EqualsUpper(sub, "ADDNODE") &&
              (cmd.args.size() == 5 || cmd.args.size() == 7)) {
-    long port = strtol(cmd.args[4].ToString().c_str(), nullptr, 10);
-    if (port <= 0 || port > 65535) {
+    int64_t port = 0;
+    if (!server::ParseArgInt(cmd.args[4], &port) || port <= 0 ||
+        port > 65535) {
       server::AppendError(out, "ERR invalid node port");
       return;
     }
@@ -374,27 +324,13 @@ void CoordinatorService::ExecuteCluster(const server::RespCommand& cmd,
       }
       replica_of = cmd.args[6].ToString();
     }
-    Status s = AddNode(cmd.args[2].ToString(), cmd.args[3].ToString(),
-                       static_cast<uint16_t>(port), replica_of);
-    if (s.ok()) {
-      server::AppendSimpleString(out, "OK");
-    } else {
-      server::AppendError(out, "ERR " + s.ToString());
-    }
+    AppendOkOrError(out, AddNode(cmd.args[2].ToString(),
+                                 cmd.args[3].ToString(),
+                                 static_cast<uint16_t>(port), replica_of));
   } else if (EqualsUpper(sub, "FAIL") && cmd.args.size() == 3) {
-    Status s = MarkFailed(cmd.args[2].ToString());
-    if (s.ok()) {
-      server::AppendSimpleString(out, "OK");
-    } else {
-      server::AppendError(out, "ERR " + s.ToString());
-    }
+    AppendOkOrError(out, MarkFailed(cmd.args[2].ToString()));
   } else if (EqualsUpper(sub, "RECOVER") && cmd.args.size() == 3) {
-    Status s = Recover(cmd.args[2].ToString());
-    if (s.ok()) {
-      server::AppendSimpleString(out, "OK");
-    } else {
-      server::AppendError(out, "ERR " + s.ToString());
-    }
+    AppendOkOrError(out, Recover(cmd.args[2].ToString()));
   } else {
     server::AppendError(out, "ERR unknown CLUSTER subcommand");
   }

@@ -19,6 +19,11 @@
 // An optional probe thread PINGs every node and reports failures itself;
 // clients also report failures they observe (CLUSTER FAIL), so failover
 // works with probing disabled (the deterministic test configuration).
+//
+// The RESP front end is a server::Server whose table holds one CLUSTER row
+// next to the shared built-ins (PING, INFO, METRICS, SLOWLOG, LATENCY, ...).
+// Its executor runs ThreadMode::kSingle, so control commands execute one at
+// a time.
 
 #ifndef TIERBASE_CLUSTER_NET_COORDINATOR_SERVICE_H_
 #define TIERBASE_CLUSTER_NET_COORDINATOR_SERVICE_H_
@@ -30,10 +35,9 @@
 #include <vector>
 
 #include "cluster_net/routing.h"
-#include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/transport.h"
-#include "server/event_loop.h"
+#include "server/server.h"
 
 namespace tierbase::cluster_net {
 
@@ -67,11 +71,11 @@ class CoordinatorService {
   /// Async-signal-safe half of Stop(): ends the event loop; the caller's
   /// Wait()/Stop() then performs the joins.
   void RequestStop() {
-    if (loop_ != nullptr) loop_->Stop();
+    if (server_->loop() != nullptr) server_->loop()->Stop();
   }
   /// Blocks until the control loop exits (SHUTDOWN or Stop()).
-  void Wait();
-  uint16_t port() const { return loop_ == nullptr ? 0 : loop_->port(); }
+  void Wait() { server_->Wait(); }
+  uint16_t port() const { return server_->port(); }
 
   // In-process API (the RESP commands call straight into these).
   Status AddNode(const std::string& id, const std::string& host,
@@ -87,15 +91,11 @@ class CoordinatorService {
   /// Nodes the prober (not a client report) marked failed.
   uint64_t probe_marked_failed() const { return probe_marked_failed_.load(); }
 
-  /// The coordinator's instrument registry (INFO/METRICS source).
-  metrics::MetricsRegistry* registry() { return &registry_; }
-
  private:
-  void Execute(const std::vector<server::RespCommand>& cmds, std::string* out,
-               bool* close_connection, bool* shutdown_server);
   /// Registers the coordinator's instruments. Called once from the ctor.
   void RegisterInstruments();
-  void ExecuteCluster(const server::RespCommand& cmd, std::string* out);
+  /// The CLUSTER row's handler (the subcommands in the file comment).
+  void ClusterCommand(const server::RespCommand& cmd, std::string* out);
   /// Best-effort CLUSTER SETSLOTS push to every healthy node.
   void PushRouting();
   /// Best-effort one-shot command to a node (REPLICAOF wiring, probes),
@@ -108,19 +108,13 @@ class CoordinatorService {
   mutable common::Mutex mu_;
   WireRouting routing_ GUARDED_BY(mu_);
 
-  std::unique_ptr<server::EventLoop> loop_;
-  std::thread loop_thread_;
   std::thread probe_thread_;
   std::atomic<bool> stop_probe_{false};
   std::atomic<uint64_t> failovers_{0};
   std::atomic<uint64_t> probes_sent_{0};
   std::atomic<uint64_t> probe_failures_{0};
   std::atomic<uint64_t> probe_marked_failed_{0};
-  // Start/Stop lifecycle flag; those calls must come from one thread (the
-  // owner), so it needs no lock.
-  bool running_ = false;
-
-  metrics::MetricsRegistry registry_;
+  std::unique_ptr<server::Server> server_;
 };
 
 }  // namespace tierbase::cluster_net

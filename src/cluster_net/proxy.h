@@ -4,12 +4,21 @@
 // single server; the proxy routes per key and scatter–gathers batches
 // across the cluster server-side through an embedded NetClusterClient.
 //
-// The proxy reuses the server's multi-reactor event loop and executor:
-// pipelined command batches arrive as one dispatch, runs of GETs/SETs (and
-// explicit MGET/MSET) become cluster MultiGet/MultiSet — so a client that
-// pipelines N reads pays one scatter–gather round instead of N routed
-// round trips.
-// Rich-type and TTL commands forward verbatim to the owning node.
+// The proxy is a server::Server like a data node: the same multi-reactor
+// event loop, executor and CommandTable, so it answers PING/QUIT/SHUTDOWN/
+// COMMAND/PERF and INFO/METRICS/SLOWLOG/LATENCY/ANALYTICS/HOTKEYS from its
+// own registry, and pipelined GET/SET trains become one cluster-wide
+// MultiGet/MultiSet — a client that pipelines N reads pays one
+// scatter–gather round instead of N routed round trips. Its verb rows:
+//
+//   GET SET MGET MSET DEL EXISTS   run here over the cluster client (DEL
+//                                  and EXISTS fan out per key and sum);
+//   EXPIRE TTL INCR HSET HGET LPUSH LRANGE ZADD ZRANGE, SET .. EX|PX
+//                                  forward verbatim to the key's owner.
+//
+// Every row takes the node's arity and key flags. Node-local verbs (SCAN,
+// DBSIZE, FLUSHALL, CLUSTER, REPLICAOF, REPLPULL, REPLSNAPSHOT, WAIT) are
+// unknown here. -MOVED/-READONLY admission stays on the nodes.
 //
 // Smart-client vs proxy trade-off (README "Running a cluster"): the smart
 // client saves a network hop and spreads client-side, the proxy
@@ -19,17 +28,13 @@
 #ifndef TIERBASE_CLUSTER_NET_PROXY_H_
 #define TIERBASE_CLUSTER_NET_PROXY_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analytics/workload_analytics.h"
 #include "cluster_net/cluster_client.h"
-#include "common/metrics.h"
-#include "server/event_loop.h"
-#include "threading/elastic_executor.h"
+#include "server/server.h"
 
 namespace tierbase::cluster_net {
 
@@ -67,57 +72,54 @@ class ClusterProxy {
   /// Async-signal-safe half of Stop(): ends the event loop; the caller's
   /// Wait()/Stop() then performs the joins.
   void RequestStop() {
-    if (loop_ != nullptr) loop_->Stop();
+    if (server_->loop() != nullptr) server_->loop()->Stop();
   }
-  void Wait();
-  uint16_t port() const { return loop_ == nullptr ? 0 : loop_->port(); }
+  void Wait() { server_->Wait(); }
+  uint16_t port() const { return server_->port(); }
 
-  NetClusterClient* backend() { return backend_.get(); }
-
-  /// The proxy's instrument registry (INFO/METRICS source).
-  metrics::MetricsRegistry* registry() { return &registry_; }
+  NetClusterClient* backend() { return engine_.client.get(); }
 
   /// Cluster-wide workload observatory; null when disabled.
   analytics::WorkloadAnalytics* analytics() { return analytics_.get(); }
 
  private:
-  void ExecuteBatch(const std::vector<server::RespCommand>& cmds,
-                    std::string* out, bool* close_connection,
-                    bool* shutdown_server);
-  void ExecuteOne(const server::RespCommand& cmd, std::string* out,
-                  bool* close_connection, bool* shutdown_server);
-  void BatchedGets(const std::vector<server::RespCommand>& cmds, size_t begin,
-                   size_t end, std::string* out);
-  void BatchedSets(const std::vector<server::RespCommand>& cmds, size_t begin,
-                   size_t end, std::string* out);
-  void Info(std::string* out);
-  void Analytics(const server::RespCommand& cmd, std::string* out);
-  void HotKeys(const server::RespCommand& cmd, std::string* out);
-  /// Registers the proxy's instruments. Called once from the ctor.
-  void RegisterInstruments();
+  /// The engine the proxy's rows and trains run on: the cluster client,
+  /// feeding every routed string access to the observatory first (a
+  /// node's TierBase feeds its own the same way).
+  class ObservedEngine final : public KvEngine {
+   public:
+    std::string name() const override { return "cluster-proxy"; }
+    Status Set(const Slice& key, const Slice& value) override;
+    Status Get(const Slice& key, std::string* value) override;
+    Status Delete(const Slice& key) override { return client->Delete(key); }
+    void MultiGet(const std::vector<Slice>& keys,
+                  std::vector<std::string>* values,
+                  std::vector<Status>* statuses) override;
+    void MultiSet(const std::vector<Slice>& keys,
+                  const std::vector<Slice>& values,
+                  std::vector<Status>* statuses) override;
+    UsageStats GetUsage() const override { return client->GetUsage(); }
 
-  /// Feeds a routed read/write into the observatory (no-op when disabled).
-  void RecordRead(const Slice& key);
-  void RecordWrite(const Slice& key, size_t value_bytes);
+    std::unique_ptr<NetClusterClient> client;  // Connected by Start().
+    analytics::WorkloadAnalytics* analytics = nullptr;
+  };
+
+  /// Adds the proxy's verb rows (see the file comment).
+  void AddRows();
+  /// Registers the backend's routing and robustness instruments.
+  void RegisterInstruments();
+  /// DEL / EXISTS: `verb` per key at its owner, replies summed.
+  void FanOutCount(const char* verb, const server::RespCommand& cmd,
+                   std::string* out);
 
   Options options_;
   std::unique_ptr<analytics::WorkloadAnalytics> analytics_;
-  std::unique_ptr<NetClusterClient> backend_;
-  std::unique_ptr<threading::ElasticExecutor> executor_;
-  std::unique_ptr<server::EventLoop> loop_;
-  std::thread loop_thread_;
-  bool running_ = false;
-
-  metrics::MetricsRegistry registry_;
-  metrics::Counter* commands_ = nullptr;
-  metrics::Counter* batches_ = nullptr;
-  metrics::Counter* coalesced_ = nullptr;
-  metrics::LatencyHistogram* fanout_hist_ = nullptr;
-
+  ObservedEngine engine_;
   // One backend-stats snapshot per registry render (pre-render hook);
   // written and read only inside registry renders, which the registry
   // serializes under its own lock.
   NetClusterClient::Stats info_stats_;
+  std::unique_ptr<server::Server> server_;
 };
 
 }  // namespace tierbase::cluster_net

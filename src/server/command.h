@@ -1,25 +1,31 @@
-// Command dispatch: maps RESP command names onto the TierBase engine API.
+// Command dispatch: the one RESP command surface of every TierBase front
+// end — the data node (Server over TierBase), the cluster proxy and the
+// coordinator all execute their batches through a CommandTable.
 //
-// A batch of pipelined commands is executed in one call. Runs of
-// consecutive plain GETs (and plain two-argument SETs) inside a batch are
-// coalesced into a single KvEngine::MultiGet / MultiSet, so a client that
-// pipelines N reads pays for one cache lock round per shard instead of N —
-// the same batch paths MGET/MSET and the batched YCSB runner use. Replies
-// are emitted in command order regardless of coalescing.
+// The table owns what every front end shares:
 //
-// String commands go through TierBase (and therefore observe the caching
-// policy: WAL logging, write-through acknowledgement, write-back dirty
-// marking). Rich-type and TTL commands operate on the cache tier engine,
-// which is where those types live in this reproduction.
+//   * name lookup and arity checks, and the command_errors counter;
+//   * the built-in verbs PING/QUIT/SHUTDOWN/COMMAND/PERF and
+//     INFO/METRICS/SLOWLOG/LATENCY/ANALYTICS/HOTKEYS;
+//   * telemetry: a LatencyHistogram per verb row (measured dispatch ->
+//     reply), SLOWLOG entries redacted to key names, INFO / METRICS
+//     rendered from the table's MetricsRegistry, and PERF ON|OFF|GET
+//     driving the per-connection PerfContext (see common/perf_context.h;
+//     the state travels in via PerfState because the table is shared
+//     across executor threads and must stay stateless per request);
+//   * GET/SET trains: runs of consecutive plain GETs (and plain
+//     two-argument SETs) inside a pipelined batch become one
+//     KvEngine::MultiGet / MultiSet on the backend engine, so a client that
+//     pipelines N reads pays one batched call instead of N. Replies are
+//     emitted in command order regardless of coalescing;
+//   * on a cluster data node (set_cluster), -MOVED / -READONLY admission.
 //
-// Telemetry. The table owns this server's MetricsRegistry: every command
-// family gets a LatencyHistogram (measured dispatch -> reply, including
-// cluster admission), commands slower than the SLOWLOG threshold enter the
-// slow log with value arguments redacted to key names, and INFO / METRICS
-// render straight from the registry. PERF ON|OFF|GET drives the
-// per-connection PerfContext (see common/perf_context.h); the state
-// travels in via PerfState because the table is shared across executor
-// threads and must stay stateless per request.
+// A front end supplies only its verb rows ({name, arity, key/write flags,
+// handler}) and the Backend its trains run on. The node's rows
+// (AddNodeCommands, node_commands.cc) map the verbs onto TierBase; the
+// proxy registers GET/SET/MGET/MSET/DEL/EXISTS over the cluster client and
+// forwards the node's other single-key verbs; the coordinator registers
+// CLUSTER.
 
 #ifndef TIERBASE_SERVER_COMMAND_H_
 #define TIERBASE_SERVER_COMMAND_H_
@@ -29,18 +35,39 @@
 #include <string>
 #include <vector>
 
+#include "analytics/workload_analytics.h"
+#include "common/kv_engine.h"
 #include "common/metrics.h"
 #include "common/perf_context.h"
-#include "core/tierbase.h"
 #include "server/resp.h"
 #include "server/slowlog.h"
 
 namespace tierbase {
+class TierBase;
+
 namespace cluster_net {
 class NodeClusterState;
 }  // namespace cluster_net
 
 namespace server {
+
+// CommandSpec::flags: which arguments are keys (for -MOVED ownership checks
+// and SLOWLOG redaction: key positions are kept, value positions dropped)
+// and whether the command mutates (for -READONLY on replicas).
+constexpr uint8_t kFlagKey = 1;        // args[1] is a key.
+constexpr uint8_t kFlagKeysAll = 2;    // args[1..] are keys.
+constexpr uint8_t kFlagKeysPairs = 4;  // args[1,3,5..] are keys (MSET).
+constexpr uint8_t kFlagWrite = 8;
+
+/// One verb row without its handler. Arity is {min, max} inclusive
+/// argument counts, command name included; max 0 = unbounded. Parity
+/// constraints are checked in the handlers.
+struct CommandSpec {
+  const char* name;  // Uppercase, at most 15 characters.
+  size_t min_argc;
+  size_t max_argc;
+  uint8_t flags;
+};
 
 /// Per-connection perf-tracing state, owned by the dispatcher (the Server
 /// keeps one per connection) and handed to ExecuteBatch. Plain fields:
@@ -61,17 +88,38 @@ struct BatchTiming {
 
 class CommandTable {
  public:
-  /// `db` is not owned and must outlive the table.
-  explicit CommandTable(TierBase* db);
+  /// Executes one command whose arity already matched its row.
+  using Handler = std::function<void(const RespCommand& cmd, std::string* out)>;
+
+  /// What a front end's table runs on. Pointers are not owned and must
+  /// outlive the table.
+  struct Backend {
+    /// GET/SET trains run on it as one MultiGet/MultiSet (nullptr: no
+    /// trains); INFO reports its name() as `engine`.
+    KvEngine* engine = nullptr;
+    /// ANALYTICS, HOTKEYS and INFO "# Workload" read it; nullptr answers
+    /// "analytics disabled".
+    analytics::WorkloadAnalytics* analytics = nullptr;
+    /// SHUTDOWN without NOSAVE runs it first and refuses to stop when it
+    /// fails; empty = nothing to drain.
+    std::function<Status()> drain;
+  };
+
+  explicit CommandTable(Backend backend);
+
+  /// Adds a verb row and its `cmd_<name>_latency_us` histogram. Call before
+  /// the server starts dispatching; names are unique per table.
+  void AddRow(const CommandSpec& spec, Handler handler);
 
   /// Attaches cluster membership (not owned; must outlive the table).
-  /// Enables the CLUSTER/REPLICAOF/REPLPULL/REPLSNAPSHOT/WAIT vocabulary,
-  /// -MOVED checks against the installed routing snapshot, -READONLY
-  /// rejection of writes while a replica, and oplog recording of applied
-  /// string mutations. Call before the server starts dispatching.
+  /// Enables -MOVED checks against the installed routing snapshot,
+  /// -READONLY rejection of writes while a replica, and oplog recording of
+  /// train writes; the node's rows read it through cluster(). Call before
+  /// the server starts dispatching.
   void set_cluster(cluster_net::NodeClusterState* cluster) {
     cluster_ = cluster;
   }
+  cluster_net::NodeClusterState* cluster() const { return cluster_; }
 
   /// Disables hot-path telemetry (per-command clocking, histogram
   /// recording, SLOWLOG). The registry still renders INFO/METRICS; the
@@ -79,8 +127,8 @@ class CommandTable {
   void set_telemetry_enabled(bool enabled) { telemetry_ = enabled; }
   bool telemetry_enabled() const { return telemetry_; }
 
-  /// This server's instrument registry (INFO/METRICS source). The Server
-  /// object registers its connection/executor/robustness instruments here.
+  /// This table's instrument registry (INFO/METRICS source). The Server and
+  /// the front end register their own instruments here.
   metrics::MetricsRegistry* registry() { return &registry_; }
   SlowLog* slowlog() { return &slowlog_; }
 
@@ -103,76 +151,44 @@ class CommandTable {
   uint64_t errors() const { return errors_->value(); }
 
  private:
-  struct Spec {
-    const char* name;
-    size_t min_argc;
-    size_t max_argc;  // 0 = unbounded.
-    void (CommandTable::*handler)(const RespCommand&, std::string*);
-    uint8_t flags;
+  struct Row {
+    CommandSpec spec;
+    Handler handler;
+    metrics::LatencyHistogram* hist;
   };
-  static const Spec kSpecs[];
-  static const size_t kNumSpecs;
 
-  /// Times one command, records its family histogram and the slow log,
+  /// Times one command, records its row's histogram and the slow log,
   /// then delegates to ExecuteOneImpl.
   void ExecuteOne(const RespCommand& cmd, std::string* out,
                   bool* close_connection, bool* shutdown_server,
                   PerfState* perf);
-  /// Dispatches without telemetry bookkeeping. Sets *spec_index to the
-  /// kSpecs row used, or -1 for pre-table commands (PING/QUIT/...).
+  /// Dispatches without telemetry bookkeeping. Sets *row to the rows_
+  /// index used, or -1 for pre-table commands (PING/QUIT/...).
   void ExecuteOneImpl(const RespCommand& cmd, std::string* out,
                       bool* close_connection, bool* shutdown_server,
-                      PerfState* perf, int* spec_index);
+                      PerfState* perf, int* row);
 
-  // Individual command implementations (cmd.args already arity-checked
-  // against the table entry).
-  void Get(const RespCommand& cmd, std::string* out);
-  void Set(const RespCommand& cmd, std::string* out);
-  void Del(const RespCommand& cmd, std::string* out);
-  void Exists(const RespCommand& cmd, std::string* out);
-  void MGet(const RespCommand& cmd, std::string* out);
-  void MSet(const RespCommand& cmd, std::string* out);
-  void Expire(const RespCommand& cmd, std::string* out);
-  void Ttl(const RespCommand& cmd, std::string* out);
-  void Incr(const RespCommand& cmd, std::string* out);
-  void HSet(const RespCommand& cmd, std::string* out);
-  void HGet(const RespCommand& cmd, std::string* out);
-  void LPush(const RespCommand& cmd, std::string* out);
-  void LRange(const RespCommand& cmd, std::string* out);
-  void ZAdd(const RespCommand& cmd, std::string* out);
-  void ZRange(const RespCommand& cmd, std::string* out);
+  // Built-in rows.
   void Info(const RespCommand& cmd, std::string* out);
-  void Scan(const RespCommand& cmd, std::string* out);
-  void DbSize(const RespCommand& cmd, std::string* out);
-  void FlushAll(const RespCommand& cmd, std::string* out);
-  void Cluster(const RespCommand& cmd, std::string* out);
-  void ReplicaOf(const RespCommand& cmd, std::string* out);
-  void ReplPull(const RespCommand& cmd, std::string* out);
-  void ReplSnapshot(const RespCommand& cmd, std::string* out);
-  void Wait(const RespCommand& cmd, std::string* out);
+  void Metrics(const RespCommand& cmd, std::string* out);
   void SlowLogCmd(const RespCommand& cmd, std::string* out);
   void Latency(const RespCommand& cmd, std::string* out);
-  void Metrics(const RespCommand& cmd, std::string* out);
   void Analytics(const RespCommand& cmd, std::string* out);
   void HotKeys(const RespCommand& cmd, std::string* out);
 
-  /// Registers the registry entries (sections, stats callbacks, and one
-  /// latency histogram per command family). Called once from the ctor.
-  void RegisterInstruments();
-
-  /// Records one command family's latency sample: `micros` observed by
-  /// `count` commands (a coalesced train shares the train's elapsed time).
-  /// `spec_index` -1 = the pre-table/unknown family.
-  void RecordLatency(int spec_index, uint64_t micros, uint64_t count);
+  /// Records one row's latency sample: `micros` observed by `count`
+  /// commands (a coalesced train shares the train's elapsed time). `row`
+  /// -1 = the pre-table/unknown family.
+  void RecordLatency(int row, uint64_t micros, uint64_t count);
   /// Logs a slow command with its arguments redacted to keys.
   void RecordSlow(const RespCommand& cmd, uint8_t flags, uint64_t micros);
   /// Logs a slow coalesced train as one redacted entry.
   void RecordSlowTrain(const std::vector<RespCommand>& cmds, size_t begin,
                        size_t end, uint64_t micros);
 
-  /// Cluster gate shared by every keyed handler: emits -READONLY for
-  /// writes on a replica and -MOVED for misrouted keys. Returns false when
-  /// an error was emitted (the command must not execute).
+  /// Cluster gate shared by every keyed row: emits -READONLY for writes on
+  /// a replica and -MOVED for misrouted keys. Returns false when an error
+  /// was emitted (the command must not execute).
   bool ClusterAdmits(const RespCommand& cmd, uint8_t flags, std::string* out);
 
   /// Executes cmds[begin..end) single GETs as one MultiGet.
@@ -182,7 +198,7 @@ class CommandTable {
   void CoalescedSets(const std::vector<RespCommand>& cmds, size_t begin,
                      size_t end, std::string* out);
 
-  TierBase* db_;
+  Backend backend_;
   cluster_net::NodeClusterState* cluster_ = nullptr;
   bool telemetry_ = true;
 
@@ -195,23 +211,40 @@ class CommandTable {
   metrics::Counter* coalesced_ = nullptr;
   metrics::Counter* errors_ = nullptr;
 
-  // One histogram per kSpecs row, plus [kNumSpecs] for the pre-table /
-  // unknown family ("cmd_other_latency_us").
-  std::vector<metrics::LatencyHistogram*> cmd_hist_;
-  int get_spec_index_ = -1;  // Rows used by the coalesced trains.
-  int set_spec_index_ = -1;
-
-  // One TierBase::Stats snapshot per registry render, taken by a
-  // pre-render hook so the ~30 per-key callbacks don't each re-aggregate.
-  // Conceptually GUARDED_BY(registry_.mu_): written and read only inside
-  // registry renders, which the registry serializes.
-  TierBase::Stats info_stats_;
+  std::vector<Row> rows_;  // The front end's rows, then the built-ins.
+  size_t builtin_rows_ = 0;
+  // Pre-table and unknown commands ("cmd_other_latency_us").
+  metrics::LatencyHistogram* other_hist_ = nullptr;
+  // Rows the trains record into; -1 = no such row, no trains.
+  int get_row_ = -1;
+  int set_row_ = -1;
 };
+
+/// Adds TierBase's verb rows to `table` (node_commands.cc): strings, TTL,
+/// rich types, SCAN/DBSIZE/FLUSHALL and the cluster/replication vocabulary,
+/// plus the engine's INFO sections. `db` must outlive the table.
+void AddNodeCommands(CommandTable* table, TierBase* db);
+
+/// The node's rows without handlers, in table order (the proxy forwards
+/// the single-key ones with the node's arity and key flags).
+std::vector<CommandSpec> NodeCommandSpecs();
 
 /// Appends a `-...` RESP error translated from a Status (WrongType maps to
 /// -WRONGTYPE, Unavailable to -UNAVAILABLE, Busy to -BUSY, everything else
 /// to -ERR <code>: <msg>).
 void AppendStatusError(std::string* out, const Status& s);
+
+/// +OK for an ok status, else the status as an error.
+void AppendOkOrError(std::string* out, const Status& s);
+
+/// GET-style reply: the value as a bulk string, NotFound as a null bulk,
+/// any other status as an error.
+void AppendValueOrNull(std::string* out, const Status& s,
+                       const std::string& value);
+
+/// Strict signed-integer parse of a RESP argument: optional '-', then
+/// digits only (no whitespace, no '+', no trailing junk, no overflow).
+bool ParseArgInt(const Slice& arg, int64_t* out);
 
 }  // namespace server
 }  // namespace tierbase

@@ -6,7 +6,14 @@ namespace tierbase {
 namespace server {
 
 Server::Server(TierBase* db, ServerOptions options)
-    : db_(db), options_(std::move(options)), table_(db) {
+    : Server(CommandTable::Backend{db, db->analytics(),
+                                   [db] { return db->WaitIdle(); }},
+             std::move(options)) {
+  AddNodeCommands(&table_, db);
+}
+
+Server::Server(CommandTable::Backend backend, ServerOptions options)
+    : options_(std::move(options)), table_(std::move(backend)) {
   // Server-level instruments join the table's registry so INFO/METRICS
   // render the whole process from one place. The callbacks null-check
   // loop_/executor_ because INFO can run between construction and Start().

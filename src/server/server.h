@@ -1,7 +1,10 @@
-// Server: the RESP front end for one TierBase instance. Wires together
+// Server: the RESP front end host. Every TierBase front end — the data
+// node, the cluster proxy and the coordinator — is one Server; they differ
+// only in the verb rows of their CommandTable. Wires together
 //
 //   EventLoop  — accepts connections, parses pipelined RESP batches
-//   CommandTable — executes a batch against the engine
+//   CommandTable — executes a batch: the shared built-ins plus the front
+//       end's rows (a node's are TierBase's, see AddNodeCommands)
 //   threading::ElasticExecutor — runs the dispatch, so the paper's thread
 //       modes (§4.4) govern a real network server: kSingle is the classic
 //       one-event-loop-one-worker Redis shape, kMulti a fixed pool, and
@@ -35,8 +38,12 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// `db` is not owned and must outlive the server.
+  /// A data node: TierBase's rows; trains run on `db` and SHUTDOWN drains
+  /// it. `db` is not owned and must outlive the server.
   Server(TierBase* db, ServerOptions options = {});
+  /// Any other front end: the built-in verbs only, until the caller adds
+  /// its rows through commands() before Start().
+  Server(CommandTable::Backend backend, ServerOptions options);
   ~Server();
 
   Server(const Server&) = delete;
@@ -65,7 +72,6 @@ class Server {
  private:
   void Dispatch(std::shared_ptr<Connection> conn, CommandBatch batch);
 
-  TierBase* db_;
   ServerOptions options_;
   CommandTable table_;
   std::unique_ptr<threading::ElasticExecutor> executor_;

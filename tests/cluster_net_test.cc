@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -761,20 +762,22 @@ TEST_F(ClusterNetTest, ProxyAndCoordinatorInfoParseWithLiveCounters) {
   ASSERT_TRUE(cli.Call({"INFO"}, &v).ok());
   ASSERT_EQ(RespValue::Type::kBulkString, v.type);
   auto info = ParseInfo(v.str);
-  for (const char* section : {"Proxy", "Cluster", "Robustness"}) {
+  for (const char* section :
+       {"Server", "Stats", "Commandstats", "Cluster", "Robustness"}) {
     EXPECT_TRUE(info.count(section)) << "missing section " << section;
   }
-  for (const char* key : {"proxy_commands", "proxy_batches",
-                          "proxy_coalesced_commands", "connected_clients",
-                          "proxy_fanout_latency_us"}) {
-    ASSERT_TRUE(info["Proxy"].count(key)) << key;
+  for (const char* key : {"total_commands_processed", "dispatch_batches",
+                          "coalesced_commands"}) {
+    ASSERT_TRUE(info["Stats"].count(key)) << key;
   }
+  ASSERT_TRUE(info["Server"].count("connected_clients"));
+  ASSERT_TRUE(info["Commandstats"].count("cmd_get_latency_us"));
   EXPECT_TRUE(info["Cluster"].count("route_refreshes"));
   EXPECT_TRUE(info["Robustness"].count("backoff_waits"));
   const uint64_t commands_before =
-      std::stoull(info["Proxy"]["proxy_commands"]);
+      std::stoull(info["Stats"]["total_commands_processed"]);
 
-  // Drive a scatter-gather train; the fan-out histogram and the command
+  // Drive a scatter-gather train; the GET histogram and the command
   // counter must both see it.
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(
@@ -786,19 +789,20 @@ TEST_F(ClusterNetTest, ProxyAndCoordinatorInfoParseWithLiveCounters) {
 
   ASSERT_TRUE(cli.Call({"INFO"}, &v).ok());
   auto after = ParseInfo(v.str);
-  EXPECT_GE(std::stoull(after["Proxy"]["proxy_commands"]),
+  EXPECT_GE(std::stoull(after["Stats"]["total_commands_processed"]),
             commands_before + 32);
-  EXPECT_EQ(0u, after["Proxy"]["proxy_fanout_latency_us"].find("cnt="));
-  EXPECT_NE("cnt=0,", after["Proxy"]["proxy_fanout_latency_us"].substr(0, 6));
+  EXPECT_EQ(0u, after["Commandstats"]["cmd_get_latency_us"].find("cnt="));
+  EXPECT_NE("cnt=0,", after["Commandstats"]["cmd_get_latency_us"].substr(0, 6));
 
   // The proxy's Prometheus exposition carries the same instruments.
   ASSERT_TRUE(cli.Call({"METRICS"}, &v).ok());
   ASSERT_EQ(RespValue::Type::kBulkString, v.type);
-  EXPECT_NE(std::string::npos, v.str.find("tierbase_proxy_commands "));
   EXPECT_NE(std::string::npos,
-            v.str.find("# TYPE tierbase_proxy_fanout_latency_us histogram"));
+            v.str.find("tierbase_total_commands_processed "));
   EXPECT_NE(std::string::npos,
-            v.str.find("tierbase_proxy_fanout_latency_us_count "));
+            v.str.find("# TYPE tierbase_cmd_get_latency_us histogram"));
+  EXPECT_NE(std::string::npos,
+            v.str.find("tierbase_cmd_get_latency_us_count "));
 
   // The coordinator speaks the same surface on its control port.
   Client coord;
@@ -819,6 +823,128 @@ TEST_F(ClusterNetTest, ProxyAndCoordinatorInfoParseWithLiveCounters) {
             v.str.find("# TYPE tierbase_known_nodes gauge"));
 
   proxy.Stop();
+}
+
+/// Count of `key`'s latency histogram in a server's own registry.
+uint64_t HistogramCount(server::Server* srv, const std::string& key) {
+  metrics::LatencyHistogram* hist =
+      srv->commands()->registry()->FindHistogram(key);
+  return hist == nullptr ? 0 : hist->Snapshot().Count();
+}
+
+TEST_F(ClusterNetTest, ProxyServesItsOwnVerbSetThroughTheCommandTable) {
+  StartCoordinator();
+  DataNode* n1 = StartNode("n1");
+  DataNode* n2 = StartNode("n2");
+  ASSERT_TRUE(Register(*n1).ok());
+  ASSERT_TRUE(Register(*n2).ok());
+
+  ClusterProxy::Options options;
+  options.port = 0;
+  options.backend.coordinators.push_back(
+      "127.0.0.1:" + std::to_string(coordinator_->port()));
+  ClusterProxy proxy(options);
+  ASSERT_TRUE(proxy.Start().ok());
+
+  Router router = coordinator_->Routing().BuildRouter();
+  std::string n1_key, n2_key;
+  for (int i = 0; n1_key.empty() || n2_key.empty(); ++i) {
+    ASSERT_LT(i, 10000);
+    std::string key = "key" + std::to_string(i);
+    (router.Route(key) == "n1" ? n1_key : n2_key) = key;
+  }
+
+  Client cli;
+  ASSERT_TRUE(cli.Connect("127.0.0.1", proxy.port()).ok());
+  RespValue v;
+  ASSERT_TRUE(cli.Call({"SET", n1_key, "1"}, &v).ok());
+  ASSERT_TRUE(cli.Call({"SET", n2_key, "2"}, &v).ok());
+
+  // EXISTS across nodes fans out per key: no stale-route retries.
+  const uint64_t moved_before = proxy.backend()->GetStats().moved_redirects;
+  ASSERT_TRUE(cli.Call({"EXISTS", n1_key, n2_key, "absent"}, &v).ok());
+  ASSERT_EQ(RespValue::Type::kInteger, v.type) << v.str;
+  EXPECT_EQ(2, v.integer);
+  EXPECT_EQ(moved_before, proxy.backend()->GetStats().moved_redirects);
+
+  // Arity is checked at the proxy with the node's text.
+  ASSERT_TRUE(cli.Call({"GET"}, &v).ok());
+  ASSERT_TRUE(v.IsError());
+  EXPECT_EQ("ERR wrong number of arguments for 'get' command", v.str);
+
+  // Node-local verbs are not forwarded by args[1].
+  const uint64_t epoch = coordinator_->epoch();
+  for (std::vector<Slice> args : std::vector<std::vector<Slice>>{
+           {"SCAN", "0"}, {"WAIT", "0", "10"}, {"REPLICAOF", "NO", "ONE"}}) {
+    ASSERT_TRUE(cli.Call(args, &v).ok());
+    ASSERT_TRUE(v.IsError()) << args[0].ToString();
+    EXPECT_EQ(0u, v.str.find("ERR unknown command '")) << v.str;
+  }
+  EXPECT_EQ(epoch, coordinator_->epoch());
+  EXPECT_EQ(epoch, n1->cluster->epoch());
+  EXPECT_FALSE(n1->cluster->is_replica());
+  EXPECT_FALSE(n2->cluster->is_replica());
+
+  // PERF traces a GET train through the cluster client's fan-out.
+  ASSERT_TRUE(cli.Call({"PERF", "ON"}, &v).ok());
+  EXPECT_EQ("OK", v.str);
+  const int kTrain = 16;
+  for (int i = 0; i < kTrain; ++i) cli.Append({"GET", i % 2 ? n1_key : n2_key});
+  ASSERT_TRUE(cli.Flush().ok());
+  for (int i = 0; i < kTrain; ++i) {
+    ASSERT_TRUE(cli.ReadReply(&v).ok());
+    EXPECT_EQ(i % 2 ? "1" : "2", v.str);
+  }
+  ASSERT_TRUE(cli.Call({"PERF", "GET"}, &v).ok());
+  const size_t at = v.str.find("net_fanout_calls:");
+  ASSERT_NE(std::string::npos, at) << v.str;
+  EXPECT_GT(std::stoull(v.str.substr(at + strlen("net_fanout_calls:"))), 0u);
+
+  // SLOWLOG and LATENCY come from the proxy's own table: its GET histogram
+  // counts every GET sent here (the wrong-arity one and the train), and no
+  // node sees either verb.
+  ASSERT_TRUE(cli.Call({"LATENCY", "HISTOGRAM", "get"}, &v).ok());
+  ASSERT_EQ(2u, v.elements.size()) << v.str;
+  EXPECT_EQ("cmd_get_latency_us", v.elements[0].str);
+  EXPECT_EQ(0u, v.elements[1].str.find("cnt=" + std::to_string(kTrain + 1) +
+                                       ","))
+      << v.elements[1].str;
+  ASSERT_TRUE(cli.Call({"SLOWLOG", "LEN"}, &v).ok());
+  ASSERT_EQ(RespValue::Type::kInteger, v.type) << v.str;
+  const int64_t slowlog_len = v.integer;
+  ASSERT_TRUE(cli.Call({"INFO"}, &v).ok());
+  auto info = ParseInfo(v.str);
+  ASSERT_TRUE(info["Keyspace"].count("slowlog_len"));
+  EXPECT_EQ(std::to_string(slowlog_len), info["Keyspace"]["slowlog_len"]);
+  for (DataNode* node : {n1, n2}) {
+    EXPECT_EQ(0u, HistogramCount(node->srv.get(), "cmd_slowlog_latency_us"));
+    EXPECT_EQ(0u, HistogramCount(node->srv.get(), "cmd_latency_latency_us"));
+  }
+
+  proxy.Stop();
+}
+
+TEST_F(ClusterNetTest, CoordinatorRejectsJunkAddNodePorts) {
+  StartCoordinator();
+  DataNode* n1 = StartNode("n1");
+  ASSERT_TRUE(Register(*n1).ok());
+  const uint64_t epoch = coordinator_->epoch();
+
+  Client coord;
+  ASSERT_TRUE(coord.Connect("127.0.0.1", coordinator_->port()).ok());
+  RespValue v;
+  for (const char* port : {"6390abc", " 6390", "0", "65536"}) {
+    ASSERT_TRUE(
+        coord.Call({"CLUSTER", "ADDNODE", "n9", "127.0.0.1", port}, &v).ok());
+    ASSERT_TRUE(v.IsError()) << "port '" << port << "'";
+    EXPECT_EQ("ERR invalid node port", v.str);
+  }
+  EXPECT_EQ(epoch, coordinator_->epoch());
+  EXPECT_EQ(1u, coordinator_->Routing().nodes.size());
+
+  // PING is the shared built-in: it echoes its argument.
+  ASSERT_TRUE(coord.Call({"PING", "hello"}, &v).ok());
+  EXPECT_EQ("hello", v.str);
 }
 
 }  // namespace
