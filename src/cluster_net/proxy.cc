@@ -63,10 +63,8 @@ ClusterProxy::ClusterProxy(Options options) : options_(std::move(options)) {
   server_options.net.so_reuseport = options_.so_reuseport;
   server_options.net.backlog = options_.tcp_backlog;
   server_options.executor = options_.executor;
-  // No drain: SHUTDOWN stops the proxy, never the nodes, and never waits
-  // on them.
   server_ = std::make_unique<server::Server>(
-      server::CommandTable::Backend{&engine_, analytics_.get(), nullptr},
+      server::CommandTable::Backend{&engine_, analytics_.get()},
       server_options);
   AddRows();
   RegisterInstruments();
@@ -81,7 +79,9 @@ Status ClusterProxy::Start() {
   auto client = NetClusterClient::Connect(options_.backend);
   if (!client.ok()) return client.status();
   engine_.client = std::move(*client);
-  return server_->Start();
+  Status s = server_->Start();
+  if (!s.ok()) engine_.client.reset();
+  return s;
 }
 
 void ClusterProxy::Stop() { server_->Stop(); }

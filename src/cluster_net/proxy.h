@@ -99,6 +99,8 @@ class ClusterProxy {
                   const std::vector<Slice>& values,
                   std::vector<Status>* statuses) override;
     UsageStats GetUsage() const override { return client->GetUsage(); }
+    // WaitIdle deliberately stays the no-op default: SHUTDOWN stops the
+    // proxy, never drains or waits on the nodes.
 
     std::unique_ptr<NetClusterClient> client;  // Connected by Start().
     analytics::WorkloadAnalytics* analytics = nullptr;

@@ -439,8 +439,8 @@ void CommandTable::ExecuteOneImpl(const RespCommand& cmd, std::string* out,
     // the backend (the node's write-back tier, WAL and storage) before
     // acking. On drain failure refuse to stop — data would be lost;
     // SHUTDOWN NOSAVE forces the exit.
-    if (!nosave && backend_.drain) {
-      Status drain = backend_.drain();
+    if (!nosave && backend_.engine != nullptr) {
+      Status drain = backend_.engine->WaitIdle();
       if (!drain.ok()) {
         AppendError(out, "ERR shutdown aborted, flush failed (" +
                              drain.ToString() + "); SHUTDOWN NOSAVE forces");

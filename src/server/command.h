@@ -95,14 +95,12 @@ class CommandTable {
   /// outlive the table.
   struct Backend {
     /// GET/SET trains run on it as one MultiGet/MultiSet (nullptr: no
-    /// trains); INFO reports its name() as `engine`.
+    /// trains); INFO reports its name() as `engine`; SHUTDOWN without
+    /// NOSAVE runs its WaitIdle() first and refuses to stop when it fails.
     KvEngine* engine = nullptr;
     /// ANALYTICS, HOTKEYS and INFO "# Workload" read it; nullptr answers
     /// "analytics disabled".
     analytics::WorkloadAnalytics* analytics = nullptr;
-    /// SHUTDOWN without NOSAVE runs it first and refuses to stop when it
-    /// fails; empty = nothing to drain.
-    std::function<Status()> drain;
   };
 
   explicit CommandTable(Backend backend);

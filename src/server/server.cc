@@ -6,9 +6,7 @@ namespace tierbase {
 namespace server {
 
 Server::Server(TierBase* db, ServerOptions options)
-    : Server(CommandTable::Backend{db, db->analytics(),
-                                   [db] { return db->WaitIdle(); }},
-             std::move(options)) {
+    : Server(CommandTable::Backend{db, db->analytics()}, std::move(options)) {
   AddNodeCommands(&table_, db);
 }
 

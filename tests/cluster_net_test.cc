@@ -924,6 +924,20 @@ TEST_F(ClusterNetTest, ProxyServesItsOwnVerbSetThroughTheCommandTable) {
   proxy.Stop();
 }
 
+TEST_F(ClusterNetTest, ProxyThatFailsToListenKeepsNoBackend) {
+  StartCoordinator();
+  DataNode* n1 = StartNode("n1");
+  ASSERT_TRUE(Register(*n1).ok());
+
+  ClusterProxy::Options options;
+  options.port = n1->port();  // Already bound by the node.
+  options.backend.coordinators.push_back(
+      "127.0.0.1:" + std::to_string(coordinator_->port()));
+  ClusterProxy proxy(options);
+  EXPECT_FALSE(proxy.Start().ok());
+  EXPECT_EQ(nullptr, proxy.backend());
+}
+
 TEST_F(ClusterNetTest, CoordinatorRejectsJunkAddNodePorts) {
   StartCoordinator();
   DataNode* n1 = StartNode("n1");
