@@ -4,6 +4,9 @@
 // 100B values), for both the bare HashEngine (1 and 8 shards) and the full
 // TierBase cache-only stack. Latency percentiles come from a separate
 // nanosecond-timed sampling pass so the throughput loop stays untimed.
+// A footprint row, hash_engine_rss_bytes_per_key, reports the resident
+// memory a 4-shard HashEngine spends per key on the repo benchmark's
+// cache-hot shape (11 B keys, 64-256 B values).
 //
 // Emits machine-readable JSON (stdout, or --json <path>); refresh the
 // committed baseline with:
@@ -16,6 +19,9 @@
 //        default sampling to every engine — the workload-observatory
 //        overhead A/B; see BENCH_hotpath.json notes_analytics).
 
+#include <malloc.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -25,6 +31,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/hash.h"
 #include "common/histogram.h"
 #include "common/random.h"
 
@@ -33,6 +40,7 @@ namespace bench {
 namespace {
 
 constexpr size_t kBatch = 32;  // MultiGet/MultiSet ops per call.
+constexpr uint64_t kFootprintKeys = 500000;  // cache-hot's key count.
 
 uint64_t NowNanos() {
   return static_cast<uint64_t>(
@@ -210,7 +218,57 @@ void RunConfig(KvEngine* engine, const std::string& engine_name, int shards,
   }
 }
 
-void EmitJson(FILE* f, const Workload& w, const std::vector<Row>& rows) {
+struct Footprint {
+  uint64_t keys = 0;
+  double user_bytes_per_key = 0;
+  double rss_bytes_per_key = 0;
+};
+
+uint64_t ResidentBytes() {
+  unsigned long long size = 0, resident = 0;
+  FILE* f = fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  if (fscanf(f, "%llu %llu", &size, &resident) != 2) resident = 0;
+  fclose(f);
+  return resident * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+// Loads `keys` keys of the cache-hot shape ("tb:%08u", values of 64-256 B
+// whose length depends only on the key) into a 4-shard HashEngine and
+// returns the resident-memory delta per key. Both readings follow
+// malloc_trim, so freed heap does not count.
+Footprint MeasureFootprint(uint64_t keys) {
+  Footprint fp;
+  fp.keys = keys;
+  cache::HashEngineOptions options;
+  options.shards = 4;
+  cache::HashEngine engine(options);
+  malloc_trim(0);
+  const uint64_t before = ResidentBytes();
+  uint64_t user_bytes = 0;
+  char key[16];
+  std::string value;
+  for (uint64_t i = 0; i < keys; ++i) {
+    const int n = snprintf(key, sizeof(key), "tb:%08llu",
+                           static_cast<unsigned long long>(i));
+    const Slice k(key, static_cast<size_t>(n));
+    value.assign(64 + Hash64(k) % 193, 'v');
+    engine.Set(k, value);
+    user_bytes += k.size() + value.size();
+  }
+  value = std::string();
+  malloc_trim(0);
+  const uint64_t after = ResidentBytes();
+  fp.user_bytes_per_key =
+      static_cast<double>(user_bytes) / static_cast<double>(keys);
+  fp.rss_bytes_per_key = after > before ? static_cast<double>(after - before) /
+                                              static_cast<double>(keys)
+                                        : 0;
+  return fp;
+}
+
+void EmitJson(FILE* f, const Workload& w, const std::vector<Row>& rows,
+              const Footprint& fp) {
   fprintf(f, "{\n");
   fprintf(f, "  \"bench\": \"hotpath\",\n");
   fprintf(f, "  \"key_bytes\": 16,\n");
@@ -218,6 +276,11 @@ void EmitJson(FILE* f, const Workload& w, const std::vector<Row>& rows) {
   fprintf(f, "  \"records\": %" PRIu64 ",\n", w.records);
   fprintf(f, "  \"ops\": %" PRIu64 ",\n", w.ops);
   fprintf(f, "  \"multi_batch\": %zu,\n", kBatch);
+  fprintf(f, "  \"footprint_keys\": %" PRIu64 ",\n", fp.keys);
+  fprintf(f, "  \"footprint_user_bytes_per_key\": %.1f,\n",
+          fp.user_bytes_per_key);
+  fprintf(f, "  \"hash_engine_rss_bytes_per_key\": %.1f,\n",
+          fp.rss_bytes_per_key);
   fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -235,6 +298,7 @@ void EmitJson(FILE* f, const Workload& w, const std::vector<Row>& rows) {
 int Main(int argc, char** argv) {
   uint64_t records = 200000;
   uint64_t ops = 2000000;
+  uint64_t footprint_keys = kFootprintKeys;
   std::string json_path;
   bool with_analytics = false;
   uint32_t mrc_rate = 0, hot_rate = 0;  // 0 = library default.
@@ -242,6 +306,7 @@ int Main(int argc, char** argv) {
     if (strcmp(argv[i], "--smoke") == 0) {
       records = 5000;
       ops = 20000;
+      footprint_keys = 20000;
     } else if (strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (strcmp(argv[i], "--records") == 0 && i + 1 < argc) {
@@ -264,6 +329,7 @@ int Main(int argc, char** argv) {
   }
 
   WarmUpProcess();
+  const Footprint fp = MeasureFootprint(footprint_keys);
   Workload w = MakeWorkload(records, ops);
   std::vector<Row> rows;
 
@@ -312,6 +378,12 @@ int Main(int argc, char** argv) {
            r.shards, r.dist.c_str(), r.op.c_str(), r.mops, r.p50_us,
            r.p99_us);
   }
+  printf("\nhash_engine_rss_bytes_per_key %.1f (%" PRIu64
+         " keys, %.1f user bytes/key, ratio %.2f)\n",
+         fp.rss_bytes_per_key, fp.keys, fp.user_bytes_per_key,
+         fp.user_bytes_per_key > 0
+             ? fp.rss_bytes_per_key / fp.user_bytes_per_key
+             : 0);
 
   if (!json_path.empty()) {
     FILE* f = fopen(json_path.c_str(), "w");
@@ -319,11 +391,11 @@ int Main(int argc, char** argv) {
       fprintf(stderr, "cannot open %s\n", json_path.c_str());
       return 1;
     }
-    EmitJson(f, w, rows);
+    EmitJson(f, w, rows, fp);
     fclose(f);
     printf("\nJSON written to %s\n", json_path.c_str());
   } else {
-    EmitJson(stdout, w, rows);
+    EmitJson(stdout, w, rows, fp);
   }
   return 0;
 }

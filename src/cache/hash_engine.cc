@@ -1,7 +1,12 @@
 #include "cache/hash_engine.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdlib>
+#include <cstring>
 #include <iterator>
+#include <limits>
+#include <new>
 
 #include "analytics/workload_analytics.h"
 #include "common/hash.h"
@@ -12,10 +17,17 @@ namespace cache {
 
 namespace {
 constexpr size_t kEntryOverhead = 64;  // Hash node + LRU links + bookkeeping.
+// A PMem-resident value's payload: its PmemPtr, then its uint32_t size.
+constexpr size_t kPmemHandleBytes = sizeof(PmemPtr) + sizeof(uint32_t);
 constexpr size_t kPerElementOverhead = 32;
 // Initial bucket reservation for hash/zset entries: covers the common
 // small-collection case without rehashing on the first few inserts.
 constexpr size_t kComplexReserve = 8;
+
+// Entry nodes keep key and payload lengths in 32 bits.
+bool FitsEntry(const Slice& s) {
+  return s.size() <= std::numeric_limits<uint32_t>::max();
+}
 
 size_t RoundUpPow2(size_t n) {
   size_t p = 1;
@@ -23,6 +35,74 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 }  // namespace
+
+// --- Entry nodes. ---
+
+size_t HashEngine::Entry::AllocSize(size_t key_len, size_t payload_len) {
+  return offsetof(Entry, data) + key_len + payload_len;
+}
+
+HashEngine::ComplexValue* HashEngine::Entry::complex() const {
+  ComplexValue* c = nullptr;
+  std::memcpy(&c, payload(), sizeof(c));
+  return c;
+}
+
+void HashEngine::Entry::GetPmem(PmemPtr* ptr, uint32_t* size) const {
+  std::memcpy(ptr, payload(), sizeof(*ptr));
+  std::memcpy(size, payload() + sizeof(*ptr), sizeof(*size));
+}
+
+HashEngine::Entry* HashEngine::NewEntryLocked(Shard& shard, const Slice& key,
+                                              uint64_t hash, ValueKind kind,
+                                              size_t payload_len) {
+  // The budget charges kEntryOverhead per node; the header must fit in it.
+  static_assert(sizeof(Entry) <= kEntryOverhead, "Entry header too large");
+  // realloc(nullptr, n) is malloc(n).
+  void* block =
+      std::realloc(shard.spare, Entry::AllocSize(key.size(), payload_len));
+  if (block == nullptr) throw std::bad_alloc();
+  shard.spare = nullptr;
+  Entry* e = new (block) Entry;
+  e->next_hash = e->lru_prev = e->lru_next = nullptr;
+  e->hash = hash;
+  e->expire_at = 0;
+  e->charge = 0;
+  e->key_len = static_cast<uint32_t>(key.size());
+  e->payload_len = static_cast<uint32_t>(payload_len);
+  e->kind = kind;
+  e->flags = 0;
+  std::memcpy(e->data, key.data(), key.size());
+  return e;
+}
+
+void HashEngine::FreeEntryLocked(Shard& shard, Entry* e) {
+  if (e->kind != ValueKind::kString) delete e->complex();
+  if (shard.spare == nullptr) {
+    shard.spare = e;
+  } else {
+    std::free(e);
+  }
+}
+
+HashEngine::Entry* HashEngine::ResizeLocked(Shard& shard, Entry* e,
+                                            size_t payload_len) {
+  // The slot and the LRU neighbours live outside this block, so they stay
+  // valid across the realloc and can be repointed at the new address.
+  Entry** slot = shard.table.FindPointer(e->key(), e->hash);
+  Entry* moved = static_cast<Entry*>(
+      std::realloc(e, Entry::AllocSize(e->key_len, payload_len)));
+  if (moved == nullptr) throw std::bad_alloc();
+  moved->payload_len = static_cast<uint32_t>(payload_len);
+  if (moved != e) {
+    *slot = moved;
+    (moved->lru_prev != nullptr ? moved->lru_prev->lru_next
+                                : shard.lru_head) = moved;
+    (moved->lru_next != nullptr ? moved->lru_next->lru_prev
+                                : shard.lru_tail) = moved;
+  }
+  return moved;
+}
 
 // --- Intrusive chained hash table. ---
 
@@ -35,11 +115,7 @@ void HashEngine::Table::Insert(Entry* e) {
 
 HashEngine::Entry* HashEngine::Table::Remove(const Slice& key,
                                              uint64_t hash) {
-  Entry** ptr = &buckets[hash & (buckets.size() - 1)];
-  while (*ptr != nullptr &&
-         ((*ptr)->hash != hash || Slice((*ptr)->key) != key)) {
-    ptr = &(*ptr)->next_hash;
-  }
+  Entry** ptr = FindPointer(key, hash);
   Entry* e = *ptr;
   if (e != nullptr) {
     *ptr = e->next_hash;
@@ -105,20 +181,33 @@ bool HashEngine::IsExpiredLocked(const Entry& e) const {
 }
 
 size_t HashEngine::EntryCharge(const Entry& e) const {
-  size_t charge = kEntryOverhead + e.key.size() + e.str.size();
-  if (e.complex != nullptr) charge += e.complex->MemoryBytes();
+  // A PMem handle or a ComplexValue pointer is not charged; the complex
+  // value's contents are.
+  size_t charge = kEntryOverhead + e.key_len;
+  if (e.kind != ValueKind::kString) {
+    charge += e.complex()->MemoryBytes();
+  } else if ((e.flags & Entry::kInPmem) == 0) {
+    charge += e.payload_len;
+  }
   return charge;
 }
 
+void HashEngine::FreePmemLocked(Entry* e) {
+  if ((e->flags & Entry::kInPmem) == 0) return;
+  PmemPtr ptr = kInvalidPmemPtr;
+  uint32_t size = 0;
+  e->GetPmem(&ptr, &size);
+  options_.pmem->Free(ptr, size);
+  pmem_bytes_.fetch_sub(size, std::memory_order_relaxed);
+  e->flags &= static_cast<uint8_t>(~Entry::kInPmem);
+}
+
 void HashEngine::RemoveEntryLocked(Shard& shard, Entry* e) {
-  if (e->pmem_ptr != kInvalidPmemPtr && options_.pmem != nullptr) {
-    options_.pmem->Free(e->pmem_ptr, e->pmem_size);
-    pmem_bytes_.fetch_sub(e->pmem_size, std::memory_order_relaxed);
-  }
+  FreePmemLocked(e);
   shard.charged -= e->charge;
   LruUnlink(shard, e);
-  shard.table.Remove(Slice(e->key), e->hash);
-  delete e;
+  shard.table.Remove(e->key(), e->hash);
+  FreeEntryLocked(shard, e);
 }
 
 void HashEngine::TouchLocked(Shard& shard, Entry* e) {
@@ -152,7 +241,7 @@ Status HashEngine::EvictLocked(Shard& shard, size_t needed,
   while (shard.charged + needed > per_shard_budget_ && e != nullptr) {
     Entry* prev = e->lru_prev;
     if (e != protect &&
-        (filter == nullptr || (*filter)(Slice(e->key)))) {
+        (filter == nullptr || (*filter)(e->key()))) {
       RemoveEntryLocked(shard, e);
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -184,28 +273,30 @@ Status HashEngine::ChargeLocked(Shard& shard, Entry* e, size_t new_charge) {
   return Status::OK();
 }
 
-Status HashEngine::FindLocked(Shard& shard, const Slice& key, uint64_t hash,
-                              ValueKind kind, bool create, Entry** out) {
+HashEngine::Entry* HashEngine::LookupLocked(Shard& shard, const Slice& key,
+                                            uint64_t hash) {
   Entry* e = shard.table.Find(key, hash);
   if (e != nullptr && IsExpiredLocked(*e)) {
     expirations_.fetch_add(1, std::memory_order_relaxed);
     RemoveEntryLocked(shard, e);
     e = nullptr;
   }
+  return e;
+}
+
+Status HashEngine::FindLocked(Shard& shard, const Slice& key, uint64_t hash,
+                              ValueKind kind, bool create, Entry** out) {
+  Entry* e = LookupLocked(shard, key, hash);
   if (e == nullptr) {
     if (!create) return Status::NotFound("");
+    if (!FitsEntry(key)) return Status::InvalidArgument("cache: key too large");
     TIERBASE_RETURN_IF_ERROR(EvictLocked(shard, kEntryOverhead + key.size()));
-    e = new Entry();
-    e->hash = hash;
-    e->key.assign(key.data(), key.size());
-    e->kind = kind;
-    if (kind != ValueKind::kString) {
-      e->complex = std::make_unique<ComplexValue>();
-      if (kind == ValueKind::kHash) e->complex->hash.reserve(kComplexReserve);
-      if (kind == ValueKind::kZSet) {
-        e->complex->zscores.reserve(kComplexReserve);
-      }
-    }
+    auto complex = std::make_unique<ComplexValue>();
+    if (kind == ValueKind::kHash) complex->hash.reserve(kComplexReserve);
+    if (kind == ValueKind::kZSet) complex->zscores.reserve(kComplexReserve);
+    e = NewEntryLocked(shard, key, hash, kind, sizeof(ComplexValue*));
+    ComplexValue* raw = complex.release();
+    std::memcpy(e->payload(), &raw, sizeof(raw));
     shard.table.Insert(e);
     LruPushFront(shard, e);
     e->charge = EntryCharge(*e);
@@ -222,82 +313,104 @@ Status HashEngine::FindLocked(Shard& shard, const Slice& key, uint64_t hash,
 }
 
 Status HashEngine::LoadStringLocked(const Entry& e, std::string* out) const {
-  std::string raw;
-  if (e.pmem_ptr != kInvalidPmemPtr) {
-    TIERBASE_RETURN_IF_ERROR(
-        options_.pmem->Load(e.pmem_ptr, e.pmem_size, &raw));
-  } else if (!e.compressed) {
+  if (e.flags == 0) {
     // Hot path: DRAM-resident uncompressed value, copy straight out.
-    out->assign(e.str.data(), e.str.size());
+    out->assign(e.payload(), e.payload_len);
     return Status::OK();
-  } else {
-    raw = e.str;
   }
-  if (e.compressed) {
-    return options_.compressor->Decompress(raw, out);
+  std::string fetched;
+  Slice stored = e.value();
+  if ((e.flags & Entry::kInPmem) != 0) {
+    PmemPtr ptr = kInvalidPmemPtr;
+    uint32_t size = 0;
+    e.GetPmem(&ptr, &size);
+    TIERBASE_RETURN_IF_ERROR(options_.pmem->Load(ptr, size, &fetched));
+    stored = fetched;
   }
-  *out = std::move(raw);
+  if ((e.flags & Entry::kCompressed) != 0) {
+    return options_.compressor->Decompress(stored, out);
+  }
+  out->assign(stored.data(), stored.size());
   return Status::OK();
 }
 
-Status HashEngine::StoreStringLocked(Shard& shard, Entry* e,
+Status HashEngine::StoreStringLocked(Shard& shard, const Slice& key,
+                                     uint64_t hash, Entry** e,
                                      const Slice& value) {
-  // Free any previous PMem residency.
-  if (e->pmem_ptr != kInvalidPmemPtr && options_.pmem != nullptr) {
-    options_.pmem->Free(e->pmem_ptr, e->pmem_size);
-    pmem_bytes_.fetch_sub(e->pmem_size, std::memory_order_relaxed);
-    e->pmem_ptr = kInvalidPmemPtr;
-    e->pmem_size = 0;
+  if (!FitsEntry(key) || !FitsEntry(value)) {
+    return Status::InvalidArgument("cache: key or value too large");
+  }
+  if (*e == nullptr) {
+    // Room for the bare node first, as the budget charges it before the
+    // value (and so that evicted PMem values free space for this one).
+    TIERBASE_RETURN_IF_ERROR(EvictLocked(shard, kEntryOverhead + key.size()));
+  } else {
+    FreePmemLocked(*e);  // Any previous PMem residency.
   }
 
-  e->compressed = false;
+  uint8_t flags = 0;
+  Slice stored = value;
+  std::string packed;
   if (options_.compressor != nullptr &&
       value.size() >= options_.compress_min_bytes) {
-    std::string packed;
     Status s = options_.compressor->Compress(value, &packed);
     if (s.ok() && packed.size() < value.size()) {
-      e->str = std::move(packed);
-      e->compressed = true;
-    } else {
-      e->str.assign(value.data(), value.size());
+      stored = packed;
+      flags |= Entry::kCompressed;
     }
-  } else {
-    e->str.assign(value.data(), value.size());
   }
 
   // PMem placement: larger values go to the persistent-memory device;
   // small hot data and all key/index structures stay in DRAM (§4.3).
+  char handle[kPmemHandleBytes] = {};
   if (options_.pmem != nullptr &&
-      e->str.size() >= options_.pmem_value_threshold) {
-    PmemPtr ptr = options_.pmem->Store(e->str);
+      stored.size() >= options_.pmem_value_threshold) {
+    PmemPtr ptr = options_.pmem->Store(stored);
     if (ptr != kInvalidPmemPtr) {
-      e->pmem_ptr = ptr;
-      e->pmem_size = static_cast<uint32_t>(e->str.size());
-      pmem_bytes_.fetch_add(e->str.size(), std::memory_order_relaxed);
-      e->str.clear();
-      e->str.shrink_to_fit();
+      const uint32_t size = static_cast<uint32_t>(stored.size());
+      std::memcpy(handle, &ptr, sizeof(ptr));
+      std::memcpy(handle + sizeof(ptr), &size, sizeof(size));
+      pmem_bytes_.fetch_add(size, std::memory_order_relaxed);
+      stored = Slice(handle, sizeof(handle));
+      flags |= Entry::kInPmem;
     }
     // PMem full: the value stays in DRAM.
   }
-  return ChargeLocked(shard, e, EntryCharge(*e));
+
+  Entry* node = *e;
+  if (node == nullptr) {
+    node = NewEntryLocked(shard, key, hash, ValueKind::kString,
+                          stored.size());
+    shard.table.Insert(node);
+    LruPushFront(shard, node);
+    node->charge = kEntryOverhead + key.size();
+    shard.charged += node->charge;
+  } else if (node->payload_len != stored.size()) {
+    node = ResizeLocked(shard, node, stored.size());
+  }
+  node->flags = flags;
+  std::memcpy(node->payload(), stored.data(), stored.size());
+  *e = node;
+  Status s = ChargeLocked(shard, node, EntryCharge(*node));
+  if (!s.ok()) *e = nullptr;
+  return s;
 }
 
 // --- Strings. ---
 
 Status HashEngine::SetLocked(Shard& shard, const Slice& key, uint64_t hash,
                              const Slice& value, uint64_t ttl_micros) {
-  Entry* e = nullptr;
-  Status s = FindLocked(shard, key, hash, ValueKind::kString, true, &e);
-  if (s.IsInvalidArgument()) {
+  Entry* e = LookupLocked(shard, key, hash);
+  if (e != nullptr && e->kind != ValueKind::kString) {
     // Overwrite a complex-typed key, Redis SET semantics.
-    Entry* old = shard.table.Find(key, hash);
-    if (old != nullptr) RemoveEntryLocked(shard, old);
-    s = FindLocked(shard, key, hash, ValueKind::kString, true, &e);
+    RemoveEntryLocked(shard, e);
+    e = nullptr;
   }
-  TIERBASE_RETURN_IF_ERROR(s);
+  if (e != nullptr) TouchLocked(shard, e);
+  TIERBASE_RETURN_IF_ERROR(StoreStringLocked(shard, key, hash, &e, value));
   e->expire_at =
       ttl_micros == 0 ? 0 : options_.clock->NowMicros() + ttl_micros;
-  return StoreStringLocked(shard, e, value);
+  return Status::OK();
 }
 
 Status HashEngine::GetLocked(Shard& shard, const Slice& key, uint64_t hash,
@@ -434,9 +547,7 @@ Status HashEngine::Cas(const Slice& key, const Slice& expected,
     if (!(allow_create && expected.empty())) {
       return Status::Aborted("cas: key missing");
     }
-    TIERBASE_RETURN_IF_ERROR(
-        FindLocked(shard, key, hash, ValueKind::kString, true, &e));
-    return StoreStringLocked(shard, e, value);
+    return StoreStringLocked(shard, key, hash, &e, value);
   }
   TIERBASE_RETURN_IF_ERROR(s);
   std::string current;
@@ -444,7 +555,7 @@ Status HashEngine::Cas(const Slice& key, const Slice& expected,
   if (Slice(current) != expected) {
     return Status::Aborted("cas: value mismatch");
   }
-  return StoreStringLocked(shard, e, value);
+  return StoreStringLocked(shard, key, hash, &e, value);
 }
 
 bool HashEngine::Exists(const Slice& key) {
@@ -497,8 +608,8 @@ Status HashEngine::LPush(const Slice& key, const Slice& value) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kList, true, &e));
-  e->complex->list.emplace_front(value.data(), value.size());
-  e->complex->bytes += value.size() + kPerElementOverhead;
+  e->complex()->list.emplace_front(value.data(), value.size());
+  e->complex()->bytes += value.size() + kPerElementOverhead;
   return ChargeLocked(shard, e, EntryCharge(*e));
 }
 
@@ -509,8 +620,8 @@ Status HashEngine::RPush(const Slice& key, const Slice& value) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kList, true, &e));
-  e->complex->list.emplace_back(value.data(), value.size());
-  e->complex->bytes += value.size() + kPerElementOverhead;
+  e->complex()->list.emplace_back(value.data(), value.size());
+  e->complex()->bytes += value.size() + kPerElementOverhead;
   return ChargeLocked(shard, e, EntryCharge(*e));
 }
 
@@ -521,10 +632,10 @@ Status HashEngine::LPop(const Slice& key, std::string* value) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kList, false, &e));
-  if (e->complex->list.empty()) return Status::NotFound("empty list");
-  *value = std::move(e->complex->list.front());
-  e->complex->list.pop_front();
-  e->complex->bytes -= value->size() + kPerElementOverhead;
+  if (e->complex()->list.empty()) return Status::NotFound("empty list");
+  *value = std::move(e->complex()->list.front());
+  e->complex()->list.pop_front();
+  e->complex()->bytes -= value->size() + kPerElementOverhead;
   return ChargeLocked(shard, e, EntryCharge(*e));
 }
 
@@ -535,10 +646,10 @@ Status HashEngine::RPop(const Slice& key, std::string* value) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kList, false, &e));
-  if (e->complex->list.empty()) return Status::NotFound("empty list");
-  *value = std::move(e->complex->list.back());
-  e->complex->list.pop_back();
-  e->complex->bytes -= value->size() + kPerElementOverhead;
+  if (e->complex()->list.empty()) return Status::NotFound("empty list");
+  *value = std::move(e->complex()->list.back());
+  e->complex()->list.pop_back();
+  e->complex()->bytes -= value->size() + kPerElementOverhead;
   return ChargeLocked(shard, e, EntryCharge(*e));
 }
 
@@ -550,7 +661,7 @@ Result<uint64_t> HashEngine::LLen(const Slice& key) {
   Status s = FindLocked(shard, key, hash, ValueKind::kList, false, &e);
   if (s.IsNotFound()) return uint64_t{0};
   if (!s.ok()) return s;
-  return static_cast<uint64_t>(e->complex->list.size());
+  return static_cast<uint64_t>(e->complex()->list.size());
 }
 
 Status HashEngine::LRange(const Slice& key, int64_t start, int64_t stop,
@@ -563,13 +674,13 @@ Status HashEngine::LRange(const Slice& key, int64_t start, int64_t stop,
   Status s = FindLocked(shard, key, hash, ValueKind::kList, false, &e);
   if (s.IsNotFound()) return Status::OK();
   TIERBASE_RETURN_IF_ERROR(s);
-  int64_t n = static_cast<int64_t>(e->complex->list.size());
+  int64_t n = static_cast<int64_t>(e->complex()->list.size());
   if (start < 0) start += n;
   if (stop < 0) stop += n;
   start = std::max<int64_t>(0, start);
   stop = std::min(stop, n - 1);
   for (int64_t i = start; i <= stop; ++i) {
-    out->push_back(e->complex->list[static_cast<size_t>(i)]);
+    out->push_back(e->complex()->list[static_cast<size_t>(i)]);
   }
   return Status::OK();
 }
@@ -585,12 +696,12 @@ Status HashEngine::HSet(const Slice& key, const Slice& field,
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kHash, true, &e));
   auto [it, inserted] =
-      e->complex->hash.try_emplace(field.ToString(), std::string());
+      e->complex()->hash.try_emplace(field.ToString(), std::string());
   if (inserted) {
-    e->complex->bytes += field.size() + value.size() + kPerElementOverhead;
+    e->complex()->bytes += field.size() + value.size() + kPerElementOverhead;
   } else {
-    e->complex->bytes += value.size();
-    e->complex->bytes -= it->second.size();
+    e->complex()->bytes += value.size();
+    e->complex()->bytes -= it->second.size();
   }
   it->second.assign(value.data(), value.size());
   return ChargeLocked(shard, e, EntryCharge(*e));
@@ -604,8 +715,8 @@ Status HashEngine::HGet(const Slice& key, const Slice& field,
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kHash, false, &e));
-  auto it = e->complex->hash.find(field.ToString());
-  if (it == e->complex->hash.end()) return Status::NotFound("no field");
+  auto it = e->complex()->hash.find(field.ToString());
+  if (it == e->complex()->hash.end()) return Status::NotFound("no field");
   *value = it->second;
   return Status::OK();
 }
@@ -617,11 +728,11 @@ Status HashEngine::HDel(const Slice& key, const Slice& field) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kHash, false, &e));
-  auto it = e->complex->hash.find(field.ToString());
-  if (it == e->complex->hash.end()) return Status::NotFound("no field");
-  e->complex->bytes -=
+  auto it = e->complex()->hash.find(field.ToString());
+  if (it == e->complex()->hash.end()) return Status::NotFound("no field");
+  e->complex()->bytes -=
       field.size() + it->second.size() + kPerElementOverhead;
-  e->complex->hash.erase(it);
+  e->complex()->hash.erase(it);
   return ChargeLocked(shard, e, EntryCharge(*e));
 }
 
@@ -633,7 +744,7 @@ Result<uint64_t> HashEngine::HLen(const Slice& key) {
   Status s = FindLocked(shard, key, hash, ValueKind::kHash, false, &e);
   if (s.IsNotFound()) return uint64_t{0};
   if (!s.ok()) return s;
-  return static_cast<uint64_t>(e->complex->hash.size());
+  return static_cast<uint64_t>(e->complex()->hash.size());
 }
 
 Status HashEngine::HGetAll(
@@ -646,7 +757,7 @@ Status HashEngine::HGetAll(
   Status s = FindLocked(shard, key, hash, ValueKind::kHash, false, &e);
   if (s.IsNotFound()) return Status::OK();
   TIERBASE_RETURN_IF_ERROR(s);
-  for (const auto& [f, v] : e->complex->hash) out->emplace_back(f, v);
+  for (const auto& [f, v] : e->complex()->hash) out->emplace_back(f, v);
   return Status::OK();
 }
 
@@ -659,8 +770,8 @@ Status HashEngine::SAdd(const Slice& key, const Slice& member) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kSet, true, &e));
-  if (e->complex->set.insert(member.ToString()).second) {
-    e->complex->bytes += member.size() + kPerElementOverhead;
+  if (e->complex()->set.insert(member.ToString()).second) {
+    e->complex()->bytes += member.size() + kPerElementOverhead;
   }
   return ChargeLocked(shard, e, EntryCharge(*e));
 }
@@ -672,10 +783,10 @@ Status HashEngine::SRem(const Slice& key, const Slice& member) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kSet, false, &e));
-  if (e->complex->set.erase(member.ToString()) == 0) {
+  if (e->complex()->set.erase(member.ToString()) == 0) {
     return Status::NotFound("no member");
   }
-  e->complex->bytes -= member.size() + kPerElementOverhead;
+  e->complex()->bytes -= member.size() + kPerElementOverhead;
   return ChargeLocked(shard, e, EntryCharge(*e));
 }
 
@@ -687,7 +798,7 @@ Result<bool> HashEngine::SIsMember(const Slice& key, const Slice& member) {
   Status s = FindLocked(shard, key, hash, ValueKind::kSet, false, &e);
   if (s.IsNotFound()) return false;
   if (!s.ok()) return s;
-  return e->complex->set.count(member.ToString()) > 0;
+  return e->complex()->set.count(member.ToString()) > 0;
 }
 
 Result<uint64_t> HashEngine::SCard(const Slice& key) {
@@ -698,7 +809,7 @@ Result<uint64_t> HashEngine::SCard(const Slice& key) {
   Status s = FindLocked(shard, key, hash, ValueKind::kSet, false, &e);
   if (s.IsNotFound()) return uint64_t{0};
   if (!s.ok()) return s;
-  return static_cast<uint64_t>(e->complex->set.size());
+  return static_cast<uint64_t>(e->complex()->set.size());
 }
 
 // --- Sorted sets. ---
@@ -711,16 +822,16 @@ Status HashEngine::ZAdd(const Slice& key, double score, const Slice& member) {
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kZSet, true, &e));
   std::string m = member.ToString();
-  auto it = e->complex->zscores.find(m);
-  if (it != e->complex->zscores.end()) {
-    e->complex->zordered.erase({it->second, m});
+  auto it = e->complex()->zscores.find(m);
+  if (it != e->complex()->zscores.end()) {
+    e->complex()->zordered.erase({it->second, m});
     it->second = score;
   } else {
-    e->complex->zscores[m] = score;
-    e->complex->bytes +=
+    e->complex()->zscores[m] = score;
+    e->complex()->bytes +=
         2 * m.size() + 2 * kPerElementOverhead + sizeof(double) * 2;
   }
-  e->complex->zordered.insert({score, m});
+  e->complex()->zordered.insert({score, m});
   return ChargeLocked(shard, e, EntryCharge(*e));
 }
 
@@ -731,8 +842,8 @@ Result<double> HashEngine::ZScore(const Slice& key, const Slice& member) {
   Entry* e = nullptr;
   Status s = FindLocked(shard, key, hash, ValueKind::kZSet, false, &e);
   if (!s.ok()) return s;
-  auto it = e->complex->zscores.find(member.ToString());
-  if (it == e->complex->zscores.end()) return Status::NotFound("no member");
+  auto it = e->complex()->zscores.find(member.ToString());
+  if (it == e->complex()->zscores.end()) return Status::NotFound("no member");
   return it->second;
 }
 
@@ -747,8 +858,8 @@ Status HashEngine::ZRangeByScore(const Slice& key, double min_score,
   Status s = FindLocked(shard, key, hash, ValueKind::kZSet, false, &e);
   if (s.IsNotFound()) return Status::OK();
   TIERBASE_RETURN_IF_ERROR(s);
-  auto lo = e->complex->zordered.lower_bound({min_score, ""});
-  for (auto it = lo; it != e->complex->zordered.end() &&
+  auto lo = e->complex()->zordered.lower_bound({min_score, ""});
+  for (auto it = lo; it != e->complex()->zordered.end() &&
                      it->first <= max_score;
        ++it) {
     out->push_back(it->second);
@@ -766,13 +877,13 @@ Status HashEngine::ZRange(const Slice& key, int64_t start, int64_t stop,
   Status s = FindLocked(shard, key, hash, ValueKind::kZSet, false, &e);
   if (s.IsNotFound()) return Status::OK();
   TIERBASE_RETURN_IF_ERROR(s);
-  const int64_t n = static_cast<int64_t>(e->complex->zordered.size());
+  const int64_t n = static_cast<int64_t>(e->complex()->zordered.size());
   // Branch before adding to keep INT64_MIN-ish ranks from overflowing.
   if (start < 0) start = start < -n ? 0 : start + n;
   if (stop < 0) stop = stop < -n ? -1 : stop + n;
   if (stop >= n) stop = n - 1;
   if (start > stop || start >= n) return Status::OK();
-  auto it = e->complex->zordered.begin();
+  auto it = e->complex()->zordered.begin();
   std::advance(it, start);
   for (int64_t rank = start; rank <= stop; ++rank, ++it) {
     out->emplace_back(it->second, it->first);
@@ -788,7 +899,7 @@ Result<uint64_t> HashEngine::ZCard(const Slice& key) {
   Status s = FindLocked(shard, key, hash, ValueKind::kZSet, false, &e);
   if (s.IsNotFound()) return uint64_t{0};
   if (!s.ok()) return s;
-  return static_cast<uint64_t>(e->complex->zscores.size());
+  return static_cast<uint64_t>(e->complex()->zscores.size());
 }
 
 // --- Introspection / control. ---
@@ -862,7 +973,7 @@ uint64_t HashEngine::Scan(uint64_t cursor, size_t count,
     while (bucket_idx < buckets) {
       for (Entry* e = shard.table.buckets[bucket_idx]; e != nullptr;
            e = e->next_hash) {
-        if (!IsExpiredLocked(*e)) keys->push_back(e->key);
+        if (!IsExpiredLocked(*e)) keys->emplace_back(e->data, e->key_len);
       }
       ++bucket_idx;
       if (keys->size() >= count) {
@@ -892,6 +1003,8 @@ void HashEngine::Clear() {
         e = next;
       }
     }
+    std::free(shard->spare);
+    shard->spare = nullptr;
   }
 }
 

@@ -12,14 +12,27 @@
 //     in DRAM; string values >= pmem_value_threshold move to the simulated
 //     persistent-memory device through a PmemAllocator.
 //
-// Hot-path design (zero allocation per lookup):
+// Hot-path design (one allocation per entry, none per lookup):
 //   * Each key is hashed exactly once per operation; the 64-bit hash picks
 //     the shard (power-of-two count, topmost bits) and probes the shard's
 //     table (low bits + bucket mask) without rehashing.
-//   * The shard index is an intrusive chained hash table: every Entry node
-//     owns the single copy of its key and carries its hash-chain link plus
-//     the LRU prev/next pointers, so lookups compare against a Slice with
-//     no temporary std::string and the LRU needs no separate list nodes.
+//   * Every entry is a single malloc block (LevelDB LRUHandle idiom): a
+//     <= 64-byte header holding the hash-chain link, the LRU prev/next
+//     pointers, hash, expiry, charge, lengths, kind and flags, followed by
+//     the key bytes and then the payload. The payload is the (possibly
+//     compressed) string value, the 12-byte PMem handle for a value placed
+//     in PMem, or the ComplexValue pointer of a list/hash/set/zset. The
+//     shard index is an intrusive chained hash table over these nodes, so
+//     lookups compare against a Slice with no temporary std::string and
+//     the LRU needs no separate list nodes.
+//   * A string overwrite whose stored payload keeps its size rewrites the
+//     bytes in place. A size change reallocs the node: when the block
+//     moves, the new address is spliced into the old node's hash-chain
+//     slot and LRU position, so recency order survives and callers carry
+//     on with the returned pointer. Nothing else moves a node.
+//   * A removed node's block stays with its shard as a spare, and the
+//     next insert reallocs it: evicting to make room for a new key costs
+//     no malloc/free pair.
 //   * When memory_budget == 0 no eviction can occur, so Get/Set skip LRU
 //     reordering entirely (observable through lru_touches()).
 //   * MultiGet/MultiSet group keys by shard and take each shard mutex at
@@ -208,24 +221,36 @@ class HashEngine : public KvEngine {
     size_t MemoryBytes() const { return sizeof(ComplexValue) + bytes; }
   };
 
-  /// One cache entry. Nodes are heap-allocated and never move: the hash
-  /// chain (next_hash) and the intrusive LRU list (lru_prev/lru_next) link
-  /// them directly, and the node owns the only copy of its key.
+  /// One cache entry, allocated as a single block: this header, then
+  /// key_len key bytes, then payload_len payload bytes (see the hot-path
+  /// notes at the top of this file). The hash chain (next_hash) and the
+  /// intrusive LRU list (lru_prev/lru_next) link nodes directly.
   struct Entry {
-    Entry* next_hash = nullptr;
-    Entry* lru_prev = nullptr;
-    Entry* lru_next = nullptr;
-    uint64_t hash = 0;  // Hash64(key), computed once at insertion.
-    std::string key;
+    static constexpr uint8_t kCompressed = 1;  // Stored bytes are packed.
+    static constexpr uint8_t kInPmem = 2;      // Payload is a PMem handle.
 
-    ValueKind kind = ValueKind::kString;
-    std::string str;  // Inline (possibly compressed) string value.
-    bool compressed = false;
-    PmemPtr pmem_ptr = kInvalidPmemPtr;
-    uint32_t pmem_size = 0;      // Stored (compressed) size in PMem.
-    uint64_t expire_at = 0;      // Clock micros; 0 = never.
-    size_t charge = 0;           // DRAM bytes charged to the budget.
-    std::unique_ptr<ComplexValue> complex;
+    Entry* next_hash;
+    Entry* lru_prev;
+    Entry* lru_next;
+    uint64_t hash;       // Hash64(key), computed once at insertion.
+    uint64_t expire_at;  // Clock micros; 0 = never.
+    size_t charge;       // DRAM bytes charged to the budget.
+    uint32_t key_len;
+    uint32_t payload_len;
+    ValueKind kind;
+    uint8_t flags;
+    char data[1];  // Key bytes, then payload; the block extends past it.
+
+    /// Block size for a node with the given key and payload lengths.
+    static size_t AllocSize(size_t key_len, size_t payload_len);
+
+    Slice key() const { return Slice(data, key_len); }
+    char* payload() { return data + key_len; }
+    const char* payload() const { return data + key_len; }
+    /// The stored string bytes (kString without kInPmem).
+    Slice value() const { return Slice(payload(), payload_len); }
+    ComplexValue* complex() const;
+    void GetPmem(PmemPtr* ptr, uint32_t* size) const;
   };
 
   /// Chained hash table over Entry nodes (LevelDB HandleTable idiom):
@@ -236,16 +261,22 @@ class HashEngine : public KvEngine {
 
     Table() : buckets(kInitialBuckets, nullptr) {}
 
-    Entry* Find(const Slice& key, uint64_t hash) const {
-      Entry* e = buckets[hash & (buckets.size() - 1)];
-      while (e != nullptr && (e->hash != hash || Slice(e->key) != key)) {
-        e = e->next_hash;
+    /// The slot pointing at the node for `key`, or the null slot ending
+    /// its chain.
+    Entry** FindPointer(const Slice& key, uint64_t hash) {
+      Entry** ptr = &buckets[hash & (buckets.size() - 1)];
+      while (*ptr != nullptr &&
+             ((*ptr)->hash != hash || (*ptr)->key() != key)) {
+        ptr = &(*ptr)->next_hash;
       }
-      return e;
+      return ptr;
+    }
+    Entry* Find(const Slice& key, uint64_t hash) {
+      return *FindPointer(key, hash);
     }
     /// Inserts a node whose key is known to be absent.
     void Insert(Entry* e);
-    /// Unlinks (does not delete) the node; returns it, or null if absent.
+    /// Unlinks (does not free) the node; returns it, or null if absent.
     Entry* Remove(const Slice& key, uint64_t hash);
 
    private:
@@ -260,6 +291,11 @@ class HashEngine : public KvEngine {
     Entry* lru_tail GUARDED_BY(mu) = nullptr;  // Eviction candidate.
     size_t charged GUARDED_BY(mu) = 0;
     uint64_t lru_touches GUARDED_BY(mu) = 0;
+    // The last freed node's block. An insert that follows an eviction
+    // reallocs it in place of a free + malloc pair; blocks above malloc's
+    // per-thread cache size (about 1 KiB) otherwise pay the arena lock
+    // twice per insert.
+    void* spare GUARDED_BY(mu) = nullptr;
   };
 
   size_t ShardIndex(uint64_t hash) const {
@@ -275,9 +311,26 @@ class HashEngine : public KvEngine {
   static void LruUnlink(Shard& shard, Entry* e)
       EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
 
+  /// Allocates an unlinked node holding `key`, with room for a
+  /// `payload_len`-byte payload, reusing the shard's spare block if any.
+  static Entry* NewEntryLocked(Shard& shard, const Slice& key, uint64_t hash,
+                               ValueKind kind, size_t payload_len)
+      EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
+  /// Frees the ComplexValue the node owns and keeps the block as the
+  /// shard's spare, or frees it when there already is one (PMem is the
+  /// caller's).
+  static void FreeEntryLocked(Shard& shard, Entry* e)
+      EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
+
   /// All Locked helpers require the shard mutex (checked statically via
   /// the `shard.mu` capability expression on the reference parameter).
   bool IsExpiredLocked(const Entry& e) const;
+  /// Gives the node a `payload_len`-byte payload (contents unspecified),
+  /// keeping its key, header, hash-chain slot and LRU position. Returns
+  /// the node's address, which changes when the block moves.
+  static Entry* ResizeLocked(Shard& shard, Entry* e, size_t payload_len)
+      EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
+  void FreePmemLocked(Entry* e);
   void RemoveEntryLocked(Shard& shard, Entry* e)
       EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
   void TouchLocked(Shard& shard, Entry* e)
@@ -292,8 +345,13 @@ class HashEngine : public KvEngine {
       EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
   size_t EntryCharge(const Entry& e) const;
 
+  /// Returns the live entry for `key` (any kind), or null; an expired
+  /// entry is removed on the way.
+  Entry* LookupLocked(Shard& shard, const Slice& key, uint64_t hash)
+      EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
   /// Returns the entry if present & live, creating when `create` with the
-  /// given kind. WrongType → InvalidArgument. `hash` is Hash64(key).
+  /// given complex kind (strings are created by StoreStringLocked).
+  /// WrongType → InvalidArgument. `hash` is Hash64(key).
   Status FindLocked(Shard& shard, const Slice& key, uint64_t hash,
                     ValueKind kind, bool create, Entry** out)
       EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
@@ -308,8 +366,12 @@ class HashEngine : public KvEngine {
 
   /// Materializes a string entry's value (decompress / PMem fetch).
   Status LoadStringLocked(const Entry& e, std::string* out) const;
-  /// Stores a string value into the entry (compress / PMem placement).
-  Status StoreStringLocked(Shard& shard, Entry* e, const Slice& value)
+  /// Stores a string value (compress / PMem placement) into `*e`, a live
+  /// string entry for `key`, or into a new entry when `*e` is null. On
+  /// success `*e` is the node now holding the value, which moves when the
+  /// payload size changes; on failure the entry is gone.
+  Status StoreStringLocked(Shard& shard, const Slice& key, uint64_t hash,
+                           Entry** e, const Slice& value)
       EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
 
   /// Computes hashes and a per-shard grouping of [0, n) so Multi ops can

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <thread>
 
 namespace tierbase {
 namespace metrics {
@@ -44,34 +45,51 @@ void AppendU64(std::string* out, uint64_t v) {
 
 }  // namespace
 
-LatencyHistogram::LatencyHistogram() : stripes_(new Stripe[kStripes]) {}
+LatencyHistogram::LatencyHistogram() : slots_(new Slot[kStripes]) {
+  for (int si = 0; si < kStripes; ++si) {
+    slots_[si].stripes[0].store(new Stripe, std::memory_order_relaxed);
+  }
+}
 
-LatencyHistogram::Stripe& LatencyHistogram::MyStripe() {
-  return stripes_[ThreadStripeSeq() & (kStripes - 1)];
+LatencyHistogram::~LatencyHistogram() {
+  for (int si = 0; si < kStripes; ++si) {
+    for (auto& stripe : slots_[si].stripes) delete stripe.load();
+  }
+}
+
+LatencyHistogram::Slot& LatencyHistogram::MySlot() {
+  return slots_[ThreadStripeSeq() & (kStripes - 1)];
 }
 
 void LatencyHistogram::Record(uint64_t micros, uint64_t count) {
   if (count == 0) return;
-  Stripe& s = MyStripe();
-  s.buckets[static_cast<size_t>(Histogram::BucketFor(micros))].fetch_add(
-      count, std::memory_order_relaxed);
-  s.count.fetch_add(count, std::memory_order_relaxed);
+  Slot& slot = MySlot();
+  const size_t phase =
+      slot.enter.fetch_add(1, std::memory_order_acquire) >> 63;
+  Stripe& s = *slot.stripes[phase].load(std::memory_order_relaxed);
   s.sum.fetch_add(micros * count, std::memory_order_relaxed);
   uint64_t prev = s.max.load(std::memory_order_relaxed);
   while (micros > prev && !s.max.compare_exchange_weak(
                               prev, micros, std::memory_order_relaxed)) {
   }
+  s.buckets[static_cast<size_t>(Histogram::BucketFor(micros))].fetch_add(
+      count, std::memory_order_release);
+  slot.exits[phase].fetch_add(1, std::memory_order_release);
 }
 
 Histogram LatencyHistogram::Snapshot() const {
+  common::MutexLock lock(&reader_mu_);
   Histogram h;
   uint64_t sum = 0;
   uint64_t max = 0;
   for (int si = 0; si < kStripes; ++si) {
-    const Stripe& s = stripes_[si];
+    const Slot& slot = slots_[si];
+    const Stripe& s = *slot.stripes[slot.enter.load(
+                                        std::memory_order_acquire) >> 63]
+                           .load(std::memory_order_acquire);
     for (int i = 0; i < Histogram::kNumBuckets; ++i) {
       h.AddBucketCount(
-          i, s.buckets[static_cast<size_t>(i)].load(std::memory_order_relaxed));
+          i, s.buckets[static_cast<size_t>(i)].load(std::memory_order_acquire));
     }
     sum += s.sum.load(std::memory_order_relaxed);
     max = std::max(max, s.max.load(std::memory_order_relaxed));
@@ -81,20 +99,27 @@ Histogram LatencyHistogram::Snapshot() const {
 }
 
 uint64_t LatencyHistogram::count() const {
-  uint64_t n = 0;
-  for (int si = 0; si < kStripes; ++si) {
-    n += stripes_[si].count.load(std::memory_order_relaxed);
-  }
-  return n;
+  return Snapshot().Count();
 }
 
 void LatencyHistogram::Reset() {
+  common::MutexLock lock(&reader_mu_);
   for (int si = 0; si < kStripes; ++si) {
-    Stripe& s = stripes_[si];
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0, std::memory_order_relaxed);
-    s.max.store(0, std::memory_order_relaxed);
+    Slot& slot = slots_[si];
+    const uint64_t old_phase =
+        slot.enter.load(std::memory_order_relaxed) >> 63;
+    const uint64_t new_phase = old_phase ^ 1;
+    const uint64_t new_base = new_phase * kPhaseBit;
+    slot.stripes[new_phase].store(new Stripe, std::memory_order_relaxed);
+    slot.exits[new_phase].store(new_base, std::memory_order_relaxed);
+    // Tickets [old base, entered) were handed out in the old phase.
+    const uint64_t entered =
+        slot.enter.exchange(new_base, std::memory_order_acq_rel);
+    while (slot.exits[old_phase].load(std::memory_order_acquire) != entered) {
+      std::this_thread::yield();
+    }
+    delete slot.stripes[old_phase].exchange(nullptr,
+                                            std::memory_order_relaxed);
   }
 }
 

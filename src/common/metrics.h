@@ -70,46 +70,63 @@ class Gauge {
 
 /// Thread-safe latency histogram over microsecond values.
 ///
-/// Writers pick a stripe by thread (round-robin at first use) and bump
-/// that stripe's relaxed atomics; concurrent writers on different threads
-/// touch different cache lines. Snapshot() folds every stripe into a plain
-/// Histogram; it may miss in-flight increments but never tears a value.
+/// Writers pick a stripe slot by thread (round-robin at first use) and bump
+/// that slot's relaxed atomics; concurrent writers on different threads
+/// touch different cache lines. Snapshot() folds every slot into a plain
+/// Histogram. It may miss in-flight samples, but it never tears one: every
+/// sample it counts has its value in the sum and the max.
 class LatencyHistogram {
  public:
   LatencyHistogram();
+  ~LatencyHistogram();
 
   LatencyHistogram(const LatencyHistogram&) = delete;
   LatencyHistogram& operator=(const LatencyHistogram&) = delete;
 
-  /// Records `count` observations of `micros`. Lock-free: one bucket
-  /// fetch_add plus count/sum/max maintenance on the caller's stripe.
+  /// Records `count` observations of `micros`. Lock-free: sum/max, then
+  /// the bucket, inside a phaser enter/exit on the caller's slot.
   void Record(uint64_t micros, uint64_t count = 1);
 
-  /// Folds all stripes into a plain Histogram for percentile queries.
+  /// Folds all slots into a plain Histogram for percentile queries.
   Histogram Snapshot() const;
 
   uint64_t count() const;
 
-  /// Zeroes every stripe (LATENCY RESET). Racy against concurrent
-  /// writers by design — a reset during traffic loses the ops recorded
-  /// while it runs, nothing more.
+  /// Starts every slot over from zero (LATENCY RESET). Samples recorded
+  /// while it runs land on one side of it or the other, whole.
   void Reset();
 
  private:
   static constexpr int kStripes = 4;  // Power of two.
+  static constexpr uint64_t kPhaseBit = uint64_t{1} << 63;
 
-  struct alignas(64) Stripe {
+  // Writers add to sum and max before the bucket (release) and readers
+  // load the buckets (acquire) before sum and max, so a counted sample's
+  // value is always visible. Sum and max never decrease: Reset replaces
+  // the whole stripe instead of zeroing it under a writer.
+  struct Stripe {
     std::array<std::atomic<uint64_t>, Histogram::kNumBuckets> buckets{};
-    std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum{0};
     std::atomic<uint64_t> max{0};
   };
 
-  Stripe& MyStripe();
+  // A writer-reader phaser per slot (HdrHistogram's WriterReaderPhaser).
+  // Record takes a ticket from `enter`, whose top bit names the live
+  // stripe, and leaves through that phase's `exits` counter. Reset
+  // installs a zeroed stripe for the other phase, flips the phase, and
+  // frees the old stripe once every writer holding an old ticket is out.
+  struct alignas(64) Slot {
+    std::atomic<uint64_t> enter{0};
+    std::array<std::atomic<uint64_t>, 2> exits{};
+    std::array<std::atomic<Stripe*>, 2> stripes{};
+  };
 
-  // Heap-allocated: each stripe is ~8 KiB of buckets; keeping them out of
-  // line lets components embed histogram pointers freely.
-  std::unique_ptr<Stripe[]> stripes_;
+  Slot& MySlot();
+
+  // Readers (Snapshot, count, Reset) are serialized so a snapshot never
+  // reads a stripe a concurrent Reset frees. Record never takes it.
+  mutable common::Mutex reader_mu_;
+  std::unique_ptr<Slot[]> slots_;
 };
 
 /// Registry entry type, also the Prometheus # TYPE.

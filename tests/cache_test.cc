@@ -2,7 +2,9 @@
 // types, LRU eviction under a memory budget, the eviction filter used by
 // write-back, value compression, and DRAM/PMem split placement.
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -797,6 +799,267 @@ TEST(HashEngineTest, EvictionFilterSwapsWithoutStallingEviction) {
   swapper.join();
   EXPECT_GT(engine.evictions(), 0u);
   EXPECT_LE(engine.GetUsage().memory_bytes, 32 * 1024u);
+}
+
+// --- Single-block nodes: overwrites that change the payload size. ---
+
+// Budget charge of one DRAM string entry: node overhead + key + value.
+size_t StringCharge(const std::string& key, size_t value_bytes) {
+  return 64 + key.size() + value_bytes;
+}
+
+// Eviction order (LRU first) of `keys`, read off by inserting fillers that
+// each force exactly one eviction of an equal-charge entry.
+std::vector<std::string> EvictionOrder(HashEngine* engine,
+                                       const std::vector<std::string>& keys,
+                                       size_t value_bytes) {
+  std::vector<std::string> order;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    // Same key length as keys[i] so each filler displaces one entry.
+    const std::string filler = "f" + std::to_string(i);
+    EXPECT_TRUE(engine->Set(filler, std::string(value_bytes, 'f')).ok());
+    for (const std::string& k : keys) {
+      if (std::find(order.begin(), order.end(), k) == order.end() &&
+          !engine->Exists(k)) {
+        order.push_back(k);
+      }
+    }
+    EXPECT_EQ(order.size(), i + 1) << "filler " << i;
+  }
+  return order;
+}
+
+TEST(HashEngineTest, ResizeKeepsLruOrder) {
+  const std::vector<std::string> keys = {"k0", "k1", "k2", "k3",
+                                         "k4", "k5", "k6", "k7"};
+  constexpr size_t kValue = 16;
+  constexpr size_t kGrowth = 4000;
+  HashEngineOptions options;
+  options.shards = 1;
+  options.memory_budget = keys.size() * StringCharge("k0", kValue) + kGrowth;
+  HashEngine engine(options);
+  for (const std::string& k : keys) {
+    ASSERT_TRUE(engine.Set(k, std::string(kValue, 'v')).ok());
+  }
+  // Grow and shrink k3, then k0 (the LRU tail): large size changes move
+  // the node. Each Set also refreshes the key, as any overwrite does.
+  for (const char* k : {"k3", "k0"}) {
+    ASSERT_TRUE(engine.Set(k, std::string(kValue + kGrowth, 'g')).ok());
+    ASSERT_TRUE(engine.Set(k, std::string(kValue, 's')).ok());
+  }
+  EXPECT_EQ(engine.evictions(), 0u);
+  EXPECT_EQ(engine.GetUsage().memory_bytes,
+            keys.size() * StringCharge("k0", kValue));
+
+  // Fill the headroom with one entry so the next inserts each evict one.
+  ASSERT_TRUE(engine.Set("pad", std::string(kGrowth - 64 - 3, 'p')).ok());
+  EXPECT_EQ(engine.GetUsage().memory_bytes, options.memory_budget);
+  EXPECT_EQ(EvictionOrder(&engine, keys, kValue),
+            (std::vector<std::string>{"k1", "k2", "k4", "k5", "k6", "k7",
+                                      "k3", "k0"}));
+}
+
+TEST(HashEngineTest, UsageEqualsSumOfChargesAfterResizesAndDeletes) {
+  HashEngineOptions options;
+  options.shards = 4;
+  HashEngine engine(options);
+  std::map<std::string, size_t> model;  // key -> value bytes.
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 300; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      if ((i + round) % 7 == 0) {
+        Status s = engine.Delete(key);
+        EXPECT_EQ(s.ok(), model.erase(key) == 1) << key;
+        continue;
+      }
+      // Sizes shift every round: grows, shrinks and same-size rewrites.
+      const size_t bytes = static_cast<size_t>((i * 37 + round * 101) % 500);
+      ASSERT_TRUE(engine.Set(key, std::string(bytes, 'a' + round)).ok());
+      model[key] = bytes;
+    }
+    size_t expected = 0;
+    for (const auto& [key, bytes] : model) {
+      expected += StringCharge(key, bytes);
+    }
+    ASSERT_EQ(engine.GetUsage().memory_bytes, expected) << "round " << round;
+    ASSERT_EQ(engine.GetUsage().keys, model.size());
+  }
+}
+
+TEST(HashEngineTest, ResizedKeysStayReachable) {
+  ManualClock clock(1000);
+  HashEngineOptions options;
+  options.shards = 1;  // Long hash chains and many table grows.
+  options.clock = &clock;
+  HashEngine engine(options);
+  constexpr int kKeys = 3000;
+  auto value_for = [](int i, int round) {
+    return std::string(static_cast<size_t>((i * 13 + round * 211) % 700),
+                       static_cast<char>('a' + (i + round) % 26));
+  };
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < kKeys; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      // Odd keys carry a TTL, so the sweep below walks resized nodes.
+      const uint64_t ttl = i % 2 == 1 ? 1000 : 0;
+      ASSERT_TRUE(engine.SetEx(key, value_for(i, round), ttl).ok());
+    }
+  }
+  std::string value;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(engine.Get("key" + std::to_string(i), &value).ok()) << i;
+    ASSERT_EQ(value, value_for(i, 3)) << i;
+  }
+  std::vector<std::string> scanned;
+  uint64_t cursor = 0;
+  do {
+    cursor = engine.Scan(cursor, 100, &scanned);
+  } while (cursor != 0);
+  std::sort(scanned.begin(), scanned.end());
+  scanned.erase(std::unique(scanned.begin(), scanned.end()), scanned.end());
+  EXPECT_EQ(scanned.size(), static_cast<size_t>(kKeys));
+
+  clock.Advance(2000);
+  EXPECT_EQ(engine.SweepExpired(), static_cast<size_t>(kKeys / 2));
+  for (int i = 0; i < kKeys; ++i) {
+    const Status s = engine.Get("key" + std::to_string(i), &value);
+    EXPECT_EQ(s.ok(), i % 2 == 0) << i;
+  }
+  EXPECT_EQ(engine.GetUsage().keys, static_cast<size_t>(kKeys / 2));
+}
+
+TEST(HashEngineTest, StringAndComplexOverwritesSurviveResize) {
+  HashEngine engine;
+  ASSERT_TRUE(engine.Set("k", std::string(300, 's')).ok());
+  const uint64_t as_string = engine.GetUsage().memory_bytes;
+  // A list takes the key over (SET's reverse is WRONGTYPE), then SET
+  // takes it back with a differently sized string.
+  ASSERT_TRUE(engine.Delete("k").ok());
+  ASSERT_TRUE(engine.RPush("k", "a").ok());
+  ASSERT_TRUE(engine.RPush("k", "b").ok());
+  EXPECT_TRUE(engine.Set("k", "x").ok());
+  std::string value;
+  ASSERT_TRUE(engine.Get("k", &value).ok());
+  EXPECT_EQ(value, "x");
+  EXPECT_TRUE(engine.LLen("k").status().IsInvalidArgument());
+  ASSERT_TRUE(engine.Set("k", std::string(300, 's')).ok());
+  EXPECT_EQ(engine.GetUsage().memory_bytes, as_string);
+
+  ASSERT_TRUE(engine.HSet("h", "f", "v").ok());
+  ASSERT_TRUE(engine.Set("h", std::string(1000, 'h')).ok());
+  ASSERT_TRUE(engine.Get("h", &value).ok());
+  EXPECT_EQ(value, std::string(1000, 'h'));
+  ASSERT_TRUE(engine.Delete("h").ok());
+  ASSERT_TRUE(engine.ZAdd("h", 2.5, "m").ok());
+  EXPECT_EQ(engine.ZScore("h", "m").value(), 2.5);
+  EXPECT_EQ(engine.GetUsage().keys, 2u);
+}
+
+TEST(HashEngineTest, PmemAndCompressedValuesSurviveResize) {
+  workload::DatasetOptions dataset;
+  dataset.kind = workload::DatasetKind::kKv1;
+  dataset.num_records = 200;
+  auto samples = workload::MakeDataset(dataset);
+  auto compressor = CreateCompressor(CompressorType::kZliteDict);
+  ASSERT_TRUE(compressor->Train(samples).ok());
+
+  PmemOptions pmem_options;
+  pmem_options.capacity = 8 << 20;
+  pmem_options.inject_latency = false;
+  auto device = PmemDevice::Create(pmem_options);
+  ASSERT_TRUE(device.ok());
+  PmemAllocator allocator(device->get(), 0, 8 << 20);
+
+  HashEngineOptions options;
+  options.compressor = compressor.get();
+  options.compress_min_bytes = 16;
+  options.pmem = &allocator;
+  options.pmem_value_threshold = 256;
+  HashEngine engine(options);
+
+  // Incompressible bytes stay raw; many samples compress but stay large.
+  std::string noise(3000, '\0');
+  uint64_t x = 88172645463325252ull;
+  for (char& c : noise) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<char>(x);
+  }
+  std::string many_samples;
+  for (const std::string& sample : samples) many_samples += sample;
+
+  // Cycle one key through DRAM raw, DRAM compressed, PMem raw and PMem
+  // compressed payloads of different sizes; every read returns the
+  // latest value.
+  const std::vector<std::string> values = {
+      "tiny", samples[0], noise,        samples[1], "t",
+      many_samples, samples[2], noise.substr(0, 1000)};
+  std::string value;
+  for (const std::string& v : values) {
+    ASSERT_TRUE(engine.Set("k", v).ok());
+    ASSERT_TRUE(engine.Get("k", &value).ok());
+    ASSERT_EQ(value, v);
+    ASSERT_TRUE(engine.Cas("k", v, v + "!").ok());
+    ASSERT_TRUE(engine.Get("k", &value).ok());
+    ASSERT_EQ(value, v + "!");
+  }
+  ASSERT_TRUE(engine.Set("k", noise).ok());
+  EXPECT_EQ(engine.GetUsage().pmem_bytes, noise.size());
+  EXPECT_EQ(engine.GetUsage().memory_bytes, 64 + 1u);  // Handle uncharged.
+  ASSERT_TRUE(engine.Set("k", many_samples).ok());
+  EXPECT_GT(engine.GetUsage().pmem_bytes, 0u);
+  EXPECT_LT(engine.GetUsage().pmem_bytes, many_samples.size());
+  ASSERT_TRUE(engine.Get("k", &value).ok());
+  EXPECT_EQ(value, many_samples);
+  ASSERT_TRUE(engine.Set("k", "small again").ok());
+  EXPECT_EQ(allocator.bytes_in_use(), 0u);
+  EXPECT_EQ(engine.GetUsage().pmem_bytes, 0u);
+  ASSERT_TRUE(engine.Delete("k").ok());
+  EXPECT_EQ(engine.GetUsage().memory_bytes, 0u);
+}
+
+// The node layout changed, the budget charge did not: this sequence's
+// usage was recorded from the two-allocation Entry layout it replaced.
+TEST(HashEngineTest, ChargeMatchesPreviousLayout) {
+  HashEngineOptions options;
+  options.shards = 4;
+  options.memory_budget = 48 * 1024;
+  HashEngine engine(options);
+  std::string out;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string key = "key" + std::to_string(i % 400);
+    switch (i % 9) {
+      case 0:
+      case 1:
+      case 2:
+        engine.Set(key, std::string(static_cast<size_t>(i * 7 % 300), 'v'));
+        break;
+      case 3:
+        engine.Get(key, &out);
+        break;
+      case 4:
+        engine.Delete(key);
+        break;
+      case 5:
+        engine.RPush("list" + std::to_string(i % 13), key);
+        break;
+      case 6:
+        engine.HSet("hash" + std::to_string(i % 11), key, out);
+        break;
+      case 7:
+        engine.ZAdd("zset" + std::to_string(i % 5), i, key);
+        break;
+      case 8:
+        engine.Cas(key, "", std::string(static_cast<size_t>(i % 90), 'c'),
+                   /*allow_create=*/true);
+        break;
+    }
+  }
+  const UsageStats usage = engine.GetUsage();
+  EXPECT_EQ(usage.memory_bytes, 48449u);
+  EXPECT_EQ(usage.keys, 86u);
+  EXPECT_EQ(engine.evictions(), 2067u);
 }
 
 }  // namespace

@@ -418,34 +418,37 @@ class OrderProbeEngine : public KvEngine {
 TEST(TraceTest, ConcurrentReplayPreservesApproximateOrder) {
   // A trace whose keys are its own positions, so observed order can be
   // compared against trace order directly.
-  if (std::thread::hardware_concurrency() < 2) {
-    // On one CPU a descheduled replayer misses whole scheduler quanta
-    // (thousands of ops), so the jitter bound below cannot hold.
-    GTEST_SKIP() << "needs >=2 CPUs for bounded replay displacement";
-  }
+  constexpr int kThreads = 8;
   Trace trace;
   trace.key_space = 20000;
   for (uint64_t i = 0; i < 20000; ++i) {
     trace.ops.push_back({OpType::kUpdate, i});
   }
   OrderProbeEngine probe;
-  ReplayTrace(&probe, trace, /*threads=*/8);
+  ReplayTrace(&probe, trace, kThreads);
   auto observed = probe.observed();
   ASSERT_EQ(observed.size(), trace.ops.size());
-  // Displacement is bounded by scheduler jitter around the shared cursor
-  // (hundreds of ops at worst), not by a 1/threads stride of the whole
-  // trace as with pre-partitioned round-robin dispatch (thousands).
-  uint64_t max_displacement = 0;
+  // The shared cursor hands out ops in trace order and each thread holds
+  // at most one claimed op. When op i is observed, ops 0..i-1 are all
+  // claimed and at most kThreads-1 of them are still in flight on other
+  // threads, so op i lands at position >= i - (kThreads - 1) on any core
+  // count. Pre-partitioned round-robin dispatch breaks this by thousands.
+  std::vector<int> seen(trace.ops.size(), 0);
+  uint64_t max_lead = 0;  // Largest intended - pos.
   for (size_t pos = 0; pos < observed.size(); ++pos) {
     // Keys encode their intended position.
     uint64_t intended = 0;
     for (char c : observed[pos]) {
       if (c >= '0' && c <= '9') intended = intended * 10 + (c - '0');
     }
-    uint64_t displacement = intended > pos ? intended - pos : pos - intended;
-    max_displacement = std::max(max_displacement, displacement);
+    ASSERT_LT(intended, trace.ops.size());
+    ++seen[intended];
+    if (intended > pos) max_lead = std::max<uint64_t>(max_lead, intended - pos);
   }
-  EXPECT_LT(max_displacement, trace.ops.size() / 10);
+  EXPECT_LE(max_lead, static_cast<uint64_t>(kThreads - 1));
+  // Every op replayed exactly once.
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+            static_cast<std::ptrdiff_t>(seen.size()));
 }
 
 }  // namespace
