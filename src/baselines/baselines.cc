@@ -1,6 +1,5 @@
 #include "baselines/baselines.h"
 
-#include "common/coding.h"
 #include "common/env.h"
 #include "lsm/wal.h"
 
@@ -27,22 +26,16 @@ class AofEngine : public KvEngine {
   std::string name() const override { return "redis-aof"; }
 
   Status Set(const Slice& key, const Slice& value) override {
-    std::string rec;
-    rec.push_back(1);
-    PutLengthPrefixedSlice(&rec, key);
-    PutLengthPrefixedSlice(&rec, value);
-    TIERBASE_RETURN_IF_ERROR(wal_->AddRecord(rec));
+    TIERBASE_RETURN_IF_ERROR(
+        wal_->AddRecord(lsm::EncodeWalMutation(false, key, value)));
     return cache_.Set(key, value);
   }
   Status Get(const Slice& key, std::string* value) override {
     return cache_.Get(key, value);
   }
   Status Delete(const Slice& key) override {
-    std::string rec;
-    rec.push_back(0);
-    PutLengthPrefixedSlice(&rec, key);
-    PutLengthPrefixedSlice(&rec, Slice());
-    TIERBASE_RETURN_IF_ERROR(wal_->AddRecord(rec));
+    TIERBASE_RETURN_IF_ERROR(
+        wal_->AddRecord(lsm::EncodeWalMutation(true, key, Slice())));
     return cache_.Delete(key);
   }
   UsageStats GetUsage() const override {

@@ -3,36 +3,11 @@
 #include <limits>
 #include <map>
 
-#include "common/coding.h"
 #include "common/env.h"
 #include "common/logging.h"
 #include "common/perf_context.h"
 
 namespace tierbase {
-
-namespace {
-
-constexpr char kOpSet = 1;
-constexpr char kOpDelete = 0;
-
-std::string EncodeMutation(char op, const Slice& key, const Slice& value) {
-  std::string rec;
-  rec.push_back(op);
-  PutLengthPrefixedSlice(&rec, key);
-  PutLengthPrefixedSlice(&rec, value);
-  return rec;
-}
-
-bool DecodeMutation(const Slice& record, char* op, Slice* key, Slice* value) {
-  Slice in = record;
-  if (in.empty()) return false;
-  *op = in[0];
-  in.remove_prefix(1);
-  return GetLengthPrefixedSlice(&in, key) &&
-         GetLengthPrefixedSlice(&in, value);
-}
-
-}  // namespace
 
 const char* CachingPolicyName(CachingPolicy policy) {
   switch (policy) {
@@ -151,15 +126,15 @@ Status TierBase::RecoverFromWal() {
   // the PMem ring (newest).
   std::map<std::string, std::string> live;
   auto fold = [&](const Slice& rec) -> Status {
-    char op;
+    bool is_delete;
     Slice key, value;
-    if (!DecodeMutation(rec, &op, &key, &value)) {
+    if (!lsm::DecodeWalMutation(rec, &is_delete, &key, &value)) {
       // The CRC passed but the payload doesn't parse: writer-side damage,
       // not a torn write. Refuse to guess.
       return Status::Corruption("tierbase wal: undecodable record payload");
     }
     ++wal_replayed_records_;
-    if (op == kOpDelete) {
+    if (is_delete) {
       live.erase(key.ToString());
     } else {
       live[key.ToString()] = value.ToString();
@@ -228,7 +203,7 @@ Status TierBase::RecoverFromWal() {
     if (!compact.ok()) return compact.status();
     for (const auto& [key, value] : live) {
       TIERBASE_RETURN_IF_ERROR(
-          (*compact)->AddRecord(EncodeMutation(kOpSet, key, value)));
+          (*compact)->AddRecord(lsm::EncodeWalMutation(false, key, value)));
     }
     TIERBASE_RETURN_IF_ERROR((*compact)->Sync());
   }
@@ -253,8 +228,7 @@ Status TierBase::RecoverFromWal() {
 Status TierBase::LogMutation(const Slice& key, const Slice& value,
                              bool is_delete) {
   metrics::ScopedPerfStage wal_stage(metrics::PerfContext::kWalAppend);
-  std::string rec =
-      EncodeMutation(is_delete ? kOpDelete : kOpSet, key, value);
+  std::string rec = lsm::EncodeWalMutation(is_delete, key, value);
   if (options_.policy == CachingPolicy::kWalFile) {
     return wal_->AddRecord(rec);
   }

@@ -1,40 +1,19 @@
 #include "lsm/lsm_store.h"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 
-#include "common/coding.h"
 #include "common/env.h"
 #include "common/logging.h"
 
 namespace tierbase {
 namespace lsm {
 
-namespace {
-
-// WAL record payload: op (1 byte) | lp(key) | lp(value).
-constexpr char kWalPut = 1;
-constexpr char kWalDelete = 0;
-
-std::string EncodeWalRecord(char op, const Slice& key, const Slice& value) {
-  std::string rec;
-  rec.push_back(op);
-  PutLengthPrefixedSlice(&rec, key);
-  PutLengthPrefixedSlice(&rec, value);
-  return rec;
-}
-
-}  // namespace
-
 LsmStore::LsmStore(const LsmOptions& options) : options_(options) {}
 
 Result<std::unique_ptr<LsmStore>> LsmStore::Open(const LsmOptions& options) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("lsm: dir required");
-  }
-  if (options.wal_mode == WalMode::kPmem && options.pmem_device == nullptr) {
-    return Status::InvalidArgument("lsm: WAL-PMem requires a pmem device");
   }
   std::unique_ptr<LsmStore> store(new LsmStore(options));
   Status s = store->Init();
@@ -49,12 +28,6 @@ Status LsmStore::Init() {
   TIERBASE_RETURN_IF_ERROR(versions_->Recover());
 
   mem_ = std::make_shared<MemTable>();
-
-  if (options_.wal_mode == WalMode::kPmem) {
-    auto ring = PmemRingBuffer::Open(options_.pmem_device);
-    if (!ring.ok()) return ring.status();
-    ring_ = std::move(*ring);
-  }
 
   TIERBASE_RETURN_IF_ERROR(RecoverWals());
 
@@ -86,8 +59,7 @@ LsmStore::~LsmStore() {
 }
 
 Status LsmStore::RecoverWals() {
-  // Replay every *.wal in numeric order, then (WAL-PMem mode) the records
-  // still resident in the persistent ring buffer — they are newest.
+  // Replay every *.wal in numeric order.
   std::vector<std::string> names;
   TIERBASE_RETURN_IF_ERROR(env::ListDir(options_.dir, &names));
   std::vector<uint64_t> wal_numbers;
@@ -143,24 +115,8 @@ Status LsmStore::RecoverWals() {
     }
   }
 
-  size_t ring_resident = 0;
-  if (ring_ != nullptr) {
-    // Replay ring-resident records non-destructively: the ring's durable
-    // head only advances after the flush below has made them durable in
-    // an SST — a destructive drain would leave them in the volatile
-    // memtable only, and a crash mid-recovery would lose them for good.
-    std::vector<std::string> records;
-    TIERBASE_RETURN_IF_ERROR(
-        ring_->Peek(std::numeric_limits<size_t>::max(), &records));
-    ring_resident = records.size();
-    for (const auto& rec : records) {
-      TIERBASE_RETURN_IF_ERROR(ReplayWalRecord(rec));
-      ++stats_.wal_records_replayed;
-    }
-  }
-
-  // Flush recovered state so old WAL files (and ring records) can be
-  // retired — they stay in place until the SST + manifest are durable.
+  // Flush recovered state so old WAL files can be retired — they stay in
+  // place until the SST + manifest are durable.
   if (mem_->num_entries() > 0) {
     imm_ = mem_;
     mem_ = std::make_shared<MemTable>();
@@ -169,55 +125,24 @@ Status LsmStore::RecoverWals() {
   for (uint64_t number : wal_numbers) {
     TIERBASE_RETURN_IF_ERROR(env::RemoveFile(versions_->WalFileName(number)));
   }
-  if (ring_ != nullptr && ring_resident > 0) {
-    TIERBASE_RETURN_IF_ERROR(ring_->Discard(ring_resident));
-  }
   return Status::OK();
 }
 
 Status LsmStore::ReplayWalRecord(const Slice& record) {
-  Slice in = record;
-  if (in.empty()) return Status::Corruption("wal: empty record");
-  char op = in[0];
-  in.remove_prefix(1);
+  bool is_delete;
   Slice key, value;
-  if (!GetLengthPrefixedSlice(&in, &key) ||
-      !GetLengthPrefixedSlice(&in, &value)) {
+  if (!DecodeWalMutation(record, &is_delete, &key, &value)) {
     return Status::Corruption("wal: bad record");
   }
   SequenceNumber seq = versions_->last_sequence() + 1;
   versions_->set_last_sequence(seq);
-  mem_->Add(seq, op == kWalPut ? kTypeValue : kTypeDeletion, key, value);
+  mem_->Add(seq, is_delete ? kTypeDeletion : kTypeValue, key, value);
   return Status::OK();
 }
 
 Status LsmStore::LogRecord(const Slice& record) {
-  switch (options_.wal_mode) {
-    case WalMode::kNone:
-      return Status::OK();
-    case WalMode::kFile:
-    case WalMode::kFileSync:
-      return wal_->AddRecord(record);
-    case WalMode::kPmem: {
-      Status s = ring_->Append(record);
-      if (s.IsBusy()) {
-        // Ring full: batch-move resident records to the file log, then
-        // retry. Peek + sync + discard, in that order — the ring's
-        // durable head must not advance before the file copy is synced,
-        // or a crash in between loses acknowledged records.
-        std::vector<std::string> batch;
-        TIERBASE_RETURN_IF_ERROR(ring_->Peek(1024, &batch));
-        for (const auto& rec : batch) {
-          TIERBASE_RETURN_IF_ERROR(wal_->AddRecord(rec));
-        }
-        TIERBASE_RETURN_IF_ERROR(wal_->Sync());
-        TIERBASE_RETURN_IF_ERROR(ring_->Discard(batch.size()));
-        s = ring_->Append(record);
-      }
-      return s;
-    }
-  }
-  return Status::OK();
+  if (wal_ == nullptr) return Status::OK();  // WalMode::kNone.
+  return wal_->AddRecord(record);
 }
 
 Status LsmStore::WriteInternal(const Slice& key, const Slice& value,
@@ -237,8 +162,8 @@ Status LsmStore::WriteInternal(const Slice& key, const Slice& value,
     TIERBASE_RETURN_IF_ERROR(SwitchMemtable());
   }
 
-  TIERBASE_RETURN_IF_ERROR(LogRecord(
-      EncodeWalRecord(type == kTypeValue ? kWalPut : kWalDelete, key, value)));
+  TIERBASE_RETURN_IF_ERROR(
+      LogRecord(EncodeWalMutation(type == kTypeDeletion, key, value)));
 
   SequenceNumber seq = versions_->last_sequence() + 1;
   versions_->set_last_sequence(seq);
@@ -266,23 +191,7 @@ Status LsmStore::ApplyBatch(const std::vector<BatchOp>& batch) {
 
 Status LsmStore::SwitchMemtable() {
   mu_.AssertHeld();
-  if (options_.wal_mode == WalMode::kPmem) {
-    // Move everything resident in the ring to the current file log so the
-    // ring only ever holds records of the live memtable. Peek + sync +
-    // discard keeps the records durable somewhere at every instant.
-    std::vector<std::string> batch;
-    do {
-      TIERBASE_RETURN_IF_ERROR(ring_->Peek(1024, &batch));
-      for (const auto& rec : batch) {
-        TIERBASE_RETURN_IF_ERROR(wal_->AddRecord(rec));
-      }
-      if (!batch.empty()) {
-        TIERBASE_RETURN_IF_ERROR(wal_->Sync());
-        TIERBASE_RETURN_IF_ERROR(ring_->Discard(batch.size()));
-      }
-    } while (!batch.empty());
-    TIERBASE_RETURN_IF_ERROR(wal_->Sync());
-  } else if (wal_ != nullptr) {
+  if (wal_ != nullptr) {
     TIERBASE_RETURN_IF_ERROR(wal_->Sync());
   }
 

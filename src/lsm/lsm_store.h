@@ -4,9 +4,8 @@
 //
 // A leveled LSM tree: writes land in the WAL and a skiplist memtable; full
 // memtables become immutable and are flushed to L0 SSTs by a background
-// thread; leveled compaction keeps read amplification bounded. The WAL can
-// run on a file (async or per-record sync) or on simulated persistent
-// memory via a durable ring buffer (the WAL-PMem mode of paper Fig 8).
+// thread; leveled compaction keeps read amplification bounded. The WAL is
+// a file synced at an interval or per record.
 
 #ifndef TIERBASE_LSM_LSM_STORE_H_
 #define TIERBASE_LSM_LSM_STORE_H_
@@ -22,7 +21,6 @@
 #include "lsm/memtable.h"
 #include "lsm/version.h"
 #include "lsm/wal.h"
-#include "pmem/ring_buffer.h"
 
 namespace tierbase {
 namespace lsm {
@@ -31,7 +29,6 @@ enum class WalMode {
   kNone,        // No WAL (cache-like durability).
   kFile,        // File WAL, interval sync (paper's "WAL").
   kFileSync,    // File WAL, fsync per record.
-  kPmem,        // PMem ring buffer front-end (paper's "WAL-PMem").
 };
 
 struct LsmOptions {
@@ -43,8 +40,6 @@ struct LsmOptions {
   uint64_t level1_max_bytes = 16 << 20;  // Level n max = level1 * 10^(n-1).
   WalMode wal_mode = WalMode::kFile;
   uint64_t wal_sync_interval_micros = 1'000'000;
-  /// Required when wal_mode == kPmem; not owned.
-  PmemDevice* pmem_device = nullptr;
   TableBuilderOptions table_options;
 };
 
@@ -121,8 +116,6 @@ class LsmStore : public KvEngine {
   uint64_t wal_number_ GUARDED_BY(mu_) = 0;        // WAL backing mem_.
   uint64_t imm_wal_number_ GUARDED_BY(mu_) = 0;    // WAL backing imm_.
   std::unique_ptr<WalWriter> wal_ GUARDED_BY(mu_);
-  std::unique_ptr<PmemRingBuffer> ring_;  // WalMode::kPmem only; set at
-                                          // Open, internally synchronized.
 
   std::thread bg_thread_;
   bool shutting_down_ GUARDED_BY(mu_) = false;

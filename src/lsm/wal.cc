@@ -92,27 +92,24 @@ WalRead WalReader::ReadRecord(std::string* record) {
   return WalRead::kOk;
 }
 
-Status PmemWal::AddRecord(const Slice& record) {
-  Status s = ring_->Append(record);
-  if (s.IsBusy()) {
-    TIERBASE_RETURN_IF_ERROR(Drain());
-    s = ring_->Append(record);
-  }
-  return s;
+std::string EncodeWalMutation(bool is_delete, const Slice& key,
+                              const Slice& value) {
+  std::string rec;
+  rec.push_back(is_delete ? kWalOpDelete : kWalOpPut);
+  PutLengthPrefixedSlice(&rec, key);
+  PutLengthPrefixedSlice(&rec, value);
+  return rec;
 }
 
-Status PmemWal::Drain(size_t max_records) {
-  // Crash-safe hand-off: the ring's durable head only advances once the
-  // records are synced into the backing file log — a plain destructive
-  // drain would leave them nowhere durable until the file sync.
-  std::vector<std::string> batch;
-  TIERBASE_RETURN_IF_ERROR(ring_->Peek(max_records, &batch));
-  if (batch.empty()) return Status::OK();
-  for (const auto& rec : batch) {
-    TIERBASE_RETURN_IF_ERROR(backing_log_->AddRecord(rec));
+bool DecodeWalMutation(const Slice& record, bool* is_delete, Slice* key,
+                       Slice* value) {
+  Slice in = record;
+  if (in.empty() || (in[0] != kWalOpPut && in[0] != kWalOpDelete)) {
+    return false;
   }
-  TIERBASE_RETURN_IF_ERROR(backing_log_->Sync());
-  return ring_->Discard(batch.size());
+  *is_delete = in[0] == kWalOpDelete;
+  in.remove_prefix(1);
+  return GetLengthPrefixedSlice(&in, key) && GetLengthPrefixedSlice(&in, value);
 }
 
 }  // namespace lsm

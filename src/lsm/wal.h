@@ -1,26 +1,22 @@
 // Write-ahead log for the LSM engine and for TierBase's cache-tier
-// persistence modes. Three sink flavours (paper Fig 8):
-//   * file with async sync (WAL on SSD, flushed every sync_interval),
-//   * file with per-record sync,
-//   * PMem ring buffer with per-record persistence and background drain
-//     to a file (WAL-PMem).
+// persistence modes: a file synced at an interval (WAL on SSD, flushed
+// every sync_interval) or per record. WAL-PMem (paper Fig 8) is TierBase's
+// kWalPmem policy, a PMem ring buffer in front of this file log.
 //
-// Record framing on file sinks: fixed32 masked-crc | fixed32 len | payload.
+// Record framing: fixed32 masked-crc | fixed32 len | payload. Both users
+// carry the same mutation payload (EncodeWalMutation).
 
 #ifndef TIERBASE_LSM_WAL_H_
 #define TIERBASE_LSM_WAL_H_
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/env.h"
 #include "common/mutex.h"
 #include "common/slice.h"
 #include "common/status.h"
-#include "pmem/ring_buffer.h"
 
 namespace tierbase {
 namespace lsm {
@@ -108,27 +104,17 @@ class WalReader {
   std::string damage_;
 };
 
-/// WAL backed by a persistent-memory ring buffer (paper §4.3): every record
-/// is durable on PMem at Append return; DrainTo() batch-moves records to a
-/// file-based log, freeing ring space.
-class PmemWal {
- public:
-  PmemWal(PmemRingBuffer* ring, WalWriter* backing_log)
-      : ring_(ring), backing_log_(backing_log) {}
-
-  /// Durable on PMem when this returns. If the ring is full, drains
-  /// synchronously first (the backpressure path).
-  Status AddRecord(const Slice& record);
-
-  /// Moves up to `max_records` to the backing file log.
-  Status Drain(size_t max_records = 256);
-
-  size_t pending() const { return ring_->pending(); }
-
- private:
-  PmemRingBuffer* ring_;
-  WalWriter* backing_log_;
-};
+/// The mutation payload of both WALs (the LSM store's and TierBase's
+/// cache-tier log): op byte (1 = put, 0 = delete) | lp(key) | lp(value).
+constexpr char kWalOpPut = 1;
+constexpr char kWalOpDelete = 0;
+std::string EncodeWalMutation(bool is_delete, const Slice& key,
+                              const Slice& value);
+/// Parses an EncodeWalMutation payload; `key` and `value` point into
+/// `record`. False when the payload does not parse, an op byte other than
+/// put or delete included.
+bool DecodeWalMutation(const Slice& record, bool* is_delete, Slice* key,
+                       Slice* value);
 
 }  // namespace lsm
 }  // namespace tierbase

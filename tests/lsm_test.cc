@@ -268,6 +268,29 @@ TEST_F(WalTest, MidLogCorruptionSurfaced) {
   EXPECT_GT((*reader)->skipped_bytes(), 0u);
 }
 
+// The mutation payload both WALs carry (LsmStore's and TierBase's
+// cache-tier log). Its bytes are an on-disk format.
+TEST(WalMutationTest, EncodesTheOnDiskFormatAndRejectsUnknownOps) {
+  EXPECT_EQ(EncodeWalMutation(false, "key", "val"),
+            std::string("\x01\x03key\x03val", 9));
+  EXPECT_EQ(EncodeWalMutation(true, "key", Slice()),
+            std::string("\x00\x03key\x00", 6));
+
+  std::string rec = EncodeWalMutation(true, "k", "v");
+  bool is_delete = false;
+  Slice key, value;
+  ASSERT_TRUE(DecodeWalMutation(rec, &is_delete, &key, &value));
+  EXPECT_TRUE(is_delete);
+  EXPECT_EQ(key, Slice("k"));
+  EXPECT_EQ(value, Slice("v"));
+
+  rec[0] = 2;  // Neither put nor delete.
+  EXPECT_FALSE(DecodeWalMutation(rec, &is_delete, &key, &value));
+  EXPECT_FALSE(DecodeWalMutation(Slice(), &is_delete, &key, &value));
+  EXPECT_FALSE(DecodeWalMutation(Slice("\x01\x05k", 3), &is_delete, &key,
+                                 &value));  // Key runs past the end.
+}
+
 // --- Bloom filter. ---
 
 TEST(BloomTest, NoFalseNegatives) {
@@ -577,27 +600,6 @@ TEST_F(LsmStoreTest, WalModeNoneSkipsLog) {
   ASSERT_TRUE((*store)->Set("k", "v").ok());
   std::string value;
   ASSERT_TRUE((*store)->Get("k", &value).ok());
-}
-
-TEST_F(LsmStoreTest, PmemWalModeWorksAndRecovers) {
-  PmemOptions pmem_options;
-  pmem_options.capacity = 4 << 20;
-  pmem_options.inject_latency = false;
-  auto device = PmemDevice::Create(pmem_options);
-  ASSERT_TRUE(device.ok());
-
-  LsmOptions options = SmallOptions();
-  options.wal_mode = WalMode::kPmem;
-  options.pmem_device = device->get();
-  auto store = LsmStore::Open(options);
-  ASSERT_TRUE(store.ok());
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE((*store)->Set("pk" + std::to_string(i), "pv").ok());
-  }
-  std::string value;
-  ASSERT_TRUE((*store)->Get("pk499", &value).ok());
-  EXPECT_EQ(value, "pv");
-  ASSERT_TRUE((*store)->WaitIdle().ok());
 }
 
 // Property test: random op sequence against an in-memory model.
