@@ -7,8 +7,8 @@
 #include <atomic>
 #include <thread>
 
-#include "common/clock.h"
 #include "common/random.h"
+#include "core/storage_adapter.h"
 #include "core/write_through.h"
 
 namespace tierbase {
@@ -18,16 +18,11 @@ void BM_Coalescer(benchmark::State& state) {
   const bool coalesce = state.range(0) != 0;
   const int hot_keys = static_cast<int>(state.range(1));
 
-  // Storage write with a fixed simulated remote latency; the coalescer's
-  // value is collapsing redundant remote writes.
-  std::atomic<uint64_t> storage_writes{0};
-  PerKeyCoalescer coalescer(
-      [&](const Slice&, const Slice&, bool) {
-        storage_writes.fetch_add(1, std::memory_order_relaxed);
-        BusySpinNanos(20'000);  // 20us simulated storage RTT.
-        return Status::OK();
-      },
-      coalesce);
+  // Storage writes pay a fixed simulated remote latency (a 20us busy-spin
+  // per call); the coalescer's value is collapsing redundant remote writes.
+  MockStorageAdapter mock;
+  RemoteStorageAdapter storage(&mock, /*rtt_micros=*/20);
+  PerKeyCoalescer coalescer(&storage, coalesce);
 
   std::atomic<uint64_t> ops{0};
   for (auto _ : state) {
@@ -40,7 +35,8 @@ void BM_Coalescer(benchmark::State& state) {
         Random rng(t);
         for (int i = 0; i < 500; ++i) {
           std::string key = "hot" + std::to_string(rng.Uniform(hot_keys));
-          coalescer.Write(key, "value", false);
+          std::vector<Status> statuses;
+          coalescer.WriteBatch({key}, {"value"}, false, &statuses);
           ops.fetch_add(1, std::memory_order_relaxed);
         }
       });
@@ -48,11 +44,12 @@ void BM_Coalescer(benchmark::State& state) {
     for (auto& w : writers) w.join();
     (void)stop;
   }
+  const uint64_t storage_writes = storage.counters().writes;
   state.counters["ops"] = static_cast<double>(ops.load());
-  state.counters["storage_writes"] = static_cast<double>(storage_writes.load());
+  state.counters["storage_writes"] = static_cast<double>(storage_writes);
   state.counters["coalesced_frac"] =
       ops.load() == 0 ? 0.0
-                      : 1.0 - static_cast<double>(storage_writes.load()) /
+                      : 1.0 - static_cast<double>(storage_writes) /
                                   static_cast<double>(ops.load());
 }
 

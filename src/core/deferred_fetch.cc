@@ -1,7 +1,5 @@
 #include "core/deferred_fetch.h"
 
-#include <algorithm>
-
 namespace tierbase {
 
 DeferredFetcher::DeferredFetcher(StorageAdapter* storage,
@@ -51,52 +49,7 @@ void DeferredFetcher::LeaderDrain() {
   cv_.SignalAll();
 }
 
-Status DeferredFetcher::Fetch(const Slice& key, std::string* value) {
-  if (!options_.enabled) {
-    return storage_->Read(key, value);
-  }
-
-  std::shared_ptr<PendingKey> mine;
-  bool leader = false;
-  {
-    common::MutexLock lock(&mu_);
-    ++stats_.fetches;
-    auto it = pending_.find(key.ToString());
-    if (it != pending_.end()) {
-      // Piggyback on an in-flight (or forming) batch containing this key.
-      mine = it->second;
-      ++mine->waiters;
-      ++stats_.shared;
-    } else {
-      mine = std::make_shared<PendingKey>();
-      mine->waiters = 1;
-      pending_.emplace(key.ToString(), mine);
-      if (!batch_leader_active_) {
-        batch_leader_active_ = true;
-        leader = true;
-      }
-    }
-  }
-
-  if (leader) {
-    // Give concurrent missers a short window to join the batch.
-    if (options_.batch_window_micros > 0) {
-      clock_->SleepMicros(options_.batch_window_micros);
-    }
-    LeaderDrain();
-  }
-
-  {
-    common::MutexLock lock(&mu_);
-    while (!mine->done) cv_.Wait();
-  }
-  if (!mine->error.ok()) return mine->error;
-  if (!mine->found) return Status::NotFound("");
-  *value = mine->value;
-  return Status::OK();
-}
-
-void DeferredFetcher::FetchMany(const std::vector<Slice>& keys,
+void DeferredFetcher::FetchMany(const std::vector<Slice>& keys, bool lone,
                                 std::vector<std::string>* values,
                                 std::vector<Status>* statuses) {
   const size_t n = keys.size();
@@ -104,29 +57,9 @@ void DeferredFetcher::FetchMany(const std::vector<Slice>& keys,
   statuses->assign(n, Status::OK());
   if (n == 0) return;
 
-  if (!options_.enabled) {
-    std::vector<std::string> key_strs;
-    key_strs.reserve(n);
-    for (const Slice& k : keys) key_strs.push_back(k.ToString());
-    std::vector<std::string> out;
-    std::vector<bool> found;
-    Status s = storage_->MultiRead(key_strs, &out, &found);
-    for (size_t i = 0; i < n; ++i) {
-      if (!s.ok()) {
-        (*statuses)[i] = s;
-      } else if (!found[i]) {
-        (*statuses)[i] = Status::NotFound("");
-      } else {
-        (*values)[i] = std::move(out[i]);
-      }
-    }
-    return;
-  }
-
-  // Register every key (deduplicating against in-flight singles and
+  // Register every key (deduplicating against in-flight fetches and
   // earlier occurrences in this batch), then drain as leader unless one is
-  // already active — the batch already IS batched, so the forming window
-  // is skipped.
+  // already active.
   std::vector<std::shared_ptr<PendingKey>> mine(n);
   bool leader = false;
   {
@@ -137,11 +70,9 @@ void DeferredFetcher::FetchMany(const std::vector<Slice>& keys,
       auto it = pending_.find(k);
       if (it != pending_.end()) {
         mine[i] = it->second;
-        ++mine[i]->waiters;
         ++stats_.shared;
       } else {
         mine[i] = std::make_shared<PendingKey>();
-        mine[i]->waiters = 1;
         pending_.emplace(std::move(k), mine[i]);
       }
     }
@@ -151,7 +82,14 @@ void DeferredFetcher::FetchMany(const std::vector<Slice>& keys,
     }
   }
 
-  if (leader) LeaderDrain();
+  if (leader) {
+    // A lone miss gives concurrent missers a short window to join its
+    // batch.
+    if (lone && options_.batch_window_micros > 0) {
+      clock_->SleepMicros(options_.batch_window_micros);
+    }
+    LeaderDrain();
+  }
 
   {
     common::MutexLock lock(&mu_);

@@ -24,14 +24,14 @@ class DeferredFetcher {
   DeferredFetcher(StorageAdapter* storage, DeferredFetchOptions options,
                   Clock* clock = Clock::Real());
 
-  /// Fetches `key` from storage, sharing a batch with concurrent callers.
-  /// Returns NotFound when the key is absent from the storage tier.
-  Status Fetch(const Slice& key, std::string* value);
-
-  /// Fetches a whole batch in (at most) one MultiRead, deduplicating
-  /// against concurrently in-flight fetches of the same keys. Per-key
-  /// outcomes land in statuses[i] (NotFound for absent keys).
-  void FetchMany(const std::vector<Slice>& keys,
+  /// Fetches `keys` from storage in shared MultiReads, deduplicating
+  /// against concurrently in-flight fetches of the same keys. `lone` marks
+  /// the miss of a single-key operation: if it finds no batch forming, it
+  /// opens one and waits batch_window_micros for concurrent misses to join.
+  /// The misses of a multi-key operation already are a batch and go out at
+  /// once, however few of its keys missed. Per-key outcomes land in
+  /// statuses[i] (NotFound for keys absent from the storage tier).
+  void FetchMany(const std::vector<Slice>& keys, bool lone,
                  std::vector<std::string>* values,
                  std::vector<Status>* statuses);
 
@@ -48,7 +48,6 @@ class DeferredFetcher {
     bool found = false;
     std::string value;
     Status error;
-    int waiters = 0;
   };
 
   /// Leader: issues MultiReads until no pending keys remain, then clears

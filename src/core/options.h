@@ -46,9 +46,10 @@ struct WriteBackOptions {
 };
 
 struct DeferredFetchOptions {
-  bool enabled = true;
-  /// Collect concurrent misses for up to this long before issuing one
-  /// batched MultiRead to the storage tier.
+  /// The miss of a single-key operation collects concurrent misses for up
+  /// to this long before issuing one batched MultiRead to the storage tier
+  /// (a multi-key operation's misses already are a batch and go out at
+  /// once).
   uint64_t batch_window_micros = 200;
   size_t max_batch = 64;
 };

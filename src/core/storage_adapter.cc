@@ -28,12 +28,7 @@ Status LsmStorageAdapter::Read(const Slice& key, std::string* value) {
 Status LsmStorageAdapter::WriteBatch(const std::vector<BatchOp>& ops) {
   batch_calls_.fetch_add(1, std::memory_order_relaxed);
   writes_.fetch_add(ops.size(), std::memory_order_relaxed);
-  std::vector<lsm::LsmStore::BatchOp> batch;
-  batch.reserve(ops.size());
-  for (const auto& op : ops) {
-    batch.push_back({op.key, op.value, op.is_delete});
-  }
-  return store_->ApplyBatch(batch);
+  return store_->ApplyBatch(ops);
 }
 
 Status LsmStorageAdapter::MultiRead(const std::vector<std::string>& keys,

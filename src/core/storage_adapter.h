@@ -22,11 +22,9 @@ namespace tierbase {
 
 class StorageAdapter {
  public:
-  struct BatchOp {
-    std::string key;
-    std::string value;
-    bool is_delete = false;
-  };
+  /// One op of a batched write: the LSM store's own batch op, so the LSM
+  /// adapter hands a batch down without copying it.
+  using BatchOp = lsm::LsmStore::BatchOp;
 
   virtual ~StorageAdapter() = default;
 
@@ -35,11 +33,13 @@ class StorageAdapter {
   virtual Status Delete(const Slice& key) = 0;
   virtual Status Read(const Slice& key, std::string* value) = 0;
 
-  /// Batched write — the write-back flush path (one remote call).
+  /// Batched write: every storage write the tiering mechanisms make, a
+  /// single-key one included, is one of these (one remote call).
   virtual Status WriteBatch(const std::vector<BatchOp>& ops) = 0;
 
-  /// Batched read — the deferred cache-fetch path. `values[i]` is filled
-  /// and `found[i]` set per key.
+  /// Batched read: every storage read of deferred cache-fetching, a
+  /// single-key miss included. `values[i]` is filled and `found[i]` set per
+  /// key.
   virtual Status MultiRead(const std::vector<std::string>& keys,
                            std::vector<std::string>* values,
                            std::vector<bool>* found) = 0;
@@ -145,7 +145,7 @@ class MockStorageAdapter : public StorageAdapter {
 /// Decorator modeling a *disaggregated* storage tier: every remote call
 /// pays one network round trip regardless of how many ops it carries --
 /// exactly why write-back batching, write coalescing and deferred
-/// cache-fetching reduce PC_miss/PC_storage (paper Â§4.1). Wraps any
+/// cache-fetching reduce PC_miss/PC_storage (paper §4.1). Wraps any
 /// adapter; the inner adapter is not owned unless `owned` is supplied.
 class RemoteStorageAdapter : public StorageAdapter {
  public:

@@ -80,20 +80,7 @@ Status TierBase::Init() {
     }
 
     case CachingPolicy::kWriteThrough: {
-      write_through_ = std::make_unique<PerKeyCoalescer>(
-          [this](const Slice& key, const Slice& value, bool is_delete) {
-            return is_delete ? storage_->Delete(key)
-                             : storage_->Write(key, value);
-          },
-          /*coalesce=*/true,
-          [this](const std::vector<PerKeyCoalescer::BatchWrite>& ops) {
-            std::vector<StorageAdapter::BatchOp> batch;
-            batch.reserve(ops.size());
-            for (const auto& op : ops) {
-              batch.push_back({op.key, op.value, op.is_delete});
-            }
-            return storage_->WriteBatch(batch);
-          });
+      write_through_ = std::make_unique<PerKeyCoalescer>(storage_);
       fetcher_ = std::make_unique<DeferredFetcher>(storage_,
                                                    options_.deferred_fetch);
       break;
@@ -279,21 +266,17 @@ Status TierBase::SetInternal(const Slice& key, const Slice& value,
       // coalescer's pending slot) and only applied to the main cache after
       // the storage tier acknowledges; on failure the cache entry is
       // invalidated so subsequent reads fetch the authoritative value.
-      Status s;
-      {
-        metrics::ScopedPerfStage st(metrics::PerfContext::kStorageWrite);
-        s = write_through_->Write(key, value, /*is_delete=*/false);
-      }
-      if (!s.ok()) {
-        cache_->Delete(key);
-        return s;
-      }
+      std::vector<Status> stored;
+      StoreBatch({key}, {value}, /*is_delete=*/false, &stored);
+      TIERBASE_RETURN_IF_ERROR(stored[0]);
       TIERBASE_RETURN_IF_ERROR(cache_->SetEx(key, value, ttl_micros));
       break;
     }
 
     case CachingPolicy::kWriteBack: {
-      // §4.1.2: update the cache immediately, defer the storage write.
+      // §4.1.2: update the cache immediately, defer the storage write
+      // (StoreBatch drops the cache copy again if the dirty set rejects
+      // the update).
       Status s = cache_->SetEx(key, value, ttl_micros);
       if (s.IsOutOfSpace()) {
         // The cache is full of pinned dirty entries; skip the cache copy.
@@ -303,8 +286,9 @@ Status TierBase::SetInternal(const Slice& key, const Slice& value,
         s = Status::OK();
       }
       TIERBASE_RETURN_IF_ERROR(s);
-      TIERBASE_RETURN_IF_ERROR(
-          write_back_->MarkDirty(key, value, /*is_delete=*/false));
+      std::vector<Status> stored;
+      StoreBatch({key}, {value}, /*is_delete=*/false, &stored);
+      TIERBASE_RETURN_IF_ERROR(stored[0]);
       break;
     }
   }
@@ -331,35 +315,77 @@ Status TierBase::Get(const Slice& key, std::string* value) {
     return Status::NotFound("");
   }
 
-  // Write-back: consult the dirty buffer before declaring a miss — it is
-  // part of the cache tier (a dirty delete means the key is gone even if
-  // storage still has it; a dirty value may never have had a cache copy).
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  const uint64_t dirty_hits =
+      ReadMisses({key}, /*lone=*/true, options_.populate_on_miss, &values,
+                 &statuses);
+  stats_hits_.fetch_add(dirty_hits, std::memory_order_relaxed);
+  stats_misses_.fetch_add(1 - dirty_hits, std::memory_order_relaxed);
+  if (statuses[0].ok()) *value = std::move(values[0]);
+  return statuses[0];
+}
+
+uint64_t TierBase::ReadMisses(const std::vector<Slice>& keys, bool lone,
+                              bool populate, std::vector<std::string>* values,
+                              std::vector<Status>* statuses) {
+  const size_t n = keys.size();
+  statuses->assign(n, Status::NotFound(""));
+  // Write-back: the dirty buffer is part of the cache tier — consult it
+  // before going to storage. A dirty delete keeps NotFound: the key is gone
+  // even if storage still has it; a dirty value may never have had a cache
+  // copy.
+  uint64_t dirty_hits = 0;
+  std::vector<uint32_t> fetch;  // Keys only the storage tier can serve.
   if (write_back_ != nullptr) {
-    std::string dirty_value;
-    bool dirty_delete = false;
-    if (write_back_->GetDirty(key, &dirty_value, &dirty_delete)) {
-      stats_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (dirty_delete) return Status::NotFound("");
-      *value = std::move(dirty_value);
-      return Status::OK();
+    std::vector<bool> found, deletes;
+    write_back_->GetDirty(keys, &found, values, &deletes);
+    for (size_t i = 0; i < n; ++i) {
+      if (!found[i]) {
+        fetch.push_back(static_cast<uint32_t>(i));
+      } else {
+        ++dirty_hits;
+        if (!deletes[i]) (*statuses)[i] = Status::OK();
+      }
     }
+  } else {
+    values->assign(n, std::string());
+    for (size_t i = 0; i < n; ++i) fetch.push_back(static_cast<uint32_t>(i));
   }
+  if (fetch.empty()) return dirty_hits;
 
-  stats_misses_.fetch_add(1, std::memory_order_relaxed);
-
+  std::vector<Slice> fetch_keys;
+  fetch_keys.reserve(fetch.size());
+  for (uint32_t i : fetch) fetch_keys.push_back(keys[i]);
+  std::vector<std::string> fetched;
+  std::vector<Status> fetch_statuses;
   {
     metrics::ScopedPerfStage read_stage(metrics::PerfContext::kStorageRead);
-    s = fetcher_->Fetch(key, value);
+    fetcher_->FetchMany(fetch_keys, lone, &fetched, &fetch_statuses);
   }
-  if (!s.ok()) return s;
 
-  if (options_.populate_on_miss) {
-    // Populate without dirtying: this value is already durable in storage.
-    Status ps = cache_->Set(key, *value);
-    if (ps.ok()) stats_populates_.fetch_add(1, std::memory_order_relaxed);
-    // OutOfSpace here is fine — serving from storage still works.
+  std::vector<Slice> populate_keys;
+  std::vector<Slice> populate_values;
+  for (size_t f = 0; f < fetch.size(); ++f) {
+    const uint32_t i = fetch[f];
+    (*statuses)[i] = fetch_statuses[f];
+    if (!fetch_statuses[f].ok()) continue;
+    (*values)[i] = std::move(fetched[f]);
+    if (populate) {
+      populate_keys.push_back(keys[i]);
+      populate_values.push_back(Slice((*values)[i]));
+    }
   }
-  return Status::OK();
+  if (!populate_keys.empty()) {
+    // Populate without dirtying: these values are already durable in
+    // storage. OutOfSpace is fine — serving from storage still works.
+    std::vector<Status> populated;
+    cache_->MultiSet(populate_keys, populate_values, &populated);
+    for (const Status& ps : populated) {
+      if (ps.ok()) stats_populates_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  return dirty_hits;
 }
 
 void TierBase::MultiGet(const std::vector<Slice>& keys,
@@ -385,76 +411,26 @@ void TierBase::MultiGet(const std::vector<Slice>& keys,
   }
   stats_hits_.fetch_add(hits, std::memory_order_relaxed);
 
-  if (!tiered()) {
+  if (!tiered() || misses.empty()) {
     stats_misses_.fetch_add(misses.size(), std::memory_order_relaxed);
     return;
   }
 
-  // Write-back: the dirty buffer is part of the cache tier — consult it
-  // before going to storage, one dirty-set lock for the whole batch.
-  if (write_back_ != nullptr && !misses.empty()) {
-    std::vector<Slice> miss_keys;
-    miss_keys.reserve(misses.size());
-    for (uint32_t i : misses) miss_keys.push_back(keys[i]);
-    std::vector<bool> dirty_found, dirty_deletes;
-    std::vector<std::string> dirty_values;
-    write_back_->GetDirtyBatch(miss_keys, &dirty_found, &dirty_values,
-                               &dirty_deletes);
-    std::vector<uint32_t> still_missing;
-    for (size_t m = 0; m < misses.size(); ++m) {
-      const uint32_t i = misses[m];
-      if (dirty_found[m]) {
-        stats_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (!dirty_deletes[m]) {
-          (*values)[i] = std::move(dirty_values[m]);
-          (*statuses)[i] = Status::OK();
-        }
-        // A dirty delete keeps NotFound: the key is gone even if storage
-        // still has it.
-      } else {
-        still_missing.push_back(i);
-      }
-    }
-    misses.swap(still_missing);
-  }
-  if (misses.empty()) return;
-  stats_misses_.fetch_add(misses.size(), std::memory_order_relaxed);
-
-  // One batched storage fetch for all remaining misses.
   std::vector<Slice> miss_keys;
   miss_keys.reserve(misses.size());
   for (uint32_t i : misses) miss_keys.push_back(keys[i]);
-  std::vector<std::string> fetched;
-  std::vector<Status> fetch_statuses;
-  {
-    metrics::ScopedPerfStage read_stage(metrics::PerfContext::kStorageRead);
-    fetcher_->FetchMany(miss_keys, &fetched, &fetch_statuses);
-  }
-
-  std::vector<Slice> populate_keys;
-  std::vector<Slice> populate_values;
+  std::vector<std::string> miss_values;
+  std::vector<Status> miss_statuses;
+  const uint64_t dirty_hits =
+      ReadMisses(miss_keys, /*lone=*/false, options_.populate_on_miss,
+                 &miss_values, &miss_statuses);
+  stats_hits_.fetch_add(dirty_hits, std::memory_order_relaxed);
+  stats_misses_.fetch_add(misses.size() - dirty_hits,
+                          std::memory_order_relaxed);
   for (size_t m = 0; m < misses.size(); ++m) {
     const uint32_t i = misses[m];
-    (*statuses)[i] = fetch_statuses[m];
-    if (fetch_statuses[m].ok()) {
-      (*values)[i] = std::move(fetched[m]);
-      if (options_.populate_on_miss) {
-        populate_keys.push_back(keys[i]);
-        populate_values.push_back(Slice((*values)[i]));
-      }
-    }
-  }
-
-  if (!populate_keys.empty()) {
-    // Populate without dirtying: these values are already durable in
-    // storage. OutOfSpace is fine — serving from storage still works.
-    std::vector<Status> populate_statuses;
-    cache_->MultiSet(populate_keys, populate_values, &populate_statuses);
-    for (size_t p = 0; p < populate_keys.size(); ++p) {
-      if (populate_statuses[p].ok()) {
-        stats_populates_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+    (*statuses)[i] = miss_statuses[m];
+    if (miss_statuses[m].ok()) (*values)[i] = std::move(miss_values[m]);
   }
 }
 
@@ -499,10 +475,7 @@ void TierBase::MultiSet(const std::vector<Slice>& keys,
       // §4.1.1 batched: the whole batch is coalesced into one storage
       // call; the cache is updated only for acknowledged writes and
       // invalidated for failed ones.
-      {
-        metrics::ScopedPerfStage st(metrics::PerfContext::kStorageWrite);
-        write_through_->WriteBatch(keys, values, statuses);
-      }
+      StoreBatch(keys, values, /*is_delete=*/false, statuses);
       std::vector<Slice> ok_keys, ok_values;
       std::vector<uint32_t> ok_index;
       for (size_t i = 0; i < n; ++i) {
@@ -510,8 +483,6 @@ void TierBase::MultiSet(const std::vector<Slice>& keys,
           ok_keys.push_back(keys[i]);
           ok_values.push_back(values[i]);
           ok_index.push_back(static_cast<uint32_t>(i));
-        } else {
-          cache_->Delete(keys[i]);
         }
       }
       std::vector<Status> cache_statuses;
@@ -540,9 +511,10 @@ void TierBase::MultiSet(const std::vector<Slice>& keys,
           (*statuses)[i] = cache_statuses[i];
         }
       }
-      Status s = write_back_->MarkDirtyBatch(dirty_keys, dirty_values);
-      if (!s.ok()) {
-        for (uint32_t i : dirty_index) (*statuses)[i] = s;
+      std::vector<Status> stored;
+      StoreBatch(dirty_keys, dirty_values, /*is_delete=*/false, &stored);
+      for (size_t m = 0; m < dirty_index.size(); ++m) {
+        (*statuses)[dirty_index[m]] = stored[m];
       }
       break;
     }
@@ -557,25 +529,14 @@ Status TierBase::Delete(const Slice& key) {
     case CachingPolicy::kWalPmem:
       TIERBASE_RETURN_IF_ERROR(LogMutation(key, Slice(), /*is_delete=*/true));
       return cache_->Delete(key);
-    case CachingPolicy::kWriteThrough: {
-      Status s;
-      {
-        metrics::ScopedPerfStage st(metrics::PerfContext::kStorageWrite);
-        s = write_through_->Write(key, Slice(), /*is_delete=*/true);
-      }
-      if (!s.ok()) {
-        cache_->Delete(key);  // Invalidate regardless.
-        return s;
-      }
-      cache_->Delete(key);
-      return Status::OK();
-    }
+    case CachingPolicy::kWriteThrough:
     case CachingPolicy::kWriteBack: {
-      // Keep a tombstone in the dirty set; drop the cached value.
-      TIERBASE_RETURN_IF_ERROR(
-          write_back_->MarkDirty(key, Slice(), /*is_delete=*/true));
+      // Write-through deletes in storage; write-back keeps a tombstone in
+      // the dirty set. Either way the cached value goes.
+      std::vector<Status> stored;
+      StoreBatch({key}, {Slice()}, /*is_delete=*/true, &stored);
       cache_->Delete(key);
-      return Status::OK();
+      return stored[0];
     }
   }
   return Status::OK();
@@ -585,22 +546,16 @@ Status TierBase::Cas(const Slice& key, const Slice& expected,
                      const Slice& value, bool allow_create) {
   // Tiered modes: fetch the authoritative value into the cache first
   // (deferred cache-fetching path for update ops on missing keys, §4.1.2).
+  // It is cached whatever populate_on_miss says: cache_->Cas compares
+  // against the cached copy.
   if (tiered() && !cache_->Exists(key)) {
-    bool dirty_delete = false;
-    std::string dirty_value;
-    bool have_dirty =
-        write_back_ != nullptr &&
-        write_back_->GetDirty(key, &dirty_value, &dirty_delete);
-    if (have_dirty && !dirty_delete) {
-      cache_->Set(key, dirty_value);
-    } else if (!have_dirty) {
-      std::string stored;
-      Status s = fetcher_->Fetch(key, &stored);
-      if (s.ok()) {
-        cache_->Set(key, stored);
-      } else if (!s.IsNotFound()) {
-        return s;
-      }
+    std::vector<std::string> values;
+    std::vector<Status> statuses;
+    ReadMisses({key}, /*lone=*/true, /*populate=*/false, &values, &statuses);
+    if (statuses[0].ok()) {
+      cache_->Set(key, values[0]);
+    } else if (!statuses[0].IsNotFound()) {
+      return statuses[0];
     }
   }
 
@@ -612,21 +567,31 @@ Status TierBase::Cas(const Slice& key, const Slice& expected,
       break;
     case CachingPolicy::kWalFile:
     case CachingPolicy::kWalPmem:
-      TIERBASE_RETURN_IF_ERROR(LogMutation(key, value, false));
+      TIERBASE_RETURN_IF_ERROR(LogMutation(key, value, /*is_delete=*/false));
       break;
-    case CachingPolicy::kWriteThrough: {
-      Status s = write_through_->Write(key, value, false);
-      if (!s.ok()) {
-        cache_->Delete(key);
-        return s;
-      }
-      break;
+    case CachingPolicy::kWriteThrough:
+    case CachingPolicy::kWriteBack: {
+      std::vector<Status> stored;
+      StoreBatch({key}, {value}, /*is_delete=*/false, &stored);
+      return stored[0];
     }
-    case CachingPolicy::kWriteBack:
-      TIERBASE_RETURN_IF_ERROR(write_back_->MarkDirty(key, value, false));
-      break;
   }
   return Status::OK();
+}
+
+void TierBase::StoreBatch(const std::vector<Slice>& keys,
+                          const std::vector<Slice>& values, bool is_delete,
+                          std::vector<Status>* statuses) {
+  if (write_through_ != nullptr) {
+    metrics::ScopedPerfStage st(metrics::PerfContext::kStorageWrite);
+    write_through_->WriteBatch(keys, values, is_delete, statuses);
+  } else {
+    statuses->assign(keys.size(),
+                     write_back_->MarkDirty(keys, values, is_delete));
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (!(*statuses)[i].ok()) cache_->Delete(keys[i]);
+  }
 }
 
 UsageStats TierBase::GetUsage() const {

@@ -11,8 +11,10 @@
 //
 // Write-through uses per-key write queues and write coalescing (§4.1.1);
 // write-back uses dirty tracking with batched merged flushes, backpressure,
-// and deferred cache-fetching (§4.1.2). An optional in-process replica
-// models the dual-replica reliability configuration of §6.4. Value
+// and deferred cache-fetching (§4.1.2). Each mechanism has one, batched,
+// implementation: a single-key miss, SET, DEL or CAS is a batch of one. The
+// dual-replica configuration of §6.4 is the networked cluster's job
+// (src/cluster_net/: OpLog replication to a replica node). Value
 // compression (§4.2) and PMem placement (§4.3) are configured through the
 // embedded cache engine options.
 
@@ -130,6 +132,22 @@ class TierBase : public KvEngine {
   Status LogMutation(const Slice& key, const Slice& value, bool is_delete);
   Status SetInternal(const Slice& key, const Slice& value,
                      uint64_t ttl_micros);
+  /// The tiered miss path for `keys`, which all missed the cache: one
+  /// dirty-buffer lookup (write-back), one FetchMany for the rest (`lone`
+  /// for a single-key operation, see DeferredFetcher) and, when `populate`,
+  /// one cache MultiSet of the fetched values. Fills values[i]/statuses[i]
+  /// per key and returns how many keys the dirty buffer served; hit/miss
+  /// accounting is the caller's.
+  uint64_t ReadMisses(const std::vector<Slice>& keys, bool lone,
+                      bool populate, std::vector<std::string>* values,
+                      std::vector<Status>* statuses);
+  /// Hands keys[i] = values[i] (tombstones when `is_delete`) to the tiered
+  /// policy's storage mechanism as one batch: the write-through coalescer
+  /// or the write-back dirty set. The cache copy of every rejected op is
+  /// dropped, so reads never serve a write its caller saw fail.
+  void StoreBatch(const std::vector<Slice>& keys,
+                  const std::vector<Slice>& values, bool is_delete,
+                  std::vector<Status>* statuses);
   bool tiered() const {
     return options_.policy == CachingPolicy::kWriteThrough ||
            options_.policy == CachingPolicy::kWriteBack;

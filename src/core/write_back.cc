@@ -22,52 +22,28 @@ WriteBackManager::~WriteBackManager() {
   if (flusher_.joinable()) flusher_.join();
 }
 
-Status WriteBackManager::MarkDirty(const Slice& key, const Slice& value,
+Status WriteBackManager::MarkDirty(const std::vector<Slice>& keys,
+                                   const std::vector<Slice>& values,
                                    bool is_delete) {
-  common::MutexLock lock(&mu_);
-  if (!flush_error_.ok()) return flush_error_;
-
-  // Backpressure: block while the dirty set is at capacity (§4.1.2 "a
-  // backpressure mechanism is activated when dirty data approaches a
-  // predefined threshold").
-  while (dirty_.size() >= options_.max_dirty &&
-         dirty_.find(key.ToString()) == dirty_.end()) {
-    ++stats_.backpressure_waits;
-    flush_cv_.SignalAll();
-    space_cv_.Wait();
-    if (!flush_error_.ok()) return flush_error_;
-  }
-
-  ++stats_.updates;
-  auto [it, inserted] = dirty_.try_emplace(key.ToString());
-  if (!inserted) ++stats_.merged_updates;
-  it->second.value = value.ToString();
-  it->second.is_delete = is_delete;
-  it->second.gen = next_gen_++;
-
-  if (dirty_.size() >= options_.flush_threshold) {
-    flush_cv_.SignalAll();
-  }
-  return Status::OK();
-}
-
-Status WriteBackManager::MarkDirtyBatch(const std::vector<Slice>& keys,
-                                        const std::vector<Slice>& values) {
   common::MutexLock lock(&mu_);
   for (size_t i = 0; i < keys.size(); ++i) {
     if (!flush_error_.ok()) return flush_error_;
+    std::string key = keys[i].ToString();
+    // Backpressure: block while the dirty set is at capacity (§4.1.2 "a
+    // backpressure mechanism is activated when dirty data approaches a
+    // predefined threshold"). Updates to an already-dirty key merge.
     while (dirty_.size() >= options_.max_dirty &&
-           dirty_.find(keys[i].ToString()) == dirty_.end()) {
+           dirty_.find(key) == dirty_.end()) {
       ++stats_.backpressure_waits;
       flush_cv_.SignalAll();
       space_cv_.Wait();
       if (!flush_error_.ok()) return flush_error_;
     }
     ++stats_.updates;
-    auto [it, inserted] = dirty_.try_emplace(keys[i].ToString());
+    auto [it, inserted] = dirty_.try_emplace(std::move(key));
     if (!inserted) ++stats_.merged_updates;
     it->second.value = values[i].ToString();
-    it->second.is_delete = false;
+    it->second.is_delete = is_delete;
     it->second.gen = next_gen_++;
   }
   if (dirty_.size() >= options_.flush_threshold) {
@@ -81,20 +57,10 @@ bool WriteBackManager::IsDirty(const Slice& key) const {
   return dirty_.find(key.ToString()) != dirty_.end();
 }
 
-bool WriteBackManager::GetDirty(const Slice& key, std::string* value,
-                                bool* is_delete) const {
-  common::MutexLock lock(&mu_);
-  auto it = dirty_.find(key.ToString());
-  if (it == dirty_.end()) return false;
-  *value = it->second.value;
-  *is_delete = it->second.is_delete;
-  return true;
-}
-
-void WriteBackManager::GetDirtyBatch(const std::vector<Slice>& keys,
-                                     std::vector<bool>* found,
-                                     std::vector<std::string>* values,
-                                     std::vector<bool>* deletes) const {
+void WriteBackManager::GetDirty(const std::vector<Slice>& keys,
+                                std::vector<bool>* found,
+                                std::vector<std::string>* values,
+                                std::vector<bool>* deletes) const {
   const size_t n = keys.size();
   found->assign(n, false);
   values->assign(n, std::string());

@@ -24,32 +24,25 @@ class WriteBackManager {
                    Clock* clock = Clock::Real());
   ~WriteBackManager();
 
-  /// Records a dirty update (latest value wins — multiple updates to the
-  /// same key merge into one storage op, "Optimizing Update" in §4.1.2).
-  /// Blocks when max_dirty is reached (backpressure).
-  Status MarkDirty(const Slice& key, const Slice& value, bool is_delete);
-
-  /// Batched MarkDirty for keys[i] = values[i]: the dirty-set mutex is
-  /// taken once for the whole batch (released only while backpressure
-  /// blocks mid-batch). Flush errors are sticky, so on one the batch
-  /// aborts immediately — the remaining ops would fail identically.
-  Status MarkDirtyBatch(const std::vector<Slice>& keys,
-                        const std::vector<Slice>& values);
+  /// Records dirty updates keys[i] = values[i], or tombstones for every
+  /// key when `is_delete` (latest value wins — updates to the same key
+  /// merge into one storage op, "Optimizing Update" in §4.1.2). The
+  /// dirty-set mutex is taken once for the batch and released only while
+  /// backpressure blocks at max_dirty. Flush errors are sticky, so on one
+  /// the batch aborts at once: the remaining ops would fail identically.
+  Status MarkDirty(const std::vector<Slice>& keys,
+                   const std::vector<Slice>& values, bool is_delete);
 
   /// True while the key has an unflushed update; such keys must not be
   /// evicted from the cache (the eviction filter consults this).
   bool IsDirty(const Slice& key) const;
 
-  /// Reads the dirty (not yet flushed) value if present. Lets reads see
-  /// pending writes without touching storage.
-  bool GetDirty(const Slice& key, std::string* value, bool* is_delete) const;
-
-  /// Batched GetDirty: one dirty-set lock acquisition for the whole
-  /// batch. found[i]/values[i]/deletes[i] are filled per key.
-  void GetDirtyBatch(const std::vector<Slice>& keys,
-                     std::vector<bool>* found,
-                     std::vector<std::string>* values,
-                     std::vector<bool>* deletes) const;
+  /// Reads the dirty (not yet flushed) state of every key under one
+  /// dirty-set lock, so reads see pending writes without touching storage.
+  /// found[i]/values[i]/deletes[i] are filled per key.
+  void GetDirty(const std::vector<Slice>& keys, std::vector<bool>* found,
+                std::vector<std::string>* values,
+                std::vector<bool>* deletes) const;
 
   /// Flushes everything and blocks until clean (shutdown, WaitIdle).
   Status FlushAll();

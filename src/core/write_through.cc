@@ -4,17 +4,23 @@
 
 namespace tierbase {
 
+Status PerKeyCoalescer::StoreLocked(
+    const std::vector<StorageAdapter::BatchOp>& ops) {
+  mu_.AssertHeld();
+  mu_.Unlock();
+  Status s = storage_->WriteBatch(ops);
+  mu_.Lock();
+  ++batch_calls_;
+  storage_writes_ += ops.size();
+  return s;
+}
+
 void PerKeyCoalescer::DrainLocked(const std::string& key, KeyState* ks) {
   mu_.AssertHeld();
   while (ks->pending) {
-    std::string v = ks->latest_value;
-    bool d = ks->latest_is_delete;
-    uint64_t g = ks->latest_gen;
+    const uint64_t g = ks->latest_gen;
     ks->pending = false;
-    mu_.Unlock();
-    Status s = write_fn_(key, v, d);
-    mu_.Lock();
-    ++storage_writes_;
+    Status s = StoreLocked({{key, ks->latest_value, ks->latest_is_delete}});
     if (s.ok()) {
       ks->flushed_gen = std::max(ks->flushed_gen, g);
     } else {
@@ -25,11 +31,10 @@ void PerKeyCoalescer::DrainLocked(const std::string& key, KeyState* ks) {
   }
 }
 
-Status PerKeyCoalescer::Write(const Slice& key, const Slice& value,
-                              bool is_delete) {
-  mu_.Lock();
-  ++submitted_;
-
+Status PerKeyCoalescer::WriteUncoalescedLocked(const Slice& key,
+                                               const Slice& value,
+                                               bool is_delete) {
+  mu_.AssertHeld();
   std::string key_str = key.ToString();
   auto it = keys_.find(key_str);
   if (it == keys_.end()) {
@@ -38,64 +43,33 @@ Status PerKeyCoalescer::Write(const Slice& key, const Slice& value,
   KeyState* ks = it->second.get();
   const uint64_t my_gen = ks->next_gen++;
   ++ks->waiters;
-
-  Status result;
-  if (coalesce_) {
-    ks->latest_value = value.ToString();
-    ks->latest_is_delete = is_delete;
-    ks->latest_gen = my_gen;
-    ks->pending = true;
-
-    if (!ks->in_flight) {
-      // Leader: flush the latest pending value until none is newer. Each
-      // storage write covers every generation at or below the one written.
-      ks->in_flight = true;
-      DrainLocked(key_str, ks);
-      ks->in_flight = false;
-      ks->cv.SignalAll();
-    } else {
-      while (ks->processed_gen < my_gen) ks->cv.Wait();
-    }
-    result = ks->flushed_gen >= my_gen
-                 ? Status::OK()
-                 : (ks->last_error.ok()
-                        ? Status::IOError("write-through failed")
-                        : ks->last_error);
-  } else {
-    // No coalescing: one storage write per update, per-key FIFO order.
-    std::string v = value.ToString();
-    while (!(ks->processed_gen == my_gen - 1 && !ks->in_flight)) {
-      ks->cv.Wait();
-    }
-    ks->in_flight = true;
-    mu_.Unlock();
-    Status s = write_fn_(key_str, v, is_delete);
-    mu_.Lock();
-    ++storage_writes_;
-    ks->processed_gen = my_gen;
-    if (s.ok()) ks->flushed_gen = my_gen;
-    ks->in_flight = false;
-    ks->cv.SignalAll();
-    result = s;
+  // One storage write per update, per-key FIFO order.
+  while (!(ks->processed_gen == my_gen - 1 && !ks->in_flight)) {
+    ks->cv.Wait();
   }
-
-  --ks->waiters;
-  if (ks->waiters == 0 && !ks->in_flight && !ks->pending) {
-    keys_.erase(key_str);
-  }
-  mu_.Unlock();
-  return result;
+  ks->in_flight = true;
+  Status s = StoreLocked({{key_str, value.ToString(), is_delete}});
+  ks->processed_gen = my_gen;
+  if (s.ok()) ks->flushed_gen = my_gen;
+  ks->in_flight = false;
+  ks->cv.SignalAll();
+  if (--ks->waiters == 0) keys_.erase(key_str);
+  return s;
 }
 
 void PerKeyCoalescer::WriteBatch(const std::vector<Slice>& keys,
                                  const std::vector<Slice>& values,
+                                 bool is_delete,
                                  std::vector<Status>* statuses) {
   const size_t n = keys.size();
   statuses->assign(n, Status::OK());
   if (n == 0) return;
-  if (batch_write_fn_ == nullptr || !coalesce_) {
+
+  common::MutexLock lock(&mu_);
+  submitted_ += n;
+  if (!coalesce_) {
     for (size_t i = 0; i < n; ++i) {
-      (*statuses)[i] = Write(keys[i], values[i], /*is_delete=*/false);
+      (*statuses)[i] = WriteUncoalescedLocked(keys[i], values[i], is_delete);
     }
     return;
   }
@@ -116,8 +90,6 @@ void PerKeyCoalescer::WriteBatch(const std::vector<Slice>& keys,
   std::unordered_map<std::string, size_t> reg_of;  // key → regs index.
   std::vector<size_t> reg_for_op(n);
 
-  mu_.Lock();
-  submitted_ += n;
   for (size_t i = 0; i < n; ++i) {
     std::string k = keys[i].ToString();
     auto [it, inserted] = reg_of.emplace(std::move(k), regs.size());
@@ -139,12 +111,12 @@ void PerKeyCoalescer::WriteBatch(const std::vector<Slice>& keys,
     reg_for_op[i] = it->second;
   }
 
-  std::vector<BatchWrite> batch;
+  std::vector<StorageAdapter::BatchOp> batch;
   for (size_t r = 0; r < regs.size(); ++r) {
     Reg& reg = regs[r];
     reg.gen = reg.ks->next_gen++;
     reg.ks->latest_value = values[reg.value_index].ToString();
-    reg.ks->latest_is_delete = false;
+    reg.ks->latest_is_delete = is_delete;
     reg.ks->latest_gen = reg.gen;
     if (reg.ks->in_flight) {
       // An active leader will flush this value; wait for it below.
@@ -156,16 +128,12 @@ void PerKeyCoalescer::WriteBatch(const std::vector<Slice>& keys,
       // on the wire sets pending again and we drain it afterwards.
       reg.ks->in_flight = true;
       reg.ks->pending = false;
-      batch.push_back({reg_keys[r], reg.ks->latest_value, false});
+      batch.push_back({reg_keys[r], reg.ks->latest_value, is_delete});
     }
   }
 
   if (!batch.empty()) {
-    mu_.Unlock();
-    Status s = batch_write_fn_(batch);
-    mu_.Lock();
-    ++batch_calls_;
-    storage_writes_ += batch.size();
+    Status s = StoreLocked(batch);
     for (size_t r = 0; r < regs.size(); ++r) {
       Reg& reg = regs[r];
       if (reg.delegated) continue;
@@ -206,7 +174,6 @@ void PerKeyCoalescer::WriteBatch(const std::vector<Slice>& keys,
       keys_.erase(reg_keys[r]);
     }
   }
-  mu_.Unlock();
 }
 
 PerKeyCoalescer::Stats PerKeyCoalescer::GetStats() const {

@@ -13,7 +13,6 @@
 #ifndef TIERBASE_CORE_WRITE_THROUGH_H_
 #define TIERBASE_CORE_WRITE_THROUGH_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -23,50 +22,31 @@
 #include "common/slice.h"
 #include "common/thread_annotations.h"
 #include "common/status.h"
+#include "core/storage_adapter.h"
 
 namespace tierbase {
 
 class PerKeyCoalescer {
  public:
-  /// Pushes one (key, value-or-delete) to the storage tier.
-  using StorageWriteFn =
-      std::function<Status(const Slice& key, const Slice& value,
-                           bool is_delete)>;
+  /// `storage` is not owned. With `coalesce` off every update is its own
+  /// storage write, in per-key FIFO order (the ablation's reference arm).
+  explicit PerKeyCoalescer(StorageAdapter* storage, bool coalesce = true)
+      : storage_(storage), coalesce_(coalesce) {}
 
-  /// One element of a batched storage write.
-  struct BatchWrite {
-    std::string key;
-    std::string value;
-    bool is_delete = false;
-  };
-  /// Pushes a whole batch to the storage tier in one remote call.
-  using BatchStorageWriteFn =
-      std::function<Status(const std::vector<BatchWrite>& ops)>;
-
-  explicit PerKeyCoalescer(StorageWriteFn write_fn, bool coalesce = true,
-                           BatchStorageWriteFn batch_write_fn = nullptr)
-      : write_fn_(std::move(write_fn)),
-        batch_write_fn_(std::move(batch_write_fn)),
-        coalesce_(coalesce) {}
-
-  /// Write-through one update. Returns after a storage write covering this
-  /// update (or a newer one for the same key) succeeds; on storage failure
-  /// returns the error.
-  Status Write(const Slice& key, const Slice& value, bool is_delete);
-
-  /// Write-through a batch: duplicate keys coalesce to the last value, the
-  /// surviving updates go to storage as ONE batched call, and updates to
-  /// keys with an in-flight leader are delegated to that leader (keeping
-  /// per-key ordering). Per-op outcomes land in statuses[i]. Falls back to
-  /// per-key Write when no batch function was supplied.
+  /// Write-through keys[i] = values[i], or tombstones for every key when
+  /// `is_delete`. Duplicate keys coalesce to the last value, the surviving
+  /// updates go to storage as ONE WriteBatch, and updates to keys with an
+  /// in-flight leader are delegated to that leader (keeping per-key
+  /// ordering). statuses[i] is OK once a storage write covering op i (or a
+  /// newer update of its key) has succeeded, else the storage error.
   void WriteBatch(const std::vector<Slice>& keys,
-                  const std::vector<Slice>& values,
+                  const std::vector<Slice>& values, bool is_delete,
                   std::vector<Status>* statuses);
 
   struct Stats {
     uint64_t submitted = 0;
     uint64_t storage_writes = 0;  // submitted - storage_writes = coalesced.
-    uint64_t batch_calls = 0;     // Remote calls made by WriteBatch.
+    uint64_t batch_calls = 0;     // Storage WriteBatch calls made.
   };
   Stats GetStats() const;
 
@@ -90,14 +70,22 @@ class PerKeyCoalescer {
     common::CondVar cv;
   };
 
+  /// One storage WriteBatch of `ops`. Requires mu_ held; releases it around
+  /// the storage call and counts the call and its ops.
+  Status StoreLocked(const std::vector<StorageAdapter::BatchOp>& ops)
+      EXCLUSIVE_LOCKS_REQUIRED(mu_);
+  /// The uncoalesced path: waits for the key's earlier updates, then writes
+  /// this one on its own. Requires mu_ held.
+  Status WriteUncoalescedLocked(const Slice& key, const Slice& value,
+                                bool is_delete) EXCLUSIVE_LOCKS_REQUIRED(mu_);
+
   /// Leader drain loop: flushes the key's latest pending value until no
   /// newer one arrives. Requires mu_ held; releases it around storage
   /// calls (re-held on return). The caller owns ks->in_flight.
   void DrainLocked(const std::string& key, KeyState* ks)
       EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
-  StorageWriteFn write_fn_;
-  BatchStorageWriteFn batch_write_fn_;
+  StorageAdapter* storage_;
   bool coalesce_;
 
   mutable common::Mutex mu_;

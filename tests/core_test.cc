@@ -4,6 +4,7 @@
 // recovery of the cache tier.
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -214,37 +215,30 @@ TEST_F(TierBaseTest, WriteThroughCasFetchesMissingKey) {
 // --- PerKeyCoalescer unit behaviour. ---
 
 TEST(PerKeyCoalescerTest, AllWritersObserveSuccess) {
-  std::atomic<int> storage_writes{0};
-  PerKeyCoalescer coalescer(
-      [&](const Slice&, const Slice&, bool) {
-        storage_writes.fetch_add(1);
-        return Status::OK();
-      },
-      /*coalesce=*/true);
-  ASSERT_TRUE(coalescer.Write("k", "v", false).ok());
-  EXPECT_EQ(storage_writes.load(), 1);
+  MockStorageAdapter storage;
+  PerKeyCoalescer coalescer(&storage, /*coalesce=*/true);
+  std::vector<Status> statuses;
+  coalescer.WriteBatch({"k"}, {"v"}, /*is_delete=*/false, &statuses);
+  ASSERT_TRUE(statuses[0].ok());
+  EXPECT_EQ(storage.counters().writes, 1u);
   auto stats = coalescer.GetStats();
   EXPECT_EQ(stats.submitted, 1u);
   EXPECT_EQ(stats.storage_writes, 1u);
 }
 
 TEST(PerKeyCoalescerTest, ConcurrentWritesSameKeyCoalesce) {
-  std::atomic<int> storage_writes{0};
-  PerKeyCoalescer coalescer(
-      [&](const Slice&, const Slice&, bool) {
-        storage_writes.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        return Status::OK();
-      },
-      /*coalesce=*/true);
+  MockStorageAdapter inner;
+  RemoteStorageAdapter storage(&inner, /*rtt_micros=*/2'000);
+  PerKeyCoalescer coalescer(&storage, /*coalesce=*/true);
   constexpr int kThreads = 8, kWritesPerThread = 25;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kWritesPerThread; ++i) {
-        ASSERT_TRUE(
-            coalescer.Write("hotkey", std::to_string(t * 100 + i), false)
-                .ok());
+        std::string value = std::to_string(t * 100 + i);
+        std::vector<Status> statuses;
+        coalescer.WriteBatch({"hotkey"}, {value}, false, &statuses);
+        ASSERT_TRUE(statuses[0].ok());
       }
     });
   }
@@ -256,27 +250,25 @@ TEST(PerKeyCoalescerTest, ConcurrentWritesSameKeyCoalesce) {
 }
 
 TEST(PerKeyCoalescerTest, ErrorsPropagateToWaiters) {
-  PerKeyCoalescer coalescer(
-      [&](const Slice&, const Slice&, bool) {
-        return Status::IOError("storage down");
-      },
-      true);
-  Status s = coalescer.Write("k", "v", false);
-  EXPECT_TRUE(s.IsIOError());
+  MockStorageAdapter::Options mock_options;
+  mock_options.fail_every = 1;  // Storage down.
+  MockStorageAdapter storage(mock_options);
+  PerKeyCoalescer coalescer(&storage, true);
+  std::vector<Status> statuses;
+  coalescer.WriteBatch({"k"}, {"v"}, false, &statuses);
+  EXPECT_TRUE(statuses[0].IsIOError());
 }
 
 TEST(PerKeyCoalescerTest, DisabledCoalescingWritesEveryUpdate) {
-  std::atomic<int> storage_writes{0};
-  PerKeyCoalescer coalescer(
-      [&](const Slice&, const Slice&, bool) {
-        storage_writes.fetch_add(1);
-        return Status::OK();
-      },
-      /*coalesce=*/false);
+  MockStorageAdapter storage;
+  PerKeyCoalescer coalescer(&storage, /*coalesce=*/false);
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(coalescer.Write("k", std::to_string(i), false).ok());
+    std::string value = std::to_string(i);
+    std::vector<Status> statuses;
+    coalescer.WriteBatch({"k"}, {value}, false, &statuses);
+    ASSERT_TRUE(statuses[0].ok());
   }
-  EXPECT_EQ(storage_writes.load(), 20);
+  EXPECT_EQ(storage.counters().writes, 20u);
 }
 
 // --- Write-back (paper §4.1.2). ---
@@ -392,7 +384,7 @@ TEST(WriteBackManagerTest, BackpressureBlocksThenRecovers) {
   // Push far beyond max_dirty; backpressure must engage but all writes land.
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(
-        manager.MarkDirty("key" + std::to_string(i), "v", false).ok());
+        manager.MarkDirty({"key" + std::to_string(i)}, {"v"}, false).ok());
   }
   ASSERT_TRUE(manager.FlushAll().ok());
   EXPECT_EQ(storage.size(), 500u);
@@ -407,13 +399,15 @@ TEST(WriteBackManagerTest, DirtyStateVisible) {
   options.flush_interval_micros = 60'000'000;
   options.flush_threshold = 1 << 30;
   WriteBackManager manager(&storage, options);
-  ASSERT_TRUE(manager.MarkDirty("k", "v", false).ok());
+  ASSERT_TRUE(manager.MarkDirty({"k"}, {"v"}, false).ok());
   EXPECT_TRUE(manager.IsDirty("k"));
-  std::string value;
-  bool is_delete = true;
-  EXPECT_TRUE(manager.GetDirty("k", &value, &is_delete));
-  EXPECT_EQ(value, "v");
-  EXPECT_FALSE(is_delete);
+  std::vector<bool> found, deletes;
+  std::vector<std::string> values;
+  manager.GetDirty({"k", "clean"}, &found, &values, &deletes);
+  EXPECT_TRUE(found[0]);
+  EXPECT_EQ(values[0], "v");
+  EXPECT_FALSE(deletes[0]);
+  EXPECT_FALSE(found[1]);
   ASSERT_TRUE(manager.FlushAll().ok());
   EXPECT_FALSE(manager.IsDirty("k"));
   EXPECT_EQ(manager.dirty_count(), 0u);
@@ -424,7 +418,7 @@ TEST(WriteBackManagerTest, DeletesFlushAsTombstones) {
   ASSERT_TRUE(storage.Write("k", "v").ok());
   WriteBackOptions options;
   WriteBackManager manager(&storage, options);
-  ASSERT_TRUE(manager.MarkDirty("k", "", true).ok());
+  ASSERT_TRUE(manager.MarkDirty({"k"}, {""}, true).ok());
   ASSERT_TRUE(manager.FlushAll().ok());
   std::string value;
   EXPECT_TRUE(storage.Read("k", &value).IsNotFound());
@@ -438,7 +432,8 @@ TEST(WriteBackManagerTest, BatchesReduceRemoteCalls) {
   options.max_batch = 64;
   WriteBackManager manager(&storage, options);
   for (int i = 0; i < 256; ++i) {
-    ASSERT_TRUE(manager.MarkDirty("key" + std::to_string(i), "v", false).ok());
+    ASSERT_TRUE(
+        manager.MarkDirty({"key" + std::to_string(i)}, {"v"}, false).ok());
   }
   ASSERT_TRUE(manager.FlushAll().ok());
   // 256 ops in >= 4 batches but far fewer than 256 remote calls.
@@ -460,7 +455,7 @@ TEST(WriteBackManagerTest, TransientFlushFailureRetriesAndClears) {
   options.retry_backoff_micros = 500;
   options.retry_backoff_max_micros = 2'000;
   WriteBackManager manager(&storage, options);
-  ASSERT_TRUE(manager.MarkDirty("k", "v", false).ok());
+  ASSERT_TRUE(manager.MarkDirty({"k"}, {"v"}, false).ok());
 
   // The manager must drain without any outside nudge beyond FlushAll.
   ASSERT_TRUE(manager.FlushAll().ok());
@@ -475,7 +470,7 @@ TEST(WriteBackManagerTest, TransientFlushFailureRetriesAndClears) {
   EXPECT_TRUE(manager.flush_error().ok());  // Cleared on success.
 
   // Writes flow again after the error cleared.
-  ASSERT_TRUE(manager.MarkDirty("k2", "v2", false).ok());
+  ASSERT_TRUE(manager.MarkDirty({"k2"}, {"v2"}, false).ok());
   ASSERT_TRUE(manager.FlushAll().ok());
   EXPECT_EQ(storage.size(), 2u);
 }
@@ -495,7 +490,7 @@ TEST(WriteBackManagerTest, PersistentFlushFailureSurfacesBounded) {
   options.max_flush_failures = 4;
   {
     WriteBackManager manager(&storage, options);
-    ASSERT_TRUE(manager.MarkDirty("k", "v", false).ok());
+    ASSERT_TRUE(manager.MarkDirty({"k"}, {"v"}, false).ok());
     Status s = manager.FlushAll();
     EXPECT_TRUE(s.IsIOError()) << s.ToString();
     EXPECT_EQ(manager.dirty_count(), 1u);  // Entry stays dirty, not lost.
@@ -512,10 +507,13 @@ TEST(DeferredFetcherTest, FetchesFromStorage) {
   ASSERT_TRUE(storage.Write("k", "v").ok());
   DeferredFetchOptions options;
   DeferredFetcher fetcher(&storage, options);
-  std::string value;
-  ASSERT_TRUE(fetcher.Fetch("k", &value).ok());
-  EXPECT_EQ(value, "v");
-  EXPECT_TRUE(fetcher.Fetch("missing", &value).IsNotFound());
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  fetcher.FetchMany({"k"}, /*lone=*/true, &values, &statuses);
+  ASSERT_TRUE(statuses[0].ok());
+  EXPECT_EQ(values[0], "v");
+  fetcher.FetchMany({"missing"}, /*lone=*/true, &values, &statuses);
+  EXPECT_TRUE(statuses[0].IsNotFound());
 }
 
 TEST(DeferredFetcherTest, ConcurrentMissesShareBatches) {
@@ -535,10 +533,11 @@ TEST(DeferredFetcherTest, ConcurrentMissesShareBatches) {
   for (int t = 0; t < 16; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 4; ++i) {
-        std::string value;
-        if (fetcher.Fetch("key" + std::to_string(t * 4 + i), &value).ok()) {
-          ok_count.fetch_add(1);
-        }
+        std::vector<std::string> values;
+        std::vector<Status> statuses;
+        fetcher.FetchMany({"key" + std::to_string(t * 4 + i)},
+                          /*lone=*/true, &values, &statuses);
+        if (statuses[0].ok()) ok_count.fetch_add(1);
       }
     });
   }
@@ -550,15 +549,24 @@ TEST(DeferredFetcherTest, ConcurrentMissesShareBatches) {
   EXPECT_LT(stats.batch_calls, 64u);
 }
 
-TEST(DeferredFetcherTest, DisabledModeStillCorrect) {
+TEST(DeferredFetcherTest, BatchFetchReportsEveryKeyFromOneRead) {
   MockStorageAdapter storage;
   ASSERT_TRUE(storage.Write("k", "v").ok());
   DeferredFetchOptions options;
-  options.enabled = false;
   DeferredFetcher fetcher(&storage, options);
-  std::string value;
-  ASSERT_TRUE(fetcher.Fetch("k", &value).ok());
-  EXPECT_EQ(value, "v");
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  fetcher.FetchMany({"k", "missing", "k"}, /*lone=*/false, &values,
+                    &statuses);
+  ASSERT_TRUE(statuses[0].ok());
+  EXPECT_EQ(values[0], "v");
+  EXPECT_TRUE(statuses[1].IsNotFound());
+  ASSERT_TRUE(statuses[2].ok());
+  EXPECT_EQ(values[2], "v");
+  EXPECT_EQ(storage.counters().batch_calls, 1u);  // One MultiRead.
+  auto stats = fetcher.GetStats();
+  EXPECT_EQ(stats.fetches, 3u);
+  EXPECT_EQ(stats.shared, 1u);  // The repeated key rode along.
 }
 
 // --- Hit-ratio accounting. ---
@@ -1020,6 +1028,139 @@ TEST(TierBaseMultiOpsTest, MultiGetMissesFetchInOneBatchAndPopulate) {
   EXPECT_GE((*db)->GetStats().storage_populates, 40u);
   // Only the still-missing key goes back to storage.
   EXPECT_LE(storage.counters().batch_calls, batch_calls_before + 1);
+}
+
+// --- Single-key ops are batches of one. ---
+
+TEST(TierBaseBatchOfOneTest, FetchWindowOpensForSingleKeyMissesOnly) {
+  MockStorageAdapter storage;
+  for (const char* key : {"a", "b", "c", "d"}) {
+    ASSERT_TRUE(storage.Write(key, "v").ok());
+  }
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteThrough;
+  options.deferred_fetch.batch_window_micros = 200'000;
+  auto db = TierBase::Open(options, &storage);
+  ASSERT_TRUE(db.ok());
+
+  // A lone miss leads a new batch and waits the window for company.
+  std::string value;
+  Stopwatch single;
+  ASSERT_TRUE((*db)->Get("a", &value).ok());
+  EXPECT_GE(single.ElapsedSeconds(), 0.19);
+
+  // A multi-key operation's misses already are a batch: no window, even
+  // when only one of its keys missed ("a" is cached now).
+  std::vector<std::string> out;
+  std::vector<Status> statuses;
+  Stopwatch batch;
+  (*db)->MultiGet({"b", "c"}, &out, &statuses);
+  EXPECT_LT(batch.ElapsedSeconds(), 0.1);
+  ASSERT_TRUE(statuses[0].ok());
+  ASSERT_TRUE(statuses[1].ok());
+  EXPECT_EQ(out[1], "v");
+  Stopwatch one_miss;
+  (*db)->MultiGet({"a", "d"}, &out, &statuses);
+  EXPECT_LT(one_miss.ElapsedSeconds(), 0.1);
+  ASSERT_TRUE(statuses[0].ok());
+  ASSERT_TRUE(statuses[1].ok());
+  EXPECT_EQ((*db)->GetStats().cache_misses, 4u);
+}
+
+TEST(TierBaseBatchOfOneTest, CasFetchesMissingKeyWithoutPopulateOnMiss) {
+  for (CachingPolicy policy :
+       {CachingPolicy::kWriteThrough, CachingPolicy::kWriteBack}) {
+    SCOPED_TRACE(CachingPolicyName(policy));
+    MockStorageAdapter storage;
+    ASSERT_TRUE(storage.Write("k", "stored").ok());
+    TierBaseOptions options;
+    options.policy = policy;
+    options.populate_on_miss = false;
+    options.deferred_fetch.batch_window_micros = 0;
+    auto db = TierBase::Open(options, &storage);
+    ASSERT_TRUE(db.ok());
+
+    // "k" is not cached: CAS must still fetch it into the cache, because
+    // the comparison runs against the cached copy.
+    ASSERT_TRUE((*db)->Cas("k", "stored", "updated").ok());
+    EXPECT_TRUE((*db)->Cas("k", "stored", "again").IsAborted());
+    EXPECT_TRUE((*db)->Cas("absent", "x", "y").IsAborted());
+    std::string value;
+    ASSERT_TRUE((*db)->Get("k", &value).ok());
+    EXPECT_EQ(value, "updated");
+    ASSERT_TRUE((*db)->WaitIdle().ok());
+    ASSERT_TRUE(storage.Read("k", &value).ok());
+    EXPECT_EQ(value, "updated");
+    EXPECT_EQ((*db)->GetStats().storage_populates, 0u);
+  }
+}
+
+TEST(TierBaseBatchOfOneTest, WriteThroughSingleKeyWritesAreOneOpBatches) {
+  MockStorageAdapter storage;
+  ASSERT_TRUE(storage.Write("k", "v").ok());
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteThrough;
+  auto db = TierBase::Open(options, &storage);
+  ASSERT_TRUE(db.ok());
+
+  // MockStorageAdapter's Write/Delete count writes but no batch call.
+  auto before = storage.counters();
+  ASSERT_TRUE((*db)->Delete("k").ok());
+  auto after = storage.counters();
+  EXPECT_EQ(after.batch_calls - before.batch_calls, 1u);
+  EXPECT_EQ(after.writes - before.writes, 1u);
+  std::string value;
+  EXPECT_TRUE(storage.Read("k", &value).IsNotFound());  // The tombstone.
+  EXPECT_TRUE((*db)->Get("k", &value).IsNotFound());
+
+  before = storage.counters();
+  ASSERT_TRUE((*db)->Set("n", "v").ok());
+  after = storage.counters();
+  EXPECT_EQ(after.batch_calls - before.batch_calls, 1u);
+  EXPECT_EQ(after.writes - before.writes, 1u);
+}
+
+// A write-back update the dirty set rejects (sticky flush error) must not
+// linger in the cache: it would serve until evicted, then reads would
+// revert to the older value.
+TEST(TierBaseBatchOfOneTest, WriteBackRejectedWriteIsNotReadable) {
+  MockStorageAdapter::Options mock_options;
+  mock_options.fail_every = 1;  // Every storage write fails.
+  MockStorageAdapter storage(mock_options);
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteBack;
+  options.write_back.flush_threshold = 1;
+  options.write_back.flush_interval_micros = 1'000;
+  options.write_back.retry_backoff_micros = 100;
+  options.write_back.retry_backoff_max_micros = 1'000;
+  options.write_back.max_flush_failures = 2;
+  options.deferred_fetch.batch_window_micros = 0;
+  auto db = TierBase::Open(options, &storage);
+  ASSERT_TRUE(db.ok());
+
+  ASSERT_TRUE((*db)->Set("k", "v1").ok());
+  for (int i = 0; i < 5000; ++i) {
+    if ((*db)->GetStats().write_back.flush_failures > 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT((*db)->GetStats().write_back.flush_failures, 0u);
+
+  EXPECT_TRUE((*db)->Set("k", "v2").IsIOError());
+  std::string value;
+  ASSERT_TRUE((*db)->Get("k", &value).ok());
+  EXPECT_EQ(value, "v1");  // The dirty buffer's value, not the rejected v2.
+
+  std::vector<Status> statuses;
+  (*db)->MultiSet({"a", "k"}, {"a1", "v3"}, &statuses);
+  EXPECT_TRUE(statuses[0].IsIOError());
+  EXPECT_TRUE(statuses[1].IsIOError());
+  EXPECT_TRUE((*db)->Get("a", &value).IsNotFound());
+  ASSERT_TRUE((*db)->Get("k", &value).ok());
+  EXPECT_EQ(value, "v1");
+
+  EXPECT_TRUE((*db)->Cas("k", "v1", "v4").IsIOError());
+  ASSERT_TRUE((*db)->Get("k", &value).ok());
+  EXPECT_EQ(value, "v1");
 }
 
 }  // namespace

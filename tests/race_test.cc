@@ -121,14 +121,14 @@ TEST(RaceTest, WriteBackFlusherVsForeground) {
     threads.emplace_back([&wb, t] {
       for (int i = 0; i < kOps; ++i) {
         std::string k = Key(t, i % 50);  // Re-dirty keys: merge path.
-        ASSERT_TRUE(wb.MarkDirty(k, "v" + std::to_string(i), false).ok());
+        ASSERT_TRUE(wb.MarkDirty({k}, {"v" + std::to_string(i)}, false).ok());
         // An immediate second update merges unless a whole flush cycle
         // (including its storage latency) slipped in between, so merges
         // happen however fast the flusher drains relative to the writers.
-        ASSERT_TRUE(wb.MarkDirty(k, "w" + std::to_string(i), false).ok());
-        std::string v;
-        bool del = false;
-        (void)wb.GetDirty(k, &v, &del);
+        ASSERT_TRUE(wb.MarkDirty({k}, {"w" + std::to_string(i)}, false).ok());
+        std::vector<bool> found, deletes;
+        std::vector<std::string> values;
+        wb.GetDirty({k}, &found, &values, &deletes);
         (void)wb.IsDirty(k);
       }
     });
