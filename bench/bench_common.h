@@ -259,9 +259,6 @@ inline std::unique_ptr<TieredTierBase> MakeTieredTierBase(
   options.cache.memory_budget = static_cast<size_t>(
       cache_ratio_x > 0 ? payload_bytes / cache_ratio_x : 0);
   options.cache.shards = 4;  // The replays drive several client threads.
-  // No extra forming window: concurrent misses already batch naturally by
-  // joining while the leader's MultiRead is on the wire for the RTT.
-  options.deferred_fetch.batch_window_micros = 0;
   // Keep the dirty set small relative to the (ratio-bounded) cache so
   // pinned dirty entries never crowd out the hot set, while batches stay
   // large enough to amortize the RTT ("Managing Dirty Data", §4.1.2).

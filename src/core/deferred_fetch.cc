@@ -1,55 +1,45 @@
 #include "core/deferred_fetch.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace tierbase {
 
-DeferredFetcher::DeferredFetcher(StorageAdapter* storage,
-                                 DeferredFetchOptions options, Clock* clock)
-    : storage_(storage), options_(options), clock_(clock) {}
+void DeferredFetcher::ReadQueuedLocked() {
+  mu_.AssertHeld();
+  read_in_flight_ = true;
+  const size_t n = std::min(queue_.size(), kMaxBatch);
+  std::vector<std::shared_ptr<PendingKey>> batch(
+      std::make_move_iterator(queue_.begin()),
+      std::make_move_iterator(queue_.begin() + n));
+  queue_.erase(queue_.begin(), queue_.begin() + n);
+  std::vector<std::string> keys;
+  keys.reserve(n);
+  for (const auto& p : batch) keys.push_back(p->key);
 
-void DeferredFetcher::LeaderDrain() {
-  // Keep draining until no keys are pending (later joiners are picked up
-  // by a follow-on batch rather than stranded).
-  while (true) {
-    std::vector<std::string> keys;
-    std::vector<std::shared_ptr<PendingKey>> entries;
-    {
-      common::MutexLock lock(&mu_);
-      for (auto& [k, p] : pending_) {
-        if (p->done) continue;
-        if (keys.size() >= options_.max_batch) break;
-        keys.push_back(k);
-        entries.push_back(p);
-      }
-      if (keys.empty()) {
-        batch_leader_active_ = false;
-        break;
-      }
+  mu_.Unlock();
+  std::vector<std::string> values;
+  std::vector<bool> found;
+  Status s = storage_->MultiRead(keys, &values, &found);
+  mu_.Lock();
+
+  ++stats_.batch_calls;
+  for (size_t i = 0; i < n; ++i) {
+    PendingKey* p = batch[i].get();
+    if (s.ok()) {
+      p->found = found[i];
+      p->value = std::move(values[i]);
+    } else {
+      p->error = s;
     }
-
-    std::vector<std::string> values;
-    std::vector<bool> found;
-    Status s = storage_->MultiRead(keys, &values, &found);
-
-    {
-      common::MutexLock lock(&mu_);
-      ++stats_.batch_calls;
-      for (size_t i = 0; i < entries.size(); ++i) {
-        entries[i]->done = true;
-        if (s.ok()) {
-          entries[i]->found = found[i];
-          entries[i]->value = std::move(values[i]);
-        } else {
-          entries[i]->error = s;
-        }
-        pending_.erase(keys[i]);
-      }
-    }
-    cv_.SignalAll();
+    p->done = true;
+    pending_.erase(p->key);
   }
+  read_in_flight_ = false;
   cv_.SignalAll();
 }
 
-void DeferredFetcher::FetchMany(const std::vector<Slice>& keys, bool lone,
+void DeferredFetcher::FetchMany(const std::vector<Slice>& keys,
                                 std::vector<std::string>* values,
                                 std::vector<Status>* statuses) {
   const size_t n = keys.size();
@@ -57,44 +47,33 @@ void DeferredFetcher::FetchMany(const std::vector<Slice>& keys, bool lone,
   statuses->assign(n, Status::OK());
   if (n == 0) return;
 
-  // Register every key (deduplicating against in-flight fetches and
-  // earlier occurrences in this batch), then drain as leader unless one is
-  // already active.
   std::vector<std::shared_ptr<PendingKey>> mine(n);
-  bool leader = false;
   {
     common::MutexLock lock(&mu_);
+    // Share keys already queued or in flight (and earlier occurrences in
+    // this batch); queue the rest.
     for (size_t i = 0; i < n; ++i) {
       ++stats_.fetches;
-      std::string k = keys[i].ToString();
-      auto it = pending_.find(k);
+      auto it = pending_.find(keys[i].view());
       if (it != pending_.end()) {
         mine[i] = it->second;
         ++stats_.shared;
       } else {
-        mine[i] = std::make_shared<PendingKey>();
-        pending_.emplace(std::move(k), mine[i]);
+        mine[i] = std::make_shared<PendingKey>(keys[i].ToString());
+        pending_.emplace(mine[i]->key, mine[i]);
+        queue_.push_back(mine[i]);
       }
     }
-    if (!batch_leader_active_) {
-      batch_leader_active_ = true;
-      leader = true;
-    }
-  }
-
-  if (leader) {
-    // A lone miss gives concurrent missers a short window to join its
-    // batch.
-    if (lone && options_.batch_window_micros > 0) {
-      clock_->SleepMicros(options_.batch_window_micros);
-    }
-    LeaderDrain();
-  }
-
-  {
-    common::MutexLock lock(&mu_);
+    // While a read is in flight it is the window that gathers the queue;
+    // whoever finds the storage tier idle with keys queued leads the next.
     for (const auto& p : mine) {
-      while (!p->done) cv_.Wait();
+      while (!p->done) {
+        if (!read_in_flight_ && !queue_.empty()) {
+          ReadQueuedLocked();
+        } else {
+          cv_.Wait();
+        }
+      }
     }
   }
   for (size_t i = 0; i < n; ++i) {

@@ -1,37 +1,44 @@
 // Deferred cache-fetching (paper §4.1.2): when concurrent operations miss
-// the cache, their storage reads are accumulated for a short window and
-// submitted as one batched MultiRead, "reducing read requests and
-// minimizing costs in both tiers".
+// the cache, their storage reads are gathered and submitted as one batched
+// MultiRead, "reducing read requests and minimizing costs in both tiers".
+//
+// The gathering window is the read already on the wire, as in a group
+// commit (LevelDB's DBImpl::Write writer queue; PerKeyCoalescer's leader
+// delegation): a miss that finds no MultiRead in flight issues one at once,
+// misses that arrive meanwhile queue up, and when the read returns one of
+// their callers leads the next MultiRead with everything queued. No caller
+// ever waits on a timer.
 
 #ifndef TIERBASE_CORE_DEFERRED_FETCH_H_
 #define TIERBASE_CORE_DEFERRED_FETCH_H_
 
+#include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "core/options.h"
 #include "core/storage_adapter.h"
 
 namespace tierbase {
 
 class DeferredFetcher {
  public:
-  DeferredFetcher(StorageAdapter* storage, DeferredFetchOptions options,
-                  Clock* clock = Clock::Real());
+  /// Most keys one MultiRead carries.
+  static constexpr size_t kMaxBatch = 64;
 
-  /// Fetches `keys` from storage in shared MultiReads, deduplicating
-  /// against concurrently in-flight fetches of the same keys. `lone` marks
-  /// the miss of a single-key operation: if it finds no batch forming, it
-  /// opens one and waits batch_window_micros for concurrent misses to join.
-  /// The misses of a multi-key operation already are a batch and go out at
-  /// once, however few of its keys missed. Per-key outcomes land in
+  /// `storage` is not owned.
+  explicit DeferredFetcher(StorageAdapter* storage) : storage_(storage) {}
+
+  /// Fetches `keys` from storage in MultiReads shared with concurrent
+  /// callers, deduplicating against keys already queued or in flight.
+  /// Returns as soon as its own keys are served, though on the way it may
+  /// lead reads that carry other callers' keys. Per-key outcomes land in
   /// statuses[i] (NotFound for keys absent from the storage tier).
-  void FetchMany(const std::vector<Slice>& keys, bool lone,
+  void FetchMany(const std::vector<Slice>& keys,
                  std::vector<std::string>* values,
                  std::vector<Status>* statuses);
 
@@ -44,28 +51,32 @@ class DeferredFetcher {
 
  private:
   struct PendingKey {
+    explicit PendingKey(std::string k) : key(std::move(k)) {}
+
+    const std::string key;
     bool done = false;
     bool found = false;
     std::string value;
     Status error;
   };
 
-  /// Leader: issues MultiReads until no pending keys remain, then clears
-  /// batch_leader_active_ and wakes the waiters.
-  void LeaderDrain();
+  /// Leads one MultiRead of the oldest kMaxBatch queued keys, marks them
+  /// done and wakes every waiter. Requires mu_ held and no read in flight;
+  /// releases mu_ around the storage call.
+  void ReadQueuedLocked() EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
   StorageAdapter* storage_;
-  DeferredFetchOptions options_;
-  Clock* clock_;
 
   mutable common::Mutex mu_;
   common::CondVar cv_{&mu_};
-  /// Keys with a storage read in flight (or forming). The PendingKey
-  /// payload is written by the batch leader under mu_ and read by waiters
-  /// only after observing done == true under mu_.
-  std::unordered_map<std::string, std::shared_ptr<PendingKey>> pending_
+  /// Keys queued or in flight, keyed by a view of PendingKey::key. The
+  /// PendingKey payload is written by the read's leader under mu_ and read
+  /// by waiters only after observing done == true under mu_.
+  std::unordered_map<std::string_view, std::shared_ptr<PendingKey>> pending_
       GUARDED_BY(mu_);
-  bool batch_leader_active_ GUARDED_BY(mu_) = false;
+  /// Keys waiting for the next MultiRead, oldest first.
+  std::deque<std::shared_ptr<PendingKey>> queue_ GUARDED_BY(mu_);
+  bool read_in_flight_ GUARDED_BY(mu_) = false;
   Stats stats_ GUARDED_BY(mu_);
 };
 

@@ -45,15 +45,6 @@ struct WriteBackOptions {
   size_t max_flush_failures = 16;
 };
 
-struct DeferredFetchOptions {
-  /// The miss of a single-key operation collects concurrent misses for up
-  /// to this long before issuing one batched MultiRead to the storage tier
-  /// (a multi-key operation's misses already are a batch and go out at
-  /// once).
-  uint64_t batch_window_micros = 200;
-  size_t max_batch = 64;
-};
-
 struct TierBaseOptions {
   CachingPolicy policy = CachingPolicy::kCacheOnly;
 
@@ -70,7 +61,6 @@ struct TierBaseOptions {
   bool populate_on_miss = true;
 
   WriteBackOptions write_back;
-  DeferredFetchOptions deferred_fetch;
 
   /// Workload observatory (live MRC, hot keys, keyspace shape). When
   /// enabled, TierBase owns a WorkloadAnalytics wired into the cache

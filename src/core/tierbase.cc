@@ -81,16 +81,12 @@ Status TierBase::Init() {
 
     case CachingPolicy::kWriteThrough: {
       write_through_ = std::make_unique<PerKeyCoalescer>(storage_);
-      fetcher_ = std::make_unique<DeferredFetcher>(storage_,
-                                                   options_.deferred_fetch);
       break;
     }
 
     case CachingPolicy::kWriteBack: {
       write_back_ = std::make_unique<WriteBackManager>(
           storage_, options_.write_back);
-      fetcher_ = std::make_unique<DeferredFetcher>(storage_,
-                                                   options_.deferred_fetch);
       // Dirty entries must stay cached until flushed (§4.1.2 reliability).
       cache_->SetEvictionFilter([this](const Slice& key) {
         return !write_back_->IsDirty(key);
@@ -98,6 +94,7 @@ Status TierBase::Init() {
       break;
     }
   }
+  if (tiered()) fetcher_ = std::make_unique<DeferredFetcher>(storage_);
   return Status::OK();
 }
 
@@ -318,16 +315,15 @@ Status TierBase::Get(const Slice& key, std::string* value) {
   std::vector<std::string> values;
   std::vector<Status> statuses;
   const uint64_t dirty_hits =
-      ReadMisses({key}, /*lone=*/true, options_.populate_on_miss, &values,
-                 &statuses);
+      ReadMisses({key}, options_.populate_on_miss, &values, &statuses);
   stats_hits_.fetch_add(dirty_hits, std::memory_order_relaxed);
   stats_misses_.fetch_add(1 - dirty_hits, std::memory_order_relaxed);
   if (statuses[0].ok()) *value = std::move(values[0]);
   return statuses[0];
 }
 
-uint64_t TierBase::ReadMisses(const std::vector<Slice>& keys, bool lone,
-                              bool populate, std::vector<std::string>* values,
+uint64_t TierBase::ReadMisses(const std::vector<Slice>& keys, bool populate,
+                              std::vector<std::string>* values,
                               std::vector<Status>* statuses) {
   const size_t n = keys.size();
   statuses->assign(n, Status::NotFound(""));
@@ -361,7 +357,7 @@ uint64_t TierBase::ReadMisses(const std::vector<Slice>& keys, bool lone,
   std::vector<Status> fetch_statuses;
   {
     metrics::ScopedPerfStage read_stage(metrics::PerfContext::kStorageRead);
-    fetcher_->FetchMany(fetch_keys, lone, &fetched, &fetch_statuses);
+    fetcher_->FetchMany(fetch_keys, &fetched, &fetch_statuses);
   }
 
   std::vector<Slice> populate_keys;
@@ -422,8 +418,8 @@ void TierBase::MultiGet(const std::vector<Slice>& keys,
   std::vector<std::string> miss_values;
   std::vector<Status> miss_statuses;
   const uint64_t dirty_hits =
-      ReadMisses(miss_keys, /*lone=*/false, options_.populate_on_miss,
-                 &miss_values, &miss_statuses);
+      ReadMisses(miss_keys, options_.populate_on_miss, &miss_values,
+                 &miss_statuses);
   stats_hits_.fetch_add(dirty_hits, std::memory_order_relaxed);
   stats_misses_.fetch_add(misses.size() - dirty_hits,
                           std::memory_order_relaxed);
@@ -551,7 +547,7 @@ Status TierBase::Cas(const Slice& key, const Slice& expected,
   if (tiered() && !cache_->Exists(key)) {
     std::vector<std::string> values;
     std::vector<Status> statuses;
-    ReadMisses({key}, /*lone=*/true, /*populate=*/false, &values, &statuses);
+    ReadMisses({key}, /*populate=*/false, &values, &statuses);
     if (statuses[0].ok()) {
       cache_->Set(key, values[0]);
     } else if (!statuses[0].IsNotFound()) {

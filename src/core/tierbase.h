@@ -133,13 +133,12 @@ class TierBase : public KvEngine {
   Status SetInternal(const Slice& key, const Slice& value,
                      uint64_t ttl_micros);
   /// The tiered miss path for `keys`, which all missed the cache: one
-  /// dirty-buffer lookup (write-back), one FetchMany for the rest (`lone`
-  /// for a single-key operation, see DeferredFetcher) and, when `populate`,
-  /// one cache MultiSet of the fetched values. Fills values[i]/statuses[i]
-  /// per key and returns how many keys the dirty buffer served; hit/miss
-  /// accounting is the caller's.
-  uint64_t ReadMisses(const std::vector<Slice>& keys, bool lone,
-                      bool populate, std::vector<std::string>* values,
+  /// dirty-buffer lookup (write-back), one FetchMany for the rest and,
+  /// when `populate`, one cache MultiSet of the fetched values. Fills
+  /// values[i]/statuses[i] per key and returns how many keys the dirty
+  /// buffer served; hit/miss accounting is the caller's.
+  uint64_t ReadMisses(const std::vector<Slice>& keys, bool populate,
+                      std::vector<std::string>* values,
                       std::vector<Status>* statuses);
   /// Hands keys[i] = values[i] (tombstones when `is_delete`) to the tiered
   /// policy's storage mechanism as one batch: the write-through coalescer

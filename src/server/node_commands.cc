@@ -174,16 +174,17 @@ void NodeCommands::RegisterInstruments() {
        [this] { return info_stats_.multi_batches; });
   stat("Stats", "storage_populates", "Cache fills from the storage tier",
        [this] { return info_stats_.storage_populates; });
-  stat("Stats", "write_back_flushed_ops",
-       "Dirty entries flushed to storage",
-       [this] { return info_stats_.write_back.flushed_ops; });
-  stat("Stats", "write_back_flush_batches", "Write-back flush batches",
-       [this] { return info_stats_.write_back.flush_batches; });
   stat("Stats", "write_through_storage_writes",
        "Synchronous storage-tier writes",
        [this] { return info_stats_.write_through.storage_writes; });
   stat("Stats", "deferred_fetches", "Deferred storage fetches",
        [this] { return info_stats_.deferred_fetch.fetches; });
+  stat("Stats", "deferred_fetch_batch_calls",
+       "Storage MultiReads issued for deferred fetches",
+       [this] { return info_stats_.deferred_fetch.batch_calls; });
+  stat("Stats", "deferred_fetch_shared",
+       "Deferred fetches that rode on another caller's read",
+       [this] { return info_stats_.deferred_fetch.shared; });
 
   reg->AddText("Persistence", "policy", [this] { return db_->name(); });
   stat("Persistence", "wb_dirty", "Dirty write-back entries pending flush",

@@ -41,6 +41,9 @@ Server::Server(CommandTable::Backend backend, ServerOptions options)
   poll("executor_scale_ups", "Elastic executor scale-up events",
        metrics::MetricType::kCounter,
        [this] { return executor_ != nullptr ? executor_->scale_ups() : 0; });
+  poll("executor_scale_downs", "Elastic executor scale-down events",
+       metrics::MetricType::kCounter,
+       [this] { return executor_ != nullptr ? executor_->scale_downs() : 0; });
   poll("connected_clients", "Connections currently open",
        metrics::MetricType::kGauge,
        [this] { return loop_ != nullptr ? loop_->connections_active() : 0; });

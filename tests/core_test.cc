@@ -3,6 +3,7 @@
 // manager (merging, backpressure, flush), deferred fetching, and crash
 // recovery of the cache tier.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -505,14 +506,13 @@ TEST(WriteBackManagerTest, PersistentFlushFailureSurfacesBounded) {
 TEST(DeferredFetcherTest, FetchesFromStorage) {
   MockStorageAdapter storage;
   ASSERT_TRUE(storage.Write("k", "v").ok());
-  DeferredFetchOptions options;
-  DeferredFetcher fetcher(&storage, options);
+  DeferredFetcher fetcher(&storage);
   std::vector<std::string> values;
   std::vector<Status> statuses;
-  fetcher.FetchMany({"k"}, /*lone=*/true, &values, &statuses);
+  fetcher.FetchMany({"k"}, &values, &statuses);
   ASSERT_TRUE(statuses[0].ok());
   EXPECT_EQ(values[0], "v");
-  fetcher.FetchMany({"missing"}, /*lone=*/true, &values, &statuses);
+  fetcher.FetchMany({"missing"}, &values, &statuses);
   EXPECT_TRUE(statuses[0].IsNotFound());
 }
 
@@ -523,10 +523,7 @@ TEST(DeferredFetcherTest, ConcurrentMissesShareBatches) {
   for (int i = 0; i < 64; ++i) {
     ASSERT_TRUE(storage.Write("key" + std::to_string(i), "v").ok());
   }
-  DeferredFetchOptions options;
-  options.batch_window_micros = 2000;
-  options.max_batch = 64;
-  DeferredFetcher fetcher(&storage, options);
+  DeferredFetcher fetcher(&storage);
 
   std::vector<std::thread> threads;
   std::atomic<int> ok_count{0};
@@ -535,8 +532,8 @@ TEST(DeferredFetcherTest, ConcurrentMissesShareBatches) {
       for (int i = 0; i < 4; ++i) {
         std::vector<std::string> values;
         std::vector<Status> statuses;
-        fetcher.FetchMany({"key" + std::to_string(t * 4 + i)},
-                          /*lone=*/true, &values, &statuses);
+        fetcher.FetchMany({"key" + std::to_string(t * 4 + i)}, &values,
+                          &statuses);
         if (statuses[0].ok()) ok_count.fetch_add(1);
       }
     });
@@ -552,12 +549,10 @@ TEST(DeferredFetcherTest, ConcurrentMissesShareBatches) {
 TEST(DeferredFetcherTest, BatchFetchReportsEveryKeyFromOneRead) {
   MockStorageAdapter storage;
   ASSERT_TRUE(storage.Write("k", "v").ok());
-  DeferredFetchOptions options;
-  DeferredFetcher fetcher(&storage, options);
+  DeferredFetcher fetcher(&storage);
   std::vector<std::string> values;
   std::vector<Status> statuses;
-  fetcher.FetchMany({"k", "missing", "k"}, /*lone=*/false, &values,
-                    &statuses);
+  fetcher.FetchMany({"k", "missing", "k"}, &values, &statuses);
   ASSERT_TRUE(statuses[0].ok());
   EXPECT_EQ(values[0], "v");
   EXPECT_TRUE(statuses[1].IsNotFound());
@@ -800,7 +795,6 @@ TEST_P(PolicyDifferentialTest, MultiOpsMatchModel) {
   options.wal_dir = dir;
   options.wal_pmem_device = device->get();
   options.write_back.flush_interval_micros = 5'000;
-  options.deferred_fetch.batch_window_micros = 0;
 
   bool tiered = policy == CachingPolicy::kWriteThrough ||
                 policy == CachingPolicy::kWriteBack;
@@ -998,8 +992,6 @@ TEST(TierBaseMultiOpsTest, MultiGetMissesFetchInOneBatchAndPopulate) {
   }
   TierBaseOptions options;
   options.policy = CachingPolicy::kWriteThrough;
-  options.deferred_fetch.batch_window_micros = 0;
-  options.deferred_fetch.max_batch = 64;
   auto db = TierBase::Open(options, &storage);
   ASSERT_TRUE(db.ok());
 
@@ -1032,39 +1024,126 @@ TEST(TierBaseMultiOpsTest, MultiGetMissesFetchInOneBatchAndPopulate) {
 
 // --- Single-key ops are batches of one. ---
 
-TEST(TierBaseBatchOfOneTest, FetchWindowOpensForSingleKeyMissesOnly) {
-  MockStorageAdapter storage;
-  for (const char* key : {"a", "b", "c", "d"}) {
+// A storage tier whose MultiReads each stop at a gate until the test opens
+// it, so a test can hold a read on the wire and count what queues behind
+// it.
+class GatedStorage : public MockStorageAdapter {
+ public:
+  Status MultiRead(const std::vector<std::string>& keys,
+                   std::vector<std::string>* values,
+                   std::vector<bool>* found) override {
+    {
+      common::MutexLock lock(&gate_mu_);
+      reads_.push_back(keys);
+      const size_t mine = reads_.size();
+      gate_cv_.SignalAll();
+      while (opened_ < mine) gate_cv_.Wait();
+    }
+    return MockStorageAdapter::MultiRead(keys, values, found);
+  }
+
+  /// The sorted keys of the n-th MultiRead once it has reached the gate,
+  /// or nothing if it has not within 10 s (the bound only turns a hang
+  /// into a failure).
+  std::vector<std::string> AwaitRead(size_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    common::MutexLock lock(&gate_mu_);
+    while (reads_.size() < n) {
+      if (!gate_cv_.WaitUntil(deadline) && reads_.size() < n) return {};
+    }
+    std::vector<std::string> keys = reads_[n - 1];
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  /// Lets the oldest held MultiRead through.
+  void Open() {
+    common::MutexLock lock(&gate_mu_);
+    ++opened_;
+    gate_cv_.SignalAll();
+  }
+
+ private:
+  common::Mutex gate_mu_;
+  common::CondVar gate_cv_{&gate_mu_};
+  std::vector<std::vector<std::string>> reads_ GUARDED_BY(gate_mu_);
+  size_t opened_ GUARDED_BY(gate_mu_) = 0;
+};
+
+// Spins until `done()` holds or 10 s pass; the bound only turns a hang into
+// a failure.
+template <typename Pred>
+bool Eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// The deferred-fetch window is the MultiRead in flight, not a timer.
+TEST(TierBaseBatchOfOneTest, InFlightReadIsTheFetchWindow) {
+  using Keys = std::vector<std::string>;
+  GatedStorage storage;
+  for (const char* key : {"a", "b", "c", "d", "e", "f"}) {
     ASSERT_TRUE(storage.Write(key, "v").ok());
   }
   TierBaseOptions options;
   options.policy = CachingPolicy::kWriteThrough;
-  options.deferred_fetch.batch_window_micros = 200'000;
   auto db = TierBase::Open(options, &storage);
   ASSERT_TRUE(db.ok());
+  TierBase* tb = db->get();
+  auto fetch_stats = [tb] { return tb->GetStats().deferred_fetch; };
+  auto get = [tb](const char* key) {
+    std::string value;
+    EXPECT_TRUE(tb->Get(key, &value).ok()) << key;
+    EXPECT_EQ(value, "v") << key;
+  };
 
-  // A lone miss leads a new batch and waits the window for company.
-  std::string value;
-  Stopwatch single;
-  ASSERT_TRUE((*db)->Get("a", &value).ok());
-  EXPECT_GE(single.ElapsedSeconds(), 0.19);
+  // (b) A lone miss with nothing in flight reaches the storage tier while
+  // it is still the only miss there is.
+  std::atomic<bool> leader_returned{false};
+  std::thread leader([&] {
+    get("c");
+    leader_returned = true;
+  });
+  EXPECT_EQ(storage.AwaitRead(1), Keys{"c"});
 
-  // A multi-key operation's misses already are a batch: no window, even
-  // when only one of its keys missed ("a" is cached now).
-  std::vector<std::string> out;
-  std::vector<Status> statuses;
-  Stopwatch batch;
-  (*db)->MultiGet({"b", "c"}, &out, &statuses);
-  EXPECT_LT(batch.ElapsedSeconds(), 0.1);
-  ASSERT_TRUE(statuses[0].ok());
-  ASSERT_TRUE(statuses[1].ok());
-  EXPECT_EQ(out[1], "v");
-  Stopwatch one_miss;
-  (*db)->MultiGet({"a", "d"}, &out, &statuses);
-  EXPECT_LT(one_miss.ElapsedSeconds(), 0.1);
-  ASSERT_TRUE(statuses[0].ok());
-  ASSERT_TRUE(statuses[1].ok());
-  EXPECT_EQ((*db)->GetStats().cache_misses, 4u);
+  // (c) Lone misses arriving while that read is held at the gate queue
+  // behind it...
+  std::vector<std::thread> followers;
+  for (const char* key : {"d", "e", "f"}) followers.emplace_back(get, key);
+  EXPECT_TRUE(Eventually([&] { return fetch_stats().fetches == 4; }));
+  storage.Open();
+  // ...and all share the next MultiRead.
+  EXPECT_EQ(storage.AwaitRead(2), (Keys{"d", "e", "f"}));
+
+  // (d) The first read's leader returns while the second is still gated:
+  // one of the followers leads it.
+  EXPECT_TRUE(Eventually([&] { return leader_returned.load(); }));
+  EXPECT_EQ(fetch_stats().batch_calls, 1u);
+  storage.Open();
+  leader.join();
+  for (auto& t : followers) t.join();
+  EXPECT_EQ(fetch_stats().fetches, 4u);
+  EXPECT_EQ(fetch_stats().batch_calls, 2u);
+
+  // (a) A multi-key miss issues its MultiRead at once, with every key.
+  std::thread multi([tb] {
+    std::vector<std::string> out;
+    std::vector<Status> statuses;
+    tb->MultiGet({"a", "b"}, &out, &statuses);
+    EXPECT_TRUE(statuses[0].ok());
+    EXPECT_TRUE(statuses[1].ok());
+  });
+  EXPECT_EQ(storage.AwaitRead(3), (Keys{"a", "b"}));
+  storage.Open();
+  multi.join();
+  EXPECT_EQ(fetch_stats().batch_calls, 3u);
+  EXPECT_EQ((*db)->GetStats().cache_misses, 6u);
 }
 
 TEST(TierBaseBatchOfOneTest, CasFetchesMissingKeyWithoutPopulateOnMiss) {
@@ -1076,7 +1155,6 @@ TEST(TierBaseBatchOfOneTest, CasFetchesMissingKeyWithoutPopulateOnMiss) {
     TierBaseOptions options;
     options.policy = policy;
     options.populate_on_miss = false;
-    options.deferred_fetch.batch_window_micros = 0;
     auto db = TierBase::Open(options, &storage);
     ASSERT_TRUE(db.ok());
 
@@ -1134,7 +1212,6 @@ TEST(TierBaseBatchOfOneTest, WriteBackRejectedWriteIsNotReadable) {
   options.write_back.retry_backoff_micros = 100;
   options.write_back.retry_backoff_max_micros = 1'000;
   options.write_back.max_flush_failures = 2;
-  options.deferred_fetch.batch_window_micros = 0;
   auto db = TierBase::Open(options, &storage);
   ASSERT_TRUE(db.ok());
 

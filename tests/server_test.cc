@@ -1120,10 +1120,14 @@ TEST_F(ServerTest, InfoParsesWithAdvertisedCountersMonotonic) {
   }
   for (const char* key :
        {"total_commands_processed", "dispatch_batches", "command_errors",
-        "keyspace_hits", "keyspace_misses", "gets", "sets"}) {
+        "keyspace_hits", "keyspace_misses", "gets", "sets",
+        "deferred_fetches", "deferred_fetch_batch_calls",
+        "deferred_fetch_shared"}) {
     ASSERT_TRUE(info["Stats"].count(key)) << key;
   }
   EXPECT_TRUE(info["Server"].count("thread_mode"));
+  EXPECT_TRUE(info["Server"].count("executor_scale_ups"));
+  EXPECT_TRUE(info["Server"].count("executor_scale_downs"));
   EXPECT_TRUE(info["Server"].count("telemetry"));
   EXPECT_TRUE(info["Memory"].count("bytes_cached"));
   EXPECT_TRUE(info["Keyspace"].count("keys_cached"));
