@@ -122,7 +122,6 @@ inline std::unique_ptr<ExecutorEngine> WrapWithExecutor(
   exec.scale_up_depth = 4;
   exec.scale_down_depth = 1;
   exec.control_interval_micros = 5'000;
-  exec.up_votes = 2;
   exec.down_votes = 40;
   return std::make_unique<ExecutorEngine>(std::move(inner), exec, name);
 }
@@ -134,16 +133,8 @@ inline std::unique_ptr<ExecutorEngine> MakeThreadedEngine(
   cache_options.shards =
       shards != 0 ? static_cast<int>(shards)
                   : (mode == threading::ThreadMode::kSingle ? 1 : max_threads);
-  threading::ElasticOptions exec;
-  exec.mode = mode;
-  exec.max_threads = max_threads;
-  exec.scale_up_depth = 4;
-  exec.scale_down_depth = 1;
-  exec.control_interval_micros = 5'000;
-  exec.up_votes = 2;
-  exec.down_votes = 40;
-  return std::make_unique<ExecutorEngine>(
-      std::make_unique<cache::HashEngine>(cache_options), exec, name);
+  return WrapWithExecutor(std::make_unique<cache::HashEngine>(cache_options),
+                          mode, max_threads, name);
 }
 
 // ---------------------------------------------------------------------------

@@ -118,9 +118,10 @@ void Run() {
     for (double kqps : series) printf(" %6.0f", kqps);
     auto* exec_engine = dynamic_cast<ExecutorEngine*>(engine.get());
     if (exec_engine != nullptr) {
-      printf("   (scale-ups: %llu)",
-             static_cast<unsigned long long>(
-                 exec_engine->executor()->scale_ups()));
+      const auto* executor = exec_engine->executor();
+      printf("   (scale-ups: %llu, scale-downs: %llu)",
+             static_cast<unsigned long long>(executor->scale_ups()),
+             static_cast<unsigned long long>(executor->scale_downs()));
     }
     printf("\n");
   }

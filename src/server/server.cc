@@ -32,7 +32,7 @@ Server::Server(CommandTable::Backend backend, ServerOptions options)
                     std::function<uint64_t()> fn) {
     reg->AddCallback("Server", key, help, t, std::move(fn));
   };
-  poll("active_threads", "Executor threads currently running",
+  poll("active_threads", "Executor workers allowed to take tasks",
        metrics::MetricType::kGauge, [this] {
          return executor_ != nullptr
                     ? static_cast<uint64_t>(executor_->active_threads())

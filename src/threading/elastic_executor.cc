@@ -1,18 +1,47 @@
 #include "threading/elastic_executor.h"
 
 #include <algorithm>
+#include <chrono>
 
 namespace tierbase {
 namespace threading {
 
+int ScalePolicy::Step(size_t depth, uint64_t completed, int threads) {
+  // Stall detection: work is queued but nothing completed for a whole
+  // control interval — every worker is blocked (a WAIT command polling for
+  // replica acks, a slow storage flush). Activate a reserve thread even
+  // though the queue is shallow, or the blocked worker starves the very
+  // commands (e.g. REPLPULL) that would unblock it.
+  const bool stalled = depth > 0 && completed == last_completed_;
+  last_completed_ = completed;
+  const bool hot = depth >= options_.scale_up_depth || stalled;
+  const bool calm = !hot && depth <= options_.scale_down_depth;
+
+  if (hot && threads < options_.max_threads) {
+    down_votes_ = 0;
+    if (++up_votes_ < kUpVotes) return threads;
+    up_votes_ = 0;
+    return threads + 1;
+  }
+  up_votes_ = 0;
+  if (!calm || threads <= 1) {
+    down_votes_ = 0;
+    return threads;
+  }
+  if (++down_votes_ < options_.down_votes) return threads;
+  down_votes_ = 0;
+  return threads - 1;
+}
+
 ElasticExecutor::ElasticExecutor(ElasticOptions options)
     : options_(options) {
   options_.max_threads = std::max(1, options_.max_threads);
-  {
-    common::MutexLock lock(&mu_);
-    desired_threads_ =
-        options_.mode == ThreadMode::kMulti ? options_.max_threads : 1;
-    for (int i = 0; i < desired_threads_; ++i) SpawnWorkerLocked();
+  const int workers =
+      options_.mode == ThreadMode::kSingle ? 1 : options_.max_threads;
+  desired_threads_ = options_.mode == ThreadMode::kMulti ? workers : 1;
+  workers_.reserve(workers);
+  for (int i = 0; i < workers; ++i) {
+    workers_.emplace_back(&ElasticExecutor::WorkerLoop, this, i);
   }
   if (options_.mode == ThreadMode::kElastic) {
     controller_ = std::thread(&ElasticExecutor::ControlLoop, this);
@@ -21,17 +50,9 @@ ElasticExecutor::ElasticExecutor(ElasticOptions options)
 
 ElasticExecutor::~ElasticExecutor() { Shutdown(); }
 
-void ElasticExecutor::SpawnWorkerLocked() {
-  mu_.AssertHeld();
-  ++alive_workers_;
-  workers_.emplace_back(&ElasticExecutor::WorkerLoop, this,
-                        static_cast<int>(workers_.size()));
-  active_threads_.store(alive_workers_, std::memory_order_relaxed);
-}
-
 void ElasticExecutor::Submit(Task task) {
   common::MutexLock lock(&mu_);
-  while (!shutdown_ && queue_.size() >= options_.max_queue) {
+  while (!shutdown_ && queue_.size() >= kMaxQueue) {
     space_cv_.Wait();
   }
   if (shutdown_) return;
@@ -57,24 +78,18 @@ void ElasticExecutor::Execute(const Task& task) {
 }
 
 void ElasticExecutor::WorkerLoop(int worker_id) {
-  (void)worker_id;
   while (true) {
     Task task;
     {
       common::MutexLock lock(&mu_);
-      while (!shutdown_ && queue_.empty() &&
-             alive_workers_ <= desired_threads_) {
-        task_cv_.Wait();
+      while (true) {
+        const bool active = worker_id < desired_threads_;
+        if (active && !queue_.empty()) break;
+        // Active workers drain the queue before leaving; worker 0 is
+        // always active, so parked workers may leave at once.
+        if (shutdown_ && (!active || queue_.empty())) return;
+        (active ? task_cv_ : park_cv_).Wait();
       }
-      if (shutdown_ && queue_.empty()) return;
-      // Retire surplus workers only when the queue is calm, so a scale-down
-      // decision never abandons queued work.
-      if (alive_workers_ > desired_threads_ && queue_.empty()) {
-        --alive_workers_;
-        active_threads_.store(alive_workers_, std::memory_order_relaxed);
-        return;
-      }
-      if (queue_.empty()) continue;
       task = std::move(queue_.front());
       queue_.pop_front();
       space_cv_.Signal();
@@ -85,48 +100,28 @@ void ElasticExecutor::WorkerLoop(int worker_id) {
 }
 
 void ElasticExecutor::ControlLoop() {
-  int up_votes = 0;
-  int down_votes = 0;
-  uint64_t last_completed = completed_.load(std::memory_order_relaxed);
+  common::MutexLock lock(&mu_);
+  ScalePolicy policy(options_, completed_.load(std::memory_order_relaxed));
   while (true) {
-    Clock::Real()->SleepMicros(options_.control_interval_micros);
-    common::MutexLock lock(&mu_);
+    // Shutdown signals control_cv_, so it never waits out an interval.
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::microseconds(options_.control_interval_micros);
+    while (!shutdown_ && control_cv_.WaitUntil(deadline)) {
+    }
     if (shutdown_) return;
-    size_t depth = queue_.size();
-
-    // Stall detection: work is queued but nothing completed for a whole
-    // control interval — every worker is blocked (a WAIT command polling
-    // for replica acks, a slow storage flush). Activate a reserve thread
-    // even though the queue is shallow, or the blocked worker starves the
-    // very commands (e.g. REPLPULL) that would unblock it.
-    uint64_t now_completed = completed_.load(std::memory_order_relaxed);
-    bool stalled = depth > 0 && now_completed == last_completed;
-    last_completed = now_completed;
-
-    if ((depth >= options_.scale_up_depth || stalled) &&
-        desired_threads_ < options_.max_threads) {
-      if (++up_votes >= options_.up_votes) {
-        up_votes = 0;
-        down_votes = 0;
-        ++desired_threads_;
-        // Always spawn a fresh thread; retired ones have exited and are
-        // joined at shutdown.
-        SpawnWorkerLocked();
-        scale_ups_.fetch_add(1, std::memory_order_relaxed);
-        task_cv_.SignalAll();
-      }
-    } else {
-      up_votes = 0;
-      if (depth <= options_.scale_down_depth && desired_threads_ > 1) {
-        if (++down_votes >= options_.down_votes) {
-          down_votes = 0;
-          --desired_threads_;
-          scale_downs_.fetch_add(1, std::memory_order_relaxed);
-          task_cv_.SignalAll();
-        }
-      } else {
-        down_votes = 0;
-      }
+    const int before = desired_threads_;
+    desired_threads_ =
+        policy.Step(queue_.size(), completed_.load(std::memory_order_relaxed),
+                    desired_threads_);
+    if (desired_threads_ > before) {
+      scale_ups_.fetch_add(1, std::memory_order_relaxed);
+      park_cv_.SignalAll();
+    } else if (desired_threads_ < before) {
+      scale_downs_.fetch_add(1, std::memory_order_relaxed);
+      // Move newly parked workers off task_cv_, where they would swallow
+      // Submit's Signal.
+      task_cv_.SignalAll();
     }
   }
 }
@@ -137,20 +132,12 @@ void ElasticExecutor::Shutdown() {
     if (shutdown_) return;
     shutdown_ = true;
     task_cv_.SignalAll();
+    park_cv_.SignalAll();
     space_cv_.SignalAll();
+    control_cv_.Signal();
   }
   if (controller_.joinable()) controller_.join();
-  // The controller is joined, so no new workers can be spawned; swap the
-  // handles out under the lock and join them outside it.
-  std::vector<std::thread> workers;
-  {
-    common::MutexLock lock(&mu_);
-    workers.swap(workers_);
-  }
-  for (auto& w : workers) {
-    if (w.joinable()) w.join();
-  }
-  active_threads_.store(0, std::memory_order_relaxed);
+  for (auto& w : workers_) w.join();
 }
 
 }  // namespace threading

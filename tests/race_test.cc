@@ -155,8 +155,7 @@ TEST(RaceTest, ExecutorScaleUpVsSubmit) {
   opt.mode = threading::ThreadMode::kElastic;
   opt.max_threads = 4;
   opt.scale_up_depth = 4;
-  opt.control_interval_micros = 1'000;  // Fast controller: lots of churn.
-  opt.up_votes = 1;
+  opt.control_interval_micros = 500;  // Fast controller: lots of churn.
   opt.down_votes = 2;
   auto executor = std::make_unique<threading::ElasticExecutor>(opt);
 

@@ -1,14 +1,17 @@
 // Tests for elastic threading (paper §4.4): single/multi/elastic modes,
-// scale-up under sustained load, scale-down when load subsides, and the
-// synchronous Execute path.
+// the controller's scripted decisions (ScalePolicy), scale-up under
+// sustained load, scale-down when load subsides, and the synchronous
+// Execute path.
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
 #include "threading/elastic_executor.h"
 
 namespace tierbase {
@@ -74,7 +77,6 @@ TEST(ElasticExecutorTest, ElasticScalesUpUnderLoad) {
   options.max_threads = 4;
   options.scale_up_depth = 16;
   options.control_interval_micros = 2000;
-  options.up_votes = 2;
   ElasticExecutor executor(options);
   EXPECT_EQ(executor.active_threads(), 1);
 
@@ -104,8 +106,7 @@ TEST(ElasticExecutorTest, ElasticScalesBackDownWhenIdle) {
   options.max_threads = 4;
   options.scale_up_depth = 8;
   options.scale_down_depth = 2;
-  options.control_interval_micros = 1000;
-  options.up_votes = 1;
+  options.control_interval_micros = 500;
   options.down_votes = 3;
   ElasticExecutor executor(options);
 
@@ -126,6 +127,121 @@ TEST(ElasticExecutorTest, ElasticScalesBackDownWhenIdle) {
   EXPECT_EQ(executor.active_threads(), 1);
   EXPECT_GE(executor.scale_downs(), 1u);
   executor.Shutdown();
+}
+
+// --- ScalePolicy: the controller's per-interval step, scripted. --------
+// Each sample is (queue depth, cumulative completions) at the end of one
+// interval; completions advance unless a test scripts a stall.
+
+ElasticOptions PolicyOptions() {
+  ElasticOptions options;
+  options.max_threads = 4;
+  options.scale_up_depth = 8;
+  options.scale_down_depth = 2;
+  options.down_votes = 3;
+  return options;
+}
+
+TEST(ScalePolicyTest, ScalesUpAfterExactlyTwoOverDepthIntervals) {
+  static_assert(ScalePolicy::kUpVotes == 2, "script assumes two votes");
+  ScalePolicy policy(PolicyOptions());
+  uint64_t done = 0;
+  EXPECT_EQ(policy.Step(8, done += 10, 1), 1);  // One vote: no change.
+  EXPECT_EQ(policy.Step(5, done += 10, 1), 1);  // Neither hot nor calm.
+  EXPECT_EQ(policy.Step(9, done += 10, 1), 1);  // Votes restart at one.
+  EXPECT_EQ(policy.Step(9, done += 10, 1), 2);  // Second in a row: up.
+  EXPECT_EQ(policy.Step(9, done += 10, 2), 2);  // A new count starts.
+  EXPECT_EQ(policy.Step(9, done += 10, 2), 3);
+}
+
+TEST(ScalePolicyTest, StallAddsThreadBelowScaleUpDepth) {
+  ScalePolicy policy(PolicyOptions(), /*completed=*/100);
+  // Shallow queue, flat completions: every worker is blocked.
+  EXPECT_EQ(policy.Step(1, 100, 1), 1);
+  EXPECT_EQ(policy.Step(1, 100, 1), 2);
+  // The same depth with completions moving is not a stall.
+  EXPECT_EQ(policy.Step(1, 150, 2), 2);
+  EXPECT_EQ(policy.Step(1, 200, 2), 2);
+  // An idle pool (nothing queued, nothing completing) is not a stall.
+  ScalePolicy idle(PolicyOptions(), 100);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(idle.Step(0, 100, 1), 1);
+}
+
+TEST(ScalePolicyTest, ScalesDownAfterCalmIntervalsAndOverDepthResets) {
+  ScalePolicy policy(PolicyOptions());
+  uint64_t done = 0;
+  EXPECT_EQ(policy.Step(0, done += 10, 3), 3);
+  EXPECT_EQ(policy.Step(2, done += 10, 3), 3);
+  EXPECT_EQ(policy.Step(8, done += 10, 3), 3);  // Over depth: count resets.
+  EXPECT_EQ(policy.Step(0, done += 10, 3), 3);
+  EXPECT_EQ(policy.Step(0, done += 10, 3), 3);
+  EXPECT_EQ(policy.Step(0, done += 10, 3), 2);  // Third calm in a row.
+  EXPECT_EQ(policy.Step(0, done += 10, 2), 2);  // A new count starts.
+  EXPECT_EQ(policy.Step(0, done += 10, 2), 2);
+  EXPECT_EQ(policy.Step(0, done += 10, 2), 1);
+}
+
+TEST(ScalePolicyTest, StaysWithinOneAndMaxThreads) {
+  ScalePolicy policy(PolicyOptions());
+  uint64_t done = 0;
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(policy.Step(100, done += 1, 4), 4);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(policy.Step(1, done, 4), 4);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(policy.Step(0, done += 1, 1), 1);
+  // Feed the step its own output through bursts, stalls and calm.
+  const size_t depths[] = {100, 100, 100, 0, 3, 1, 1, 50, 0, 0, 0, 0};
+  int threads = 1;
+  for (int round = 0; round < 50; ++round) {
+    for (size_t depth : depths) {
+      if (round % 3 != 0) done += 1;  // Every third round stalls.
+      threads = policy.Step(depth, done, threads);
+      ASSERT_GE(threads, 1);
+      ASSERT_LE(threads, 4);
+    }
+  }
+}
+
+TEST(ElasticExecutorTest, ShutdownDoesNotWaitOutControlInterval) {
+  ElasticOptions options;
+  options.mode = ThreadMode::kElastic;
+  options.control_interval_micros = 5'000'000;
+  ElasticExecutor executor(options);
+  std::atomic<int> counter{0};
+  for (int i = 0; i < 10; ++i) executor.Submit([&] { counter.fetch_add(1); });
+  auto start = std::chrono::steady_clock::now();
+  executor.Shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(counter.load(), 10);
+}
+
+TEST(ElasticExecutorTest, ParkedWorkersDoNotSwallowWakeups) {
+  // One active worker and three parked ones: every Submit's wakeup must
+  // reach the active worker, or Execute hangs.
+  ElasticOptions options;
+  options.mode = ThreadMode::kElastic;
+  options.max_threads = 4;
+  options.control_interval_micros = 60'000'000;  // The gate never moves.
+  ElasticExecutor executor(options);
+  ASSERT_EQ(executor.active_threads(), 1);
+  std::atomic<bool> give_up{false};
+  std::atomic<int> ran{0};
+  std::promise<void> finished;
+  std::thread caller([&] {
+    for (int i = 0; i < 10'000 && !give_up.load(); ++i) {
+      executor.Execute([&] { ran.fetch_add(1); });
+    }
+    finished.set_value();
+  });
+  auto done = finished.get_future();
+  const bool hung =
+      done.wait_for(std::chrono::seconds(30)) != std::future_status::ready;
+  EXPECT_EQ(executor.active_threads(), 1);
+  // Past the deadline, Shutdown's broadcast releases a stuck call, so a
+  // lost wakeup fails the test instead of hanging it.
+  give_up.store(true);
+  executor.Shutdown();
+  caller.join();
+  EXPECT_FALSE(hung) << "Execute hung after " << ran.load() << " calls";
+  EXPECT_EQ(ran.load(), 10'000);
 }
 
 TEST(ElasticExecutorTest, ExecuteIsSynchronous) {
@@ -218,8 +334,7 @@ TEST(ElasticExecutorTest, ExecuteChurnUnderElasticScaling) {
   options.max_threads = 4;
   options.scale_up_depth = 4;
   options.scale_down_depth = 1;
-  options.control_interval_micros = 2000;
-  options.up_votes = 1;
+  options.control_interval_micros = 1000;
   options.down_votes = 2;
   ElasticExecutor executor(options);
   std::atomic<uint64_t> ops{0};
