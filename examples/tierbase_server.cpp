@@ -214,6 +214,8 @@ int main(int argc, char** argv) {
   TierBaseOptions options;
   options.cache.shards = shards;
   options.cache.memory_budget = memory_budget;
+  // One setting for both tiers' WALs: the wal policy's and the LSM's.
+  if (wal_sync == "every") options.wal_sync_interval_micros = 0;
   options.analytics.enabled = analytics;
   if (analytics_sample_rate > 0) {
     options.analytics.mrc_sample_rate =
@@ -232,7 +234,6 @@ int main(int argc, char** argv) {
     options.policy = CachingPolicy::kWalFile;
     if (dir.empty()) dir = env::MakeTempDir("tb_server");
     options.wal_dir = dir;
-    if (wal_sync == "every") options.wal_sync_interval_micros = 0;
   } else if (policy == "write-through" || policy == "write-back") {
     options.policy = policy == "write-through" ? CachingPolicy::kWriteThrough
                                                : CachingPolicy::kWriteBack;
@@ -244,7 +245,7 @@ int main(int argc, char** argv) {
     }
     lsm::LsmOptions lsm_options;
     lsm_options.dir = dir + "/storage";
-    if (wal_sync == "every") lsm_options.wal_mode = lsm::WalMode::kFileSync;
+    lsm_options.wal_sync_interval_micros = options.wal_sync_interval_micros;
     storage = LsmStorageAdapter::Open(lsm_options);
     if (!storage.ok()) {
       fprintf(stderr, "storage tier: %s\n",

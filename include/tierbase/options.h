@@ -3,7 +3,7 @@
 #define TIERBASE_PUBLIC_OPTIONS_H_
 #include "cache/hash_engine.h"      // HashEngineOptions.
 #include "core/options.h"           // TierBaseOptions, policies.
-#include "lsm/lsm_store.h"          // LsmOptions, WalMode.
+#include "lsm/lsm_store.h"          // LsmOptions.
 #include "pmem/pmem_device.h"       // PmemOptions.
 #include "threading/elastic_executor.h"  // ElasticOptions.
 #endif  // TIERBASE_PUBLIC_OPTIONS_H_

@@ -1,10 +1,17 @@
 #!/usr/bin/env bash
-# Crash smoke: boots tierbase_server with the write-back policy and
-# per-record WAL sync, loads a known baseline key set, waits until the
-# write-back tier has drained it into durable storage (INFO wb_dirty:0),
-# then kill -9s the server mid-YCSB and restarts it on the same data
-# directory. Recovery must report zero lost synced keys: every baseline
-# key reads back with its exact value.
+# Crash smoke, in two phases, both with per-record WAL sync:
+#
+#   1. write-back: loads a known baseline key set, waits until the
+#      write-back tier has drained it into durable storage (INFO
+#      wb_dirty:0), then kill -9s the server mid-YCSB and restarts it on
+#      the same data directory (the LSM's WAL replay).
+#   2. wal: loads the baseline into the cache tier's own WAL, kill -9s the
+#      server and restarts it (TierBase's WAL replay); INFO
+#      wal_replayed_records must cover the baseline.
+#
+# After each restart recovery must report zero lost synced keys (every
+# baseline key reads back with its exact value), and the INFO wal_* and
+# storage_wal_* recovery rows must be present and numeric.
 #
 # Used by the CI crash-recovery job; runnable locally:
 #
@@ -34,10 +41,11 @@ trap cleanup EXIT
 [ -x "$CLI" ] || fail "missing $CLI"
 [ -x "$YCSB" ] || fail "missing $YCSB"
 
+# boot_server <policy> <data dir>
 boot_server() {
   rm -f "$PORT_FILE"
   "$SERVER" --port 0 --port-file "$PORT_FILE" \
-            --policy write-back --dir "$DATA_DIR/db" --wal-sync every &
+            --policy "$1" --dir "$2" --wal-sync every &
   SERVER_PID=$!
   for _ in $(seq 1 100); do
     [ -s "$PORT_FILE" ] && break
@@ -46,17 +54,62 @@ boot_server() {
   done
   [ -s "$PORT_FILE" ] || fail "server never wrote the port file"
   PORT="$(cat "$PORT_FILE")"
+  echo "crash-smoke: $1 server up on port $PORT (pid $SERVER_PID)"
 }
 
-boot_server
-echo "crash-smoke: server up on port $PORT (pid $SERVER_PID)"
-
 # Baseline: keys whose synced durability we will assert after the crash.
-for i in $(seq 1 "$BASELINE_KEYS"); do
-  out="$("$CLI" -p "$PORT" SET "stable:$i" "value-$i")" \
-    || fail "SET stable:$i failed"
-  [ "$out" = "OK" ] || fail "SET stable:$i: got '$out'"
-done
+load_baseline() {
+  for i in $(seq 1 "$BASELINE_KEYS"); do
+    out="$("$CLI" -p "$PORT" SET "stable:$i" "value-$i")" \
+      || fail "SET stable:$i failed"
+    [ "$out" = "OK" ] || fail "SET stable:$i: got '$out'"
+  done
+}
+
+kill_server() {
+  echo "crash-smoke: kill -9 $SERVER_PID"
+  kill -9 "$SERVER_PID"
+  wait "$SERVER_PID" 2>/dev/null || true
+  SERVER_PID=""
+}
+
+check_baseline() {
+  lost=0
+  for i in $(seq 1 "$BASELINE_KEYS"); do
+    out="$("$CLI" -p "$PORT" GET "stable:$i")" || fail "GET stable:$i failed"
+    [ "$out" = "\"value-$i\"" ] || { echo "lost/torn stable:$i -> $out"; lost=$((lost + 1)); }
+  done
+  [ "$lost" -eq 0 ] || fail "recovery lost $lost of $BASELINE_KEYS synced keys"
+  echo "crash-smoke: recovery reports zero lost synced keys"
+}
+
+# Prints the numeric value of INFO row $1; fails if it is missing or not
+# a number.
+info_row() {
+  value="$("$CLI" -p "$PORT" INFO | tr -d '\r"' | awk -F: -v row="$1" '$1==row{print $2}')"
+  [[ "$value" =~ ^[0-9]+$ ]] || fail "INFO $1: expected a number, got '$value'"
+  echo "$value"
+}
+
+check_recovery_rows() {
+  for row in wal_replayed_records wal_truncated_tails wal_skipped_bytes \
+             storage_wal_replayed_records storage_wal_truncated_tails \
+             storage_wal_skipped_bytes; do
+    value="$(info_row "$row")"
+    echo "crash-smoke: $row:$value"
+  done
+}
+
+shutdown_server() {
+  out="$("$CLI" -p "$PORT" SHUTDOWN)" || fail "SHUTDOWN failed"
+  [ "$out" = "OK" ] || fail "SHUTDOWN: got '$out'"
+  wait "$SERVER_PID" 2>/dev/null || true
+  SERVER_PID=""
+}
+
+# --- Phase 1: write-back over the LSM, killed mid-YCSB. ---
+boot_server write-back "$DATA_DIR/db"
+load_baseline
 
 # Wait for the write-back tier to drain the baseline into storage; with
 # --wal-sync every a drained entry is durable the moment it is flushed.
@@ -77,30 +130,27 @@ echo "crash-smoke: baseline of $BASELINE_KEYS keys drained to storage"
 YCSB_PID=$!
 sleep 1
 
-echo "crash-smoke: kill -9 $SERVER_PID mid-YCSB"
-kill -9 "$SERVER_PID"
-wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
+kill_server
 wait "$YCSB_PID" 2>/dev/null || true
 YCSB_PID=""
 
-boot_server
-echo "crash-smoke: server restarted on port $PORT (pid $SERVER_PID)"
+boot_server write-back "$DATA_DIR/db"
+check_baseline
+check_recovery_rows
+shutdown_server
 
-lost=0
-for i in $(seq 1 "$BASELINE_KEYS"); do
-  out="$("$CLI" -p "$PORT" GET "stable:$i")" || fail "GET stable:$i failed"
-  [ "$out" = "\"value-$i\"" ] || { echo "lost/torn stable:$i -> $out"; lost=$((lost + 1)); }
-done
-[ "$lost" -eq 0 ] || fail "recovery lost $lost of $BASELINE_KEYS synced keys"
-echo "crash-smoke: recovery reports zero lost synced keys"
+# --- Phase 2: the cache tier's own WAL (wal policy). ---
+boot_server wal "$DATA_DIR/wal"
+load_baseline
+kill_server
 
-"$CLI" -p "$PORT" INFO | grep -E '^(storage_wal_|wal_|wb_flush_error)' || true
-
-out="$("$CLI" -p "$PORT" SHUTDOWN)" || fail "SHUTDOWN failed"
-[ "$out" = "OK" ] || fail "SHUTDOWN: got '$out'"
-wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
+boot_server wal "$DATA_DIR/wal"
+check_baseline
+check_recovery_rows
+replayed="$(info_row wal_replayed_records)"
+[ "$replayed" -ge "$BASELINE_KEYS" ] \
+  || fail "wal_replayed_records $replayed < $BASELINE_KEYS baseline keys"
+shutdown_server
 
 if pgrep -x tierbase_server >/dev/null; then
   fail "leaked tierbase_server process"

@@ -1,63 +1,17 @@
 #include "baselines/baselines.h"
 
-#include "common/env.h"
-#include "lsm/wal.h"
+#include "core/tierbase.h"
 
 namespace tierbase {
 namespace baselines {
 
 namespace {
 
-/// Redis-AOF-like: hash engine + append-only file with everysec fsync.
-class AofEngine : public KvEngine {
- public:
-  static Result<std::unique_ptr<AofEngine>> Open(const std::string& dir) {
-    TIERBASE_RETURN_IF_ERROR(env::CreateDirIfMissing(dir));
-    auto engine = std::unique_ptr<AofEngine>(new AofEngine());
-    lsm::WalOptions wal_options;
-    wal_options.sync_mode = lsm::WalSyncMode::kInterval;
-    wal_options.sync_interval_micros = 1'000'000;  // appendfsync everysec.
-    auto wal = lsm::WalWriter::Open(dir + "/appendonly.aof", wal_options);
-    if (!wal.ok()) return wal.status();
-    engine->wal_ = std::move(*wal);
-    return engine;
-  }
-
-  std::string name() const override { return "redis-aof"; }
-
-  Status Set(const Slice& key, const Slice& value) override {
-    TIERBASE_RETURN_IF_ERROR(
-        wal_->AddRecord(lsm::EncodeWalMutation(false, key, value)));
-    return cache_.Set(key, value);
-  }
-  Status Get(const Slice& key, std::string* value) override {
-    return cache_.Get(key, value);
-  }
-  Status Delete(const Slice& key) override {
-    TIERBASE_RETURN_IF_ERROR(
-        wal_->AddRecord(lsm::EncodeWalMutation(true, key, Slice())));
-    return cache_.Delete(key);
-  }
-  UsageStats GetUsage() const override {
-    UsageStats usage = cache_.GetUsage();
-    usage.disk_bytes += wal_->size();
-    return usage;
-  }
-  Status WaitIdle() override { return wal_->Sync(); }
-
- private:
-  AofEngine() : cache_(cache::HashEngineOptions{}) {}
-
-  cache::HashEngine cache_;
-  std::unique_ptr<lsm::WalWriter> wal_;
-};
-
 /// LSM-backed persistent baseline.
 std::unique_ptr<KvEngine> MakeLsmBaseline(const std::string& dir,
                                           BaselineProfile profile) {
   lsm::LsmOptions options;
   options.dir = dir;
-  options.wal_mode = lsm::WalMode::kFile;
   auto store = lsm::LsmStore::Open(options);
   if (!store.ok()) return nullptr;
   return std::make_unique<ProfiledEngine>(std::move(*store),
@@ -109,10 +63,15 @@ std::unique_ptr<KvEngine> MakeDragonflyLike(int threads) {
 }
 
 std::unique_ptr<KvEngine> MakeRedisAof(const std::string& dir) {
-  auto aof = AofEngine::Open(dir);
-  if (!aof.ok()) return nullptr;
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWalFile;  // Default 1 s interval: AOF's
+  options.wal_dir = dir;                     // appendfsync everysec.
+  options.cache.shards = 1;                  // The single event-loop dict.
+  options.analytics.enabled = false;
+  auto db = TierBase::Open(options, nullptr);
+  if (!db.ok()) return nullptr;
   return std::make_unique<ProfiledEngine>(
-      std::move(*aof), BaselineProfile{"redis-aof", 300, 1.25, 1.0});
+      std::move(*db), BaselineProfile{"redis-aof", 300, 1.25, 1.0});
 }
 
 std::unique_ptr<KvEngine> MakeCassandraLike(const std::string& dir) {

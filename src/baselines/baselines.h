@@ -94,7 +94,8 @@ std::unique_ptr<KvEngine> MakeDragonflyLike(int threads);
 
 // --- Databases with persistence. ---
 
-/// Redis + AOF: Redis-like plus an appendfsync-everysec WAL.
+/// Redis + AOF: TierBase's `wal` policy (one cache shard, a WAL fsynced
+/// every second) under the `redis-aof` profile.
 std::unique_ptr<KvEngine> MakeRedisAof(const std::string& dir);
 
 /// Cassandra-like: LSM on disk, JVM + SEDA pipeline tax per op.

@@ -55,9 +55,7 @@ Status LsmStorageAdapter::WaitIdle() { return store_->WaitIdle(); }
 
 StorageAdapter::WalRecoveryStats LsmStorageAdapter::GetWalRecoveryStats()
     const {
-  lsm::LsmStore::Stats stats = store_->GetStats();
-  return {stats.wal_records_replayed, stats.wal_truncated_tails,
-          stats.wal_skipped_bytes};
+  return store_->GetStats().wal;
 }
 
 Status MockStorageAdapter::MaybeFail() {

@@ -49,11 +49,7 @@ class StorageAdapter {
 
   /// Crash-recovery audit trail of the storage tier's own WAL (what the
   /// last Open replayed). Zero for adapters without a WAL.
-  struct WalRecoveryStats {
-    uint64_t records_replayed = 0;
-    uint64_t truncated_tails = 0;
-    uint64_t skipped_bytes = 0;
-  };
+  using WalRecoveryStats = lsm::WalRecoveryStats;
   virtual WalRecoveryStats GetWalRecoveryStats() const { return {}; }
 
   struct Counters {
@@ -146,14 +142,11 @@ class MockStorageAdapter : public StorageAdapter {
 /// pays one network round trip regardless of how many ops it carries --
 /// exactly why write-back batching, write coalescing and deferred
 /// cache-fetching reduce PC_miss/PC_storage (paper §4.1). Wraps any
-/// adapter; the inner adapter is not owned unless `owned` is supplied.
+/// adapter; the inner adapter is not owned.
 class RemoteStorageAdapter : public StorageAdapter {
  public:
-  RemoteStorageAdapter(StorageAdapter* inner, uint64_t rtt_micros,
-                       std::unique_ptr<StorageAdapter> owned = nullptr,
-                       Clock* clock = Clock::Real())
-      : inner_(inner), owned_(std::move(owned)), rtt_micros_(rtt_micros),
-        clock_(clock) {}
+  RemoteStorageAdapter(StorageAdapter* inner, uint64_t rtt_micros)
+      : inner_(inner), rtt_micros_(rtt_micros) {}
 
   std::string name() const override { return "remote+" + inner_->name(); }
 
@@ -209,9 +202,7 @@ class RemoteStorageAdapter : public StorageAdapter {
   }
 
   StorageAdapter* inner_;
-  std::unique_ptr<StorageAdapter> owned_;
   uint64_t rtt_micros_;
-  Clock* clock_;
 };
 
 }  // namespace tierbase

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/env.h"
-#include "common/logging.h"
 #include "common/perf_context.h"
 
 namespace tierbase {
@@ -109,7 +108,7 @@ Status TierBase::RecoverFromWal() {
   // wins; deletes cancel earlier sets): backing file first (older), then
   // the PMem ring (newest).
   std::map<std::string, std::string> live;
-  auto fold = [&](const Slice& rec) -> Status {
+  auto fold = [&live](const Slice& rec) -> Status {
     bool is_delete;
     Slice key, value;
     if (!lsm::DecodeWalMutation(rec, &is_delete, &key, &value)) {
@@ -117,7 +116,6 @@ Status TierBase::RecoverFromWal() {
       // not a torn write. Refuse to guess.
       return Status::Corruption("tierbase wal: undecodable record payload");
     }
-    ++wal_replayed_records_;
     if (is_delete) {
       live.erase(key.ToString());
     } else {
@@ -126,37 +124,11 @@ Status TierBase::RecoverFromWal() {
     return Status::OK();
   };
 
+  // A torn tail here is recoverable: the torn suffix never made it to a
+  // sync, and the compaction rewrite below drops it for good.
   if (env::FileExists(wal_path)) {
-    auto reader = lsm::WalReader::Open(wal_path);
-    if (!reader.ok()) return reader.status();
-    std::string rec;
-    bool done = false;
-    while (!done) {
-      switch ((*reader)->ReadRecord(&rec)) {
-        case lsm::WalRead::kOk:
-          TIERBASE_RETURN_IF_ERROR(fold(rec));
-          break;
-        case lsm::WalRead::kEof:
-          done = true;
-          break;
-        case lsm::WalRead::kTruncatedTail:
-          // Recoverable: the torn suffix never made it to a sync. The
-          // compaction rewrite below drops it for good.
-          TB_LOG_WARN(
-              "tierbase recovery: %s: torn tail, skipping %llu bytes (%s)",
-              wal_path.c_str(),
-              static_cast<unsigned long long>((*reader)->skipped_bytes()),
-              (*reader)->damage().c_str());
-          ++wal_truncated_tails_;
-          wal_skipped_bytes_ += (*reader)->skipped_bytes();
-          done = true;
-          break;
-        case lsm::WalRead::kCorruption:
-          return Status::Corruption(
-              "tierbase wal: " + (*reader)->damage() + " at offset " +
-              std::to_string((*reader)->offset()));
-      }
-    }
+    TIERBASE_RETURN_IF_ERROR(lsm::ReplayWal(wal_path, /*torn_tail_ok=*/true,
+                                            fold, &wal_recovery_));
   }
   size_t ring_resident = 0;
   if (wal_ring_ != nullptr) {
@@ -170,6 +142,7 @@ Status TierBase::RecoverFromWal() {
     ring_resident = ring_records.size();
     for (const auto& rec : ring_records) {
       TIERBASE_RETURN_IF_ERROR(fold(rec));
+      ++wal_recovery_.records_replayed;
     }
   }
 
@@ -180,7 +153,6 @@ Status TierBase::RecoverFromWal() {
   // truncated the log in place and re-appended un-synced, so a crash
   // right after a reboot lost every previously acknowledged record.)
   lsm::WalOptions wal_options;
-  wal_options.sync_mode = lsm::WalSyncMode::kInterval;
   wal_options.sync_interval_micros = options_.wal_sync_interval_micros;
   {
     auto compact = lsm::WalWriter::Open(compact_path, wal_options);
@@ -625,9 +597,7 @@ TierBase::Stats TierBase::GetStats() const {
   s.bytes_cached = cache_usage.memory_bytes;
   s.pmem_bytes = cache_usage.pmem_bytes;
   s.keys_cached = cache_usage.keys;
-  s.wal_replayed_records = wal_replayed_records_;
-  s.wal_truncated_tails = wal_truncated_tails_;
-  s.wal_skipped_bytes = wal_skipped_bytes_;
+  s.wal = wal_recovery_;
   if (storage_ != nullptr) s.storage_wal = storage_->GetWalRecoveryStats();
   if (write_through_ != nullptr) s.write_through = write_through_->GetStats();
   if (write_back_ != nullptr) {

@@ -103,13 +103,12 @@ class TierBase : public KvEngine {
     uint64_t bytes_cached = 0;       // DRAM charged to cached entries.
     uint64_t pmem_bytes = 0;         // Simulated-PMem value bytes.
     uint64_t keys_cached = 0;
-    // Persistence / crash-recovery audit trail.
-    uint64_t wal_replayed_records = 0;  // Applied by the last recovery.
-    uint64_t wal_truncated_tails = 0;   // Torn tails found (and cut).
-    uint64_t wal_skipped_bytes = 0;     // Torn-suffix bytes dropped.
+    // Persistence / crash-recovery audit trail of the wal/wal-pmem log
+    // (records counts the PMem ring's replayed records too).
+    lsm::WalRecoveryStats wal;
     // Same, for the storage tier's own WAL (tiered policies: the only WAL
-    // in play — TierBase's counters above are for the wal/wal-pmem modes).
-    StorageAdapter::WalRecoveryStats storage_wal;
+    // in play).
+    lsm::WalRecoveryStats storage_wal;
     uint64_t write_back_dirty = 0;      // Unflushed dirty entries right now.
     std::string flush_error;            // Last write-back flush error; empty
                                         // when healthy (cleared on success).
@@ -167,11 +166,8 @@ class TierBase : public KvEngine {
   std::unique_ptr<lsm::WalWriter> wal_;
   std::unique_ptr<PmemRingBuffer> wal_ring_;
 
-  // Recovery counters: written once during Init (single-threaded), read
-  // by GetStats.
-  uint64_t wal_replayed_records_ = 0;
-  uint64_t wal_truncated_tails_ = 0;
-  uint64_t wal_skipped_bytes_ = 0;
+  // Written once during Init (single-threaded), read by GetStats.
+  lsm::WalRecoveryStats wal_recovery_;
 
   std::atomic<uint64_t> stats_gets_{0};
   std::atomic<uint64_t> stats_hits_{0};

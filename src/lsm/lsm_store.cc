@@ -1,6 +1,7 @@
 #include "lsm/lsm_store.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <queue>
 
 #include "common/env.h"
@@ -8,6 +9,30 @@
 
 namespace tierbase {
 namespace lsm {
+
+namespace {
+
+// Parses a WAL file name, "<digits>.wal", into *number. Any other name,
+// or a number past uint64_t, is not a WAL and is left alone (LevelDB's
+// ParseFileName rule): a stray file must not stop the store from opening.
+bool ParseWalFileName(const std::string& name, uint64_t* number) {
+  const std::string suffix = ".wal";
+  if (name.size() <= suffix.size() ||
+      name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
+    return false;
+  }
+  uint64_t n = 0;
+  for (size_t i = 0; i < name.size() - suffix.size(); ++i) {
+    if (name[i] < '0' || name[i] > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(name[i] - '0');
+    if (n > (UINT64_MAX - digit) / 10) return false;
+    n = n * 10 + digit;
+  }
+  *number = n;
+  return true;
+}
+
+}  // namespace
 
 LsmStore::LsmStore(const LsmOptions& options) : options_(options) {}
 
@@ -31,20 +56,7 @@ Status LsmStore::Init() {
 
   TIERBASE_RETURN_IF_ERROR(RecoverWals());
 
-  // Fresh WAL for the live memtable.
-  if (options_.wal_mode != WalMode::kNone) {
-    wal_number_ = versions_->NewFileNumber();
-    WalOptions wal_options;
-    wal_options.sync_mode = options_.wal_mode == WalMode::kFileSync
-                                ? WalSyncMode::kEveryRecord
-                                : WalSyncMode::kInterval;
-    wal_options.sync_interval_micros = options_.wal_sync_interval_micros;
-    auto wal = WalWriter::Open(versions_->WalFileName(wal_number_),
-                               wal_options);
-    if (!wal.ok()) return wal.status();
-    wal_ = std::move(*wal);
-  }
-
+  TIERBASE_RETURN_IF_ERROR(NewWal());
   bg_thread_ = std::thread(&LsmStore::BackgroundWork, this);
   return Status::OK();
 }
@@ -59,60 +71,25 @@ LsmStore::~LsmStore() {
 }
 
 Status LsmStore::RecoverWals() {
-  // Replay every *.wal in numeric order.
+  // Replay every WAL in numeric order.
   std::vector<std::string> names;
   TIERBASE_RETURN_IF_ERROR(env::ListDir(options_.dir, &names));
   std::vector<uint64_t> wal_numbers;
   for (const auto& name : names) {
-    if (name.size() > 4 && name.substr(name.size() - 4) == ".wal") {
-      wal_numbers.push_back(std::stoull(name.substr(0, name.size() - 4)));
-    }
+    uint64_t number;
+    if (ParseWalFileName(name, &number)) wal_numbers.push_back(number);
   }
   std::sort(wal_numbers.begin(), wal_numbers.end());
 
   for (size_t i = 0; i < wal_numbers.size(); ++i) {
-    const uint64_t number = wal_numbers[i];
-    const bool newest = i + 1 == wal_numbers.size();
-    versions_->BumpFileNumber(number);
-    auto reader = WalReader::Open(versions_->WalFileName(number));
-    if (!reader.ok()) return reader.status();
-    std::string record;
-    bool done = false;
-    while (!done) {
-      switch ((*reader)->ReadRecord(&record)) {
-        case WalRead::kOk:
-          TIERBASE_RETURN_IF_ERROR(ReplayWalRecord(record));
-          ++stats_.wal_records_replayed;
-          break;
-        case WalRead::kEof:
-          done = true;
-          break;
-        case WalRead::kTruncatedTail:
-          // Recoverable only on the newest WAL: rotation syncs a log
-          // before retiring it, so a torn tail on an older WAL means
-          // acknowledged data vanished.
-          if (!newest) {
-            return Status::Corruption(
-                "wal " + versions_->WalFileName(number) +
-                ": truncated before the newest log (" + (*reader)->damage() +
-                ")");
-          }
-          TB_LOG_WARN("lsm recovery: %s: torn tail, skipping %llu bytes (%s)",
-                      versions_->WalFileName(number).c_str(),
-                      static_cast<unsigned long long>(
-                          (*reader)->skipped_bytes()),
-                      (*reader)->damage().c_str());
-          ++stats_.wal_truncated_tails;
-          stats_.wal_skipped_bytes += (*reader)->skipped_bytes();
-          done = true;
-          break;
-        case WalRead::kCorruption:
-          return Status::Corruption(
-              "wal " + versions_->WalFileName(number) + ": " +
-              (*reader)->damage() + " at offset " +
-              std::to_string((*reader)->offset()));
-      }
-    }
+    versions_->BumpFileNumber(wal_numbers[i]);
+    // Only the newest log can have been live at the crash: rotation syncs
+    // a log before retiring it.
+    TIERBASE_RETURN_IF_ERROR(ReplayWal(
+        versions_->WalFileName(wal_numbers[i]),
+        /*torn_tail_ok=*/i + 1 == wal_numbers.size(),
+        [this](const Slice& record) { return ReplayWalRecord(record); },
+        &stats_.wal));
   }
 
   // Flush recovered state so old WAL files can be retired — they stay in
@@ -140,9 +117,14 @@ Status LsmStore::ReplayWalRecord(const Slice& record) {
   return Status::OK();
 }
 
-Status LsmStore::LogRecord(const Slice& record) {
-  if (wal_ == nullptr) return Status::OK();  // WalMode::kNone.
-  return wal_->AddRecord(record);
+Status LsmStore::NewWal() {
+  wal_number_ = versions_->NewFileNumber();
+  WalOptions wal_options;
+  wal_options.sync_interval_micros = options_.wal_sync_interval_micros;
+  auto wal = WalWriter::Open(versions_->WalFileName(wal_number_), wal_options);
+  if (!wal.ok()) return wal.status();
+  wal_ = std::move(*wal);
+  return Status::OK();
 }
 
 Status LsmStore::WriteInternal(const Slice& key, const Slice& value,
@@ -163,7 +145,7 @@ Status LsmStore::WriteInternal(const Slice& key, const Slice& value,
   }
 
   TIERBASE_RETURN_IF_ERROR(
-      LogRecord(EncodeWalMutation(type == kTypeDeletion, key, value)));
+      wal_->AddRecord(EncodeWalMutation(type == kTypeDeletion, key, value)));
 
   SequenceNumber seq = versions_->last_sequence() + 1;
   versions_->set_last_sequence(seq);
@@ -191,26 +173,12 @@ Status LsmStore::ApplyBatch(const std::vector<BatchOp>& batch) {
 
 Status LsmStore::SwitchMemtable() {
   mu_.AssertHeld();
-  if (wal_ != nullptr) {
-    TIERBASE_RETURN_IF_ERROR(wal_->Sync());
-  }
+  TIERBASE_RETURN_IF_ERROR(wal_->Sync());
 
   imm_ = mem_;
   imm_wal_number_ = wal_number_;
   mem_ = std::make_shared<MemTable>();
-
-  if (options_.wal_mode != WalMode::kNone) {
-    wal_number_ = versions_->NewFileNumber();
-    WalOptions wal_options;
-    wal_options.sync_mode = options_.wal_mode == WalMode::kFileSync
-                                ? WalSyncMode::kEveryRecord
-                                : WalSyncMode::kInterval;
-    wal_options.sync_interval_micros = options_.wal_sync_interval_micros;
-    auto wal = WalWriter::Open(versions_->WalFileName(wal_number_),
-                               wal_options);
-    if (!wal.ok()) return wal.status();
-    wal_ = std::move(*wal);
-  }
+  TIERBASE_RETURN_IF_ERROR(NewWal());
 
   bg_cv_.SignalAll();
   return Status::OK();
@@ -611,7 +579,7 @@ UsageStats LsmStore::GetUsage() const {
   for (int level = 0; level < kNumLevels; ++level) {
     usage.disk_bytes += v->LevelBytes(level);
   }
-  if (wal_ != nullptr) usage.disk_bytes += wal_->size();
+  usage.disk_bytes += wal_->size();
   usage.keys = versions_->last_sequence();  // Upper bound (writes issued).
   return usage;
 }

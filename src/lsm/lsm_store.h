@@ -4,8 +4,8 @@
 //
 // A leveled LSM tree: writes land in the WAL and a skiplist memtable; full
 // memtables become immutable and are flushed to L0 SSTs by a background
-// thread; leveled compaction keeps read amplification bounded. The WAL is
-// a file synced at an interval or per record.
+// thread; leveled compaction keeps read amplification bounded. Every
+// write is logged; the WAL is synced at an interval or per record.
 
 #ifndef TIERBASE_LSM_LSM_STORE_H_
 #define TIERBASE_LSM_LSM_STORE_H_
@@ -25,12 +25,6 @@
 namespace tierbase {
 namespace lsm {
 
-enum class WalMode {
-  kNone,        // No WAL (cache-like durability).
-  kFile,        // File WAL, interval sync (paper's "WAL").
-  kFileSync,    // File WAL, fsync per record.
-};
-
 struct LsmOptions {
   std::string dir;
   size_t memtable_bytes = 4 << 20;
@@ -38,7 +32,7 @@ struct LsmOptions {
   size_t target_file_bytes = 2 << 20;
   int l0_compaction_trigger = 4;
   uint64_t level1_max_bytes = 16 << 20;  // Level n max = level1 * 10^(n-1).
-  WalMode wal_mode = WalMode::kFile;
+  // The WAL's fsync interval; 0 = fsync every record (WalOptions).
   uint64_t wal_sync_interval_micros = 1'000'000;
   TableBuilderOptions table_options;
 };
@@ -75,10 +69,7 @@ class LsmStore : public KvEngine {
     uint64_t bytes_flushed = 0;
     uint64_t bytes_compacted = 0;
     uint64_t write_stalls = 0;
-    // Recovery audit trail (set once by Open's WAL replay).
-    uint64_t wal_records_replayed = 0;
-    uint64_t wal_truncated_tails = 0;  // WALs that ended in a torn write.
-    uint64_t wal_skipped_bytes = 0;    // Torn-suffix bytes dropped at tails.
+    WalRecoveryStats wal;  // Set once by Open's WAL replay.
   };
   Stats GetStats() const;
 
@@ -93,8 +84,9 @@ class LsmStore : public KvEngine {
   Status RecoverWals() NO_THREAD_SAFETY_ANALYSIS;
   Status ReplayWalRecord(const Slice& record);
   Status WriteInternal(const Slice& key, const Slice& value, ValueType type);
-  Status LogRecord(const Slice& record) EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
+  /// Starts a fresh WAL, under a new file number, for mem_.
+  Status NewWal() EXCLUSIVE_LOCKS_REQUIRED(mu_);
   /// Rotates memtable → immutable; creates a fresh WAL.
   Status SwitchMemtable() EXCLUSIVE_LOCKS_REQUIRED(mu_);
 

@@ -2,6 +2,7 @@
 
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "common/logging.h"
 
 namespace tierbase {
 namespace lsm {
@@ -26,22 +27,13 @@ Status WalWriter::AddRecord(const Slice& record) {
   framed.append(record.data(), record.size());
   TIERBASE_RETURN_IF_ERROR(file_->Append(framed));
 
-  switch (options_.sync_mode) {
-    case WalSyncMode::kNone:
-      return Status::OK();  // Buffered; pushed out on close or rotation.
-    case WalSyncMode::kEveryRecord:
-      return file_->Sync();
-    case WalSyncMode::kInterval: {
-      // The paper's "WAL" mode: records accumulate in the writer's buffer
-      // and hit the disk on the sync interval ("asynchronous disk flushes
-      // every second"), bounding loss to one interval.
-      uint64_t now = options_.clock->NowMicros();
-      if (now - last_sync_micros_ >= options_.sync_interval_micros) {
-        last_sync_micros_ = now;
-        return file_->Sync();
-      }
-      return Status::OK();
-    }
+  // The paper's "WAL" mode: records accumulate in the writer's buffer and
+  // hit the disk on the sync interval ("asynchronous disk flushes every
+  // second"), bounding loss to one interval. Interval 0 syncs every record.
+  uint64_t now = options_.clock->NowMicros();
+  if (now - last_sync_micros_ >= options_.sync_interval_micros) {
+    last_sync_micros_ = now;
+    return file_->Sync();
   }
   return Status::OK();
 }
@@ -90,6 +82,42 @@ WalRead WalReader::ReadRecord(std::string* record) {
   record->assign(payload, static_cast<size_t>(len));
   pos_ += 8 + len;
   return WalRead::kOk;
+}
+
+Status ReplayWal(const std::string& path, bool torn_tail_ok,
+                 const std::function<Status(const Slice& record)>& apply,
+                 WalRecoveryStats* stats) {
+  auto reader = WalReader::Open(path);
+  if (!reader.ok()) return reader.status();
+  std::string record;
+  while (true) {
+    switch ((*reader)->ReadRecord(&record)) {
+      case WalRead::kOk:
+        TIERBASE_RETURN_IF_ERROR(apply(record));
+        ++stats->records_replayed;
+        break;
+      case WalRead::kEof:
+        return Status::OK();
+      case WalRead::kTruncatedTail:
+        if (!torn_tail_ok) {
+          return Status::Corruption("wal " + path +
+                                    ": torn tail on an older log (" +
+                                    (*reader)->damage() + ")");
+        }
+        // The torn suffix never made it to a sync: log it and stop.
+        TB_LOG_WARN("wal recovery: %s: torn tail, skipping %llu bytes (%s)",
+                    path.c_str(),
+                    static_cast<unsigned long long>((*reader)->skipped_bytes()),
+                    (*reader)->damage().c_str());
+        ++stats->truncated_tails;
+        stats->skipped_bytes += (*reader)->skipped_bytes();
+        return Status::OK();
+      case WalRead::kCorruption:
+        return Status::Corruption("wal " + path + ": " + (*reader)->damage() +
+                                  " at offset " +
+                                  std::to_string((*reader)->offset()));
+    }
+  }
 }
 
 std::string EncodeWalMutation(bool is_delete, const Slice& key,

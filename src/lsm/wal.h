@@ -4,11 +4,13 @@
 // kWalPmem policy, a PMem ring buffer in front of this file log.
 //
 // Record framing: fixed32 masked-crc | fixed32 len | payload. Both users
-// carry the same mutation payload (EncodeWalMutation).
+// carry the same mutation payload (EncodeWalMutation) and recover through
+// the same loop (ReplayWal).
 
 #ifndef TIERBASE_LSM_WAL_H_
 #define TIERBASE_LSM_WAL_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -21,15 +23,10 @@
 namespace tierbase {
 namespace lsm {
 
-enum class WalSyncMode {
-  kNone,         // OS-buffered only (fast, loses recent writes on crash).
-  kEveryRecord,  // fsync per record.
-  kInterval,     // fsync at most every sync_interval_micros.
-};
-
 struct WalOptions {
-  WalSyncMode sync_mode = WalSyncMode::kInterval;
-  uint64_t sync_interval_micros = 1'000'000;  // 1 s, as in the paper's WAL.
+  /// fsync at most once per interval; 0 = fsync every record. The 1 s
+  /// default is the paper's "WAL" (Redis' appendfsync everysec).
+  uint64_t sync_interval_micros = 1'000'000;
   Clock* clock = Clock::Real();
 };
 
@@ -103,6 +100,24 @@ class WalReader {
   WalRead sticky_ = WalRead::kOk;  // Latched damage state.
   std::string damage_;
 };
+
+/// What a recovery replayed: the one audit-trail record of both WALs,
+/// reported by LsmStore, TierBase and StorageAdapter.
+struct WalRecoveryStats {
+  uint64_t records_replayed = 0;
+  uint64_t truncated_tails = 0;  // Logs that ended in a torn write.
+  uint64_t skipped_bytes = 0;    // Torn-suffix bytes dropped at tails.
+};
+
+/// Replays the log at `path`, handing each complete record to `apply` in
+/// order, and adds what it replayed to `*stats`. A torn tail ends replay
+/// with OK when `torn_tail_ok` (the log that was live at the crash) and
+/// is Corruption otherwise: an older log was synced before it was
+/// retired, so a torn tail there means acknowledged data vanished.
+/// Mid-log damage is always Corruption, as is any error from `apply`.
+Status ReplayWal(const std::string& path, bool torn_tail_ok,
+                 const std::function<Status(const Slice& record)>& apply,
+                 WalRecoveryStats* stats);
 
 /// The mutation payload of both WALs (the LSM store's and TierBase's
 /// cache-tier log): op byte (1 = put, 0 = delete) | lp(key) | lp(value).

@@ -206,11 +206,11 @@ void NodeCommands::RegisterInstruments() {
                                            : info_stats_.flush_error;
   });
   stat("Persistence", "wal_replayed_records", "Cache WAL records replayed",
-       [this] { return info_stats_.wal_replayed_records; });
+       [this] { return info_stats_.wal.records_replayed; });
   stat("Persistence", "wal_truncated_tails", "Cache WAL tails truncated",
-       [this] { return info_stats_.wal_truncated_tails; });
+       [this] { return info_stats_.wal.truncated_tails; });
   stat("Persistence", "wal_skipped_bytes", "Cache WAL bytes skipped",
-       [this] { return info_stats_.wal_skipped_bytes; });
+       [this] { return info_stats_.wal.skipped_bytes; });
   stat("Persistence", "storage_wal_replayed_records",
        "Storage WAL records replayed",
        [this] { return info_stats_.storage_wal.records_replayed; });

@@ -14,6 +14,7 @@
 //
 // Crash points are chosen by seeded RNGs — reproducible, not flaky.
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <random>
@@ -141,7 +142,7 @@ TEST_F(CrashRecoveryTest, WalTearSweepNeverPoisonsEarlierRecords) {
   uint64_t full_size = 0;
   {
     lsm::WalOptions options;
-    options.sync_mode = lsm::WalSyncMode::kEveryRecord;
+    options.sync_interval_micros = 0;
     auto writer = lsm::WalWriter::Open(path, options);
     ASSERT_TRUE(writer.ok());
     for (const auto& r : records) ASSERT_TRUE((*writer)->AddRecord(r).ok());
@@ -173,7 +174,7 @@ TEST_F(CrashRecoveryTest, WalTearSweepNeverPoisonsEarlierRecords) {
     // Rebuild the full log for the next cut position.
     if (cut < full_size) {
       lsm::WalOptions options;
-      options.sync_mode = lsm::WalSyncMode::kEveryRecord;
+      options.sync_interval_micros = 0;
       auto writer = lsm::WalWriter::Open(path, options);
       ASSERT_TRUE(writer.ok());
       for (const auto& r : records) {
@@ -188,7 +189,7 @@ TEST_F(CrashRecoveryTest, WalTearSweepNeverPoisonsEarlierRecords) {
 TEST_F(CrashRecoveryTest, LsmMidWalCorruptionSurfacesCorruption) {
   lsm::LsmOptions options;
   options.dir = dir_ + "/lsm";
-  options.wal_mode = lsm::WalMode::kFileSync;
+  options.wal_sync_interval_micros = 0;
   {
     auto store = lsm::LsmStore::Open(options);
     ASSERT_TRUE(store.ok());
@@ -224,7 +225,7 @@ TEST_F(CrashRecoveryTest, LsmMidWalCorruptionSurfacesCorruption) {
 TEST_F(CrashRecoveryTest, LsmTornWalTailRecoversEarlierRecords) {
   lsm::LsmOptions options;
   options.dir = dir_ + "/lsm";
-  options.wal_mode = lsm::WalMode::kFileSync;
+  options.wal_sync_interval_micros = 0;
   {
     auto store = lsm::LsmStore::Open(options);
     ASSERT_TRUE(store.ok());
@@ -257,9 +258,68 @@ TEST_F(CrashRecoveryTest, LsmTornWalTailRecoversEarlierRecords) {
   }
   EXPECT_TRUE((*reopened)->Get("key9", &value).IsNotFound());
   auto stats = (*reopened)->GetStats();
-  EXPECT_EQ(stats.wal_truncated_tails, 1u);
-  EXPECT_GT(stats.wal_skipped_bytes, 0u);
-  EXPECT_EQ(stats.wal_records_replayed, 9u);
+  EXPECT_EQ(stats.wal.truncated_tails, 1u);
+  EXPECT_GT(stats.wal.skipped_bytes, 0u);
+  EXPECT_EQ(stats.wal.records_replayed, 9u);
+}
+
+// One sync setting for the LSM's WAL: interval 0 (tierbase_server's
+// --wal-sync every) leaves no acknowledged record un-synced; the default
+// 1 s interval leaves records buffered between syncs.
+TEST_F(CrashRecoveryTest, LsmWalIntervalZeroSyncsEveryRecord) {
+  for (uint64_t interval : {uint64_t{0}, uint64_t{1'000'000}}) {
+    lsm::LsmOptions options;
+    options.dir = dir_ + "/lsm-" + std::to_string(interval);
+    options.wal_sync_interval_micros = interval;
+    auto store = lsm::LsmStore::Open(options);
+    ASSERT_TRUE(store.ok());
+    std::vector<std::string> names;
+    ASSERT_TRUE(env::ListDir(options.dir, &names).ok());
+    std::string wal_path;
+    for (const auto& n : names) {
+      if (n.size() > 4 && n.substr(n.size() - 4) == ".wal") {
+        wal_path = options.dir + "/" + n;
+      }
+    }
+    ASSERT_FALSE(wal_path.empty());
+    uint64_t max_unsynced = 0;
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE((*store)->Set("key" + std::to_string(i), "v").ok());
+      max_unsynced = std::max(max_unsynced, fault_->unsynced_bytes(wal_path));
+    }
+    if (interval == 0) {
+      EXPECT_EQ(max_unsynced, 0u);
+    } else {
+      EXPECT_GT(max_unsynced, 0u);
+    }
+  }
+}
+
+// Only the newest WAL can have been live at a crash: rotation syncs a log
+// before retiring it, so a torn tail on an older one lost acknowledged
+// writes and must fail Open.
+TEST_F(CrashRecoveryTest, LsmTornTailOnOlderWalSurfacesCorruption) {
+  lsm::LsmOptions options;
+  options.dir = dir_ + "/lsm";
+  ASSERT_TRUE(env::CreateDirIfMissing(options.dir).ok());
+  const std::string older = options.dir + "/000003.wal";
+  for (const std::string& path : {older, options.dir + "/000004.wal"}) {
+    lsm::WalOptions wal_options;
+    wal_options.sync_interval_micros = 0;
+    auto writer = lsm::WalWriter::Open(path, wal_options);
+    ASSERT_TRUE(writer.ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE((*writer)
+                      ->AddRecord(lsm::EncodeWalMutation(
+                          false, "key" + std::to_string(i), "v"))
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(fault_->TearFile(older, env::FileSize(older) - 3).ok());
+
+  auto reopened = lsm::LsmStore::Open(options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status().ToString();
 }
 
 // The storage adapter surfaces the LSM tier's recovery audit trail, so a
@@ -268,7 +328,7 @@ TEST_F(CrashRecoveryTest, LsmTornWalTailRecoversEarlierRecords) {
 TEST_F(CrashRecoveryTest, StorageAdapterSurfacesWalRecoveryStats) {
   lsm::LsmOptions options;
   options.dir = dir_ + "/lsm";
-  options.wal_mode = lsm::WalMode::kFileSync;
+  options.wal_sync_interval_micros = 0;
   {
     auto store = lsm::LsmStore::Open(options);
     ASSERT_TRUE(store.ok());
@@ -327,14 +387,14 @@ TEST_F(CrashRecoveryTest, WalCompactsOnRecoveryWithoutLosingData) {
   {
     auto db = TierBase::Open(options, nullptr);  // Recovery compacts.
     ASSERT_TRUE(db.ok());
-    EXPECT_EQ((*db)->GetStats().wal_replayed_records, 200u);
+    EXPECT_EQ((*db)->GetStats().wal.records_replayed, 200u);
   }
   const uint64_t after = env::FileSize(wal_path);
   EXPECT_LT(after, before / 10);  // 200 records folded to 10 live ones.
 
   auto db = TierBase::Open(options, nullptr);
   ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->GetStats().wal_replayed_records, 10u);
+  EXPECT_EQ((*db)->GetStats().wal.records_replayed, 10u);
   std::string value;
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE((*db)->Get("hot" + std::to_string(i), &value).ok());
@@ -347,7 +407,7 @@ TEST_F(CrashRecoveryTest, WalCompactsOnRecoveryWithoutLosingData) {
 TEST_F(CrashRecoveryTest, FailedSyncFailsTheWrite) {
   lsm::LsmOptions options;
   options.dir = dir_ + "/lsm";
-  options.wal_mode = lsm::WalMode::kFileSync;
+  options.wal_sync_interval_micros = 0;
   auto store = lsm::LsmStore::Open(options);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Set("k1", "v1").ok());
@@ -359,7 +419,7 @@ TEST_F(CrashRecoveryTest, FailedSyncFailsTheWrite) {
 TEST_F(CrashRecoveryTest, FailedWalCreationFailsOpen) {
   lsm::LsmOptions options;
   options.dir = dir_ + "/lsm";
-  options.wal_mode = lsm::WalMode::kFileSync;
+  options.wal_sync_interval_micros = 0;
   ASSERT_TRUE(env::CreateDirIfMissing(options.dir).ok());
   fault_->FailNextFileCreations(1);
   auto store = lsm::LsmStore::Open(options);
@@ -372,7 +432,7 @@ TEST_F(CrashRecoveryTest, FailedWalCreationFailsOpen) {
 TEST_F(CrashRecoveryTest, LeftoverManifestTmpIgnored) {
   lsm::LsmOptions options;
   options.dir = dir_ + "/lsm";
-  options.wal_mode = lsm::WalMode::kFileSync;
+  options.wal_sync_interval_micros = 0;
   {
     auto store = lsm::LsmStore::Open(options);
     ASSERT_TRUE(store.ok());
@@ -425,7 +485,7 @@ TEST_F(CrashRecoveryTest, WalReopenSurvivesImmediateCrash) {
         << "lost key" << i;
     EXPECT_EQ(value, "value" + std::to_string(i));
   }
-  EXPECT_EQ((*db)->GetStats().wal_replayed_records, 100u);
+  EXPECT_EQ((*db)->GetStats().wal.records_replayed, 100u);
 }
 
 // Interval-sync WAL: writes after the last sync may be lost on a crash —
@@ -557,7 +617,7 @@ TEST_F(CrashRecoveryTest, YcsbWriteBackCrashDifferential) {
     lsm_options.dir = round_dir + "/storage";
     // Per-record sync: a flushed (acknowledged-durable) write-back batch is
     // durable the moment ApplyBatch returns.
-    lsm_options.wal_mode = lsm::WalMode::kFileSync;
+    lsm_options.wal_sync_interval_micros = 0;
 
     TierBaseOptions options;
     options.policy = CachingPolicy::kWriteBack;
@@ -645,7 +705,7 @@ TEST_F(CrashRecoveryTest, YcsbWriteBackCrashDifferential) {
 TEST_F(CrashRecoveryTest, CrashDuringMemtableFlushKeepsWalAuthority) {
   lsm::LsmOptions options;
   options.dir = dir_ + "/lsm";
-  options.wal_mode = lsm::WalMode::kFileSync;
+  options.wal_sync_interval_micros = 0;
   options.memtable_bytes = 16 << 10;  // Force rotations/flushes mid-run.
   {
     auto store = lsm::LsmStore::Open(options);

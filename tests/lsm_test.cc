@@ -592,14 +592,31 @@ TEST_F(LsmStoreTest, UsageTracksDisk) {
   EXPECT_GT(usage.keys, 0u);
 }
 
-TEST_F(LsmStoreTest, WalModeNoneSkipsLog) {
-  LsmOptions options = SmallOptions();
-  options.wal_mode = WalMode::kNone;
-  auto store = LsmStore::Open(options);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->Set("k", "v").ok());
-  std::string value;
-  ASSERT_TRUE((*store)->Get("k", &value).ok());
+// Only "<digits>.wal" names a WAL. Any other *.wal name, or a number past
+// uint64_t, is a stray file: Open leaves it alone instead of aborting.
+TEST_F(LsmStoreTest, IgnoresStrayWalNamedFiles) {
+  {
+    auto store = LsmStore::Open(SmallOptions());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Set("k", "v").ok());
+  }
+  const std::vector<std::string> strays = {
+      "junk.wal", ".wal", "12a.wal", "-1.wal",
+      "99999999999999999999.wal",  // 20 digits, past UINT64_MAX.
+      "123456789012345678901234.wal"};
+  for (const auto& name : strays) {
+    ASSERT_TRUE(env::WriteStringToFileSync(dir_ + "/" + name, "x").ok());
+  }
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    auto store = LsmStore::Open(SmallOptions());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    std::string value;
+    ASSERT_TRUE((*store)->Get("k", &value).ok());
+    EXPECT_EQ(value, "v");
+  }
+  for (const auto& name : strays) {
+    EXPECT_TRUE(env::FileExists(dir_ + "/" + name)) << name;
+  }
 }
 
 // Property test: random op sequence against an in-memory model.
