@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <queue>
+#include <set>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -12,11 +12,12 @@ namespace lsm {
 
 namespace {
 
-// Parses a WAL file name, "<digits>.wal", into *number. Any other name,
-// or a number past uint64_t, is not a WAL and is left alone (LevelDB's
-// ParseFileName rule): a stray file must not stop the store from opening.
-bool ParseWalFileName(const std::string& name, uint64_t* number) {
-  const std::string suffix = ".wal";
+// Parses a file name "<digits><suffix>" (".wal", ".sst") into *number.
+// Any other name, or a number past uint64_t, is not the store's and is left
+// alone (LevelDB's ParseFileName rule): a stray file must not stop the
+// store from opening.
+bool ParseFileName(const std::string& name, const std::string& suffix,
+                   uint64_t* number) {
   if (name.size() <= suffix.size() ||
       name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
     return false;
@@ -52,9 +53,25 @@ Status LsmStore::Init() {
   versions_ = std::make_unique<VersionSet>(options_.dir, block_cache_.get());
   TIERBASE_RETURN_IF_ERROR(versions_->Recover());
 
-  mem_ = std::make_shared<MemTable>();
+  // Delete every table the recovered version does not reference: outputs
+  // of an aborted compaction, or inputs whose removal a crash cut short
+  // (LevelDB's DeleteObsoleteFiles). This runs before RecoverWals flushes,
+  // so no table written by this Open is in the listing.
+  std::vector<std::string> names;
+  TIERBASE_RETURN_IF_ERROR(env::ListDir(options_.dir, &names));
+  std::set<uint64_t> live;
+  for (const auto& level : versions_->current()->levels) {
+    for (const auto& f : level) live.insert(f->number);
+  }
+  for (const auto& name : names) {
+    uint64_t number;
+    if (ParseFileName(name, ".sst", &number) && live.count(number) == 0) {
+      env::RemoveFile(options_.dir + "/" + name);
+    }
+  }
 
-  TIERBASE_RETURN_IF_ERROR(RecoverWals());
+  mem_ = std::make_shared<MemTable>();
+  TIERBASE_RETURN_IF_ERROR(RecoverWals(names));
 
   TIERBASE_RETURN_IF_ERROR(NewWal());
   bg_thread_ = std::thread(&LsmStore::BackgroundWork, this);
@@ -70,14 +87,12 @@ LsmStore::~LsmStore() {
   if (bg_thread_.joinable()) bg_thread_.join();
 }
 
-Status LsmStore::RecoverWals() {
+Status LsmStore::RecoverWals(const std::vector<std::string>& names) {
   // Replay every WAL in numeric order.
-  std::vector<std::string> names;
-  TIERBASE_RETURN_IF_ERROR(env::ListDir(options_.dir, &names));
   std::vector<uint64_t> wal_numbers;
   for (const auto& name : names) {
     uint64_t number;
-    if (ParseWalFileName(name, &number)) wal_numbers.push_back(number);
+    if (ParseFileName(name, ".wal", &number)) wal_numbers.push_back(number);
   }
   std::sort(wal_numbers.begin(), wal_numbers.end());
 
@@ -243,43 +258,86 @@ uint64_t LsmStore::MaxBytesForLevel(int level) const {
 
 void LsmStore::BackgroundWork() {
   while (true) {
-    bool have_imm = false;
+    bool flush = false;
+    int level = -1;
     {
       common::MutexLock lock(&mu_);
-      auto needs_work = [this]() EXCLUSIVE_LOCKS_REQUIRED(mu_) {
-        if (shutting_down_) return true;
-        if (imm_ != nullptr) return true;
-        auto v = versions_->current();
-        if (static_cast<int>(v->levels[0].size()) >=
-            options_.l0_compaction_trigger) {
-          return true;
-        }
-        for (int level = 1; level < kNumLevels - 1; ++level) {
-          if (v->LevelBytes(level) > MaxBytesForLevel(level)) return true;
-        }
-        return false;
-      };
-      while (!needs_work()) bg_cv_.Wait();
-      if (shutting_down_ && imm_ == nullptr) return;
-      have_imm = imm_ != nullptr;
+      while (!shutting_down_ && imm_ == nullptr &&
+             (level = PickCompactionLevel(*versions_->current())) < 0) {
+        bg_cv_.Wait();
+      }
+      // Shutdown flushes imm_ but starts no compaction.
+      flush = imm_ != nullptr;
+      if (!flush && shutting_down_) return;
     }
 
-    Status s = Status::OK();
-    if (have_imm) s = FlushImmutable();
-    if (s.ok()) s = MaybeCompact();
+    Status s = flush ? FlushImmutable() : CompactLevel(level);
 
-    {
-      common::MutexLock lock(&mu_);
-      if (!s.ok()) {
-        TB_LOG_ERROR("lsm background error: %s", s.ToString().c_str());
-        bg_error_set_ = true;
-        bg_error_ = s;
-        stall_cv_.SignalAll();
-        return;
-      }
-      stall_cv_.SignalAll();
+    common::MutexLock lock(&mu_);
+    if (!s.ok()) {
+      TB_LOG_ERROR("lsm background error: %s", s.ToString().c_str());
+      bg_error_set_ = true;
+      bg_error_ = s;
+    }
+    stall_cv_.SignalAll();
+    if (!s.ok()) return;
+  }
+}
+
+int LsmStore::PickCompactionLevel(const Version& v) const {
+  int best_level = -1;
+  double best_score = 1.0;
+  const double l0_score = static_cast<double>(v.levels[0].size()) /
+                          options_.l0_compaction_trigger;
+  if (l0_score >= 1.0) {
+    best_level = 0;
+    best_score = l0_score;
+  }
+  for (int level = 1; level < kNumLevels - 1; ++level) {
+    const double score = static_cast<double>(v.LevelBytes(level)) /
+                         static_cast<double>(MaxBytesForLevel(level));
+    if (score > best_score) {
+      best_score = score;
+      best_level = level;
     }
   }
+  return best_level;
+}
+
+Status LsmStore::OpenTable(TableOut* out) {
+  {
+    common::MutexLock lock(&mu_);
+    out->number = versions_->NewFileNumber();
+  }
+  out->path = versions_->TableFileName(out->number);
+  std::unique_ptr<WritableFile> file;
+  TIERBASE_RETURN_IF_ERROR(env::NewWritableFile(out->path, &file));
+  out->builder =
+      std::make_unique<TableBuilder>(std::move(file), options_.table_options);
+  return Status::OK();
+}
+
+Status LsmStore::FinishTable(TableOut* out, int level, VersionEdit* edit,
+                             uint64_t* bytes) {
+  std::unique_ptr<TableBuilder> builder = std::move(out->builder);
+  if (builder == nullptr) return Status::OK();
+  if (builder->num_entries() == 0) {
+    builder.reset();  // Closes the file before it is removed.
+    env::RemoveFile(out->path);
+    return Status::OK();
+  }
+  TIERBASE_RETURN_IF_ERROR(builder->Finish());
+  auto meta = std::make_shared<FileMeta>();
+  meta->number = out->number;
+  meta->size = env::FileSize(out->path);
+  meta->smallest = builder->smallest_key();
+  meta->largest = builder->largest_key();
+  auto table = Table::Open(out->path, out->number, block_cache_.get());
+  if (!table.ok()) return table.status();
+  meta->table = *table;
+  edit->added.push_back({level, meta});
+  *bytes += meta->size;
+  return Status::OK();
 }
 
 Status LsmStore::FlushImmutable() {
@@ -290,88 +348,27 @@ Status LsmStore::FlushImmutable() {
     imm = imm_;
     old_wal = imm_wal_number_;
   }
-  if (imm == nullptr) return Status::OK();
 
-  uint64_t file_number;
-  {
-    common::MutexLock lock(&mu_);
-    file_number = versions_->NewFileNumber();
-  }
-
-  std::unique_ptr<WritableFile> file;
-  std::string path;
-  {
-    common::MutexLock lock(&mu_);
-    path = versions_->TableFileName(file_number);
-  }
-  TIERBASE_RETURN_IF_ERROR(env::NewWritableFile(path, &file));
-
-  TableBuilder builder(std::move(file), options_.table_options);
+  TableOut out;
+  TIERBASE_RETURN_IF_ERROR(OpenTable(&out));
   MemTable::Iterator iter(imm.get());
   for (iter.SeekToFirst(); iter.Valid(); iter.Next()) {
-    TIERBASE_RETURN_IF_ERROR(builder.Add(iter.internal_key(), iter.value()));
+    TIERBASE_RETURN_IF_ERROR(
+        out.builder->Add(iter.internal_key(), iter.value()));
   }
-  TIERBASE_RETURN_IF_ERROR(builder.Finish());
-
-  auto meta = std::make_shared<FileMeta>();
-  meta->number = file_number;
-  meta->size = env::FileSize(path);
-  meta->smallest = builder.smallest_key();
-  meta->largest = builder.largest_key();
-  auto table = Table::Open(path, file_number, block_cache_.get());
-  if (!table.ok()) return table.status();
-  meta->table = *table;
+  VersionEdit edit;
+  uint64_t bytes = 0;
+  TIERBASE_RETURN_IF_ERROR(FinishTable(&out, 0, &edit, &bytes));
 
   {
     common::MutexLock lock(&mu_);
-    VersionEdit edit;
-    edit.added.push_back({0, meta});
     TIERBASE_RETURN_IF_ERROR(versions_->Apply(edit));
     imm_.reset();
     ++stats_.flushes;
-    stats_.bytes_flushed += meta->size;
+    stats_.bytes_flushed += bytes;
   }
-
-  if (old_wal != 0) {
-    std::string wal_path;
-    {
-      common::MutexLock lock(&mu_);
-      wal_path = versions_->WalFileName(old_wal);
-    }
-    env::RemoveFile(wal_path);
-  }
-  {
-    common::MutexLock lock(&mu_);
-    stall_cv_.SignalAll();
-  }
+  if (old_wal != 0) env::RemoveFile(versions_->WalFileName(old_wal));
   return Status::OK();
-}
-
-Status LsmStore::MaybeCompact() {
-  while (true) {
-    int best_level = -1;
-    double best_score = 1.0;
-    {
-      common::MutexLock lock(&mu_);
-      auto v = versions_->current();
-      double l0_score = static_cast<double>(v->levels[0].size()) /
-                        options_.l0_compaction_trigger;
-      if (l0_score >= 1.0) {
-        best_level = 0;
-        best_score = l0_score;
-      }
-      for (int level = 1; level < kNumLevels - 1; ++level) {
-        double score = static_cast<double>(v->LevelBytes(level)) /
-                       static_cast<double>(MaxBytesForLevel(level));
-        if (score > best_score) {
-          best_score = score;
-          best_level = level;
-        }
-      }
-    }
-    if (best_level < 0) return Status::OK();
-    TIERBASE_RETURN_IF_ERROR(CompactLevel(best_level));
-  }
 }
 
 Status LsmStore::CompactLevel(int level) {
@@ -381,16 +378,14 @@ Status LsmStore::CompactLevel(int level) {
   {
     common::MutexLock lock(&mu_);
     version = versions_->current();
+    const auto& files = version->levels[static_cast<size_t>(level)];
+    if (files.empty()) return Status::OK();
     if (level == 0) {
-      inputs = version->levels[0];
+      inputs = files;
     } else {
       // Pick the file with the smallest key (simple deterministic policy).
-      if (version->levels[static_cast<size_t>(level)].empty()) {
-        return Status::OK();
-      }
-      inputs.push_back(version->levels[static_cast<size_t>(level)].front());
+      inputs.push_back(files.front());
     }
-    if (inputs.empty()) return Status::OK();
 
     // Key range of the inputs → overlapping files in level+1.
     std::string smallest = inputs[0]->smallest, largest = inputs[0]->largest;
@@ -416,78 +411,34 @@ Status LsmStore::CompactLevel(int level) {
   // K-way merge over all input tables. L0 inputs may contain multiple
   // versions of a key across files; the internal-key comparator yields the
   // newest first, so we keep the first occurrence of each user key.
-  struct Source {
-    std::unique_ptr<Table::Iterator> iter;
-  };
-  std::vector<Source> sources;
-  for (auto& f : inputs) {
-    sources.push_back({std::make_unique<Table::Iterator>(f->table.get())});
-    sources.back().iter->SeekToFirst();
-  }
-  for (auto& f : next_inputs) {
-    sources.push_back({std::make_unique<Table::Iterator>(f->table.get())});
-    sources.back().iter->SeekToFirst();
+  std::vector<Table::Iterator> sources;
+  for (const auto* files : {&inputs, &next_inputs}) {
+    for (const auto& f : *files) {
+      sources.emplace_back(f->table.get());
+      sources.back().SeekToFirst();
+    }
   }
 
   InternalKeyComparator cmp;
   VersionEdit edit;
   uint64_t bytes_compacted = 0;  // Folded into stats_ under mu_ at apply.
-  std::unique_ptr<TableBuilder> builder;
-  uint64_t out_number = 0;
-  std::string out_path;
+  TableOut out;
   std::string last_user_key;
   bool has_last = false;
-
-  auto open_output = [&]() -> Status {
-    {
-      common::MutexLock lock(&mu_);
-      out_number = versions_->NewFileNumber();
-      out_path = versions_->TableFileName(out_number);
-    }
-    std::unique_ptr<WritableFile> file;
-    TIERBASE_RETURN_IF_ERROR(env::NewWritableFile(out_path, &file));
-    builder = std::make_unique<TableBuilder>(std::move(file),
-                                             options_.table_options);
-    return Status::OK();
-  };
-  auto close_output = [&]() -> Status {
-    if (builder == nullptr || builder->num_entries() == 0) {
-      // Abandon an opened-but-empty output. out_path is cleared after each
-      // successful close below, so this never touches a finished file.
-      builder.reset();
-      if (!out_path.empty()) env::RemoveFile(out_path);
-      out_path.clear();
-      return Status::OK();
-    }
-    TIERBASE_RETURN_IF_ERROR(builder->Finish());
-    auto meta = std::make_shared<FileMeta>();
-    meta->number = out_number;
-    meta->size = env::FileSize(out_path);
-    meta->smallest = builder->smallest_key();
-    meta->largest = builder->largest_key();
-    auto table = Table::Open(out_path, out_number, block_cache_.get());
-    if (!table.ok()) return table.status();
-    meta->table = *table;
-    edit.added.push_back({target_level, meta});
-    bytes_compacted += meta->size;
-    builder.reset();
-    out_path.clear();
-    return Status::OK();
-  };
 
   while (true) {
     // Pick the source with the smallest internal key.
     int min_idx = -1;
     for (size_t i = 0; i < sources.size(); ++i) {
-      if (!sources[i].iter->Valid()) continue;
-      if (min_idx < 0 ||
-          cmp(sources[i].iter->key(), sources[min_idx].iter->key()) < 0) {
+      if (!sources[i].Valid()) continue;
+      if (min_idx < 0 || cmp(sources[i].key(), sources[min_idx].key()) < 0) {
         min_idx = static_cast<int>(i);
       }
     }
     if (min_idx < 0) break;
 
-    Slice ikey = sources[min_idx].iter->key();
+    Table::Iterator& source = sources[static_cast<size_t>(min_idx)];
+    Slice ikey = source.key();
     Slice user_key = ExtractUserKey(ikey);
     bool shadowed = has_last && user_key == Slice(last_user_key);
     if (!shadowed) {
@@ -495,17 +446,22 @@ Status LsmStore::CompactLevel(int level) {
       has_last = true;
       bool drop = bottommost && ExtractValueType(ikey) == kTypeDeletion;
       if (!drop) {
-        if (builder == nullptr) TIERBASE_RETURN_IF_ERROR(open_output());
-        TIERBASE_RETURN_IF_ERROR(
-            builder->Add(ikey, sources[min_idx].iter->value()));
-        if (builder->file_size() >= options_.target_file_bytes) {
-          TIERBASE_RETURN_IF_ERROR(close_output());
+        if (out.builder == nullptr) TIERBASE_RETURN_IF_ERROR(OpenTable(&out));
+        TIERBASE_RETURN_IF_ERROR(out.builder->Add(ikey, source.value()));
+        if (out.builder->file_size() >= options_.target_file_bytes) {
+          TIERBASE_RETURN_IF_ERROR(
+              FinishTable(&out, target_level, &edit, &bytes_compacted));
         }
       }
     }
-    sources[min_idx].iter->Next();
+    source.Next();
   }
-  TIERBASE_RETURN_IF_ERROR(close_output());
+  TIERBASE_RETURN_IF_ERROR(
+      FinishTable(&out, target_level, &edit, &bytes_compacted));
+  // A source that hit a read error stopped early: the inputs must stay.
+  for (const auto& source : sources) {
+    TIERBASE_RETURN_IF_ERROR(source.status());
+  }
 
   for (const auto& f : inputs) edit.removed.push_back({level, f->number});
   for (const auto& f : next_inputs) {
@@ -520,45 +476,29 @@ Status LsmStore::CompactLevel(int level) {
   }
 
   // Delete obsolete inputs and drop their cached blocks.
-  auto cleanup = [&](const std::vector<std::shared_ptr<FileMeta>>& files) {
-    for (const auto& f : files) {
-      std::string p;
-      {
-        common::MutexLock lock(&mu_);
-        p = versions_->TableFileName(f->number);
-      }
+  for (const auto* files : {&inputs, &next_inputs}) {
+    for (const auto& f : *files) {
       block_cache_->EraseFile(f->number);
-      env::RemoveFile(p);
+      env::RemoveFile(versions_->TableFileName(f->number));
     }
-  };
-  cleanup(inputs);
-  cleanup(next_inputs);
+  }
   return Status::OK();
 }
 
 Status LsmStore::WaitIdle() {
-  while (true) {
-    {
-      common::MutexLock lock(&mu_);
-      if (bg_error_set_) return bg_error_;
-      auto v = versions_->current();
-      bool busy = imm_ != nullptr ||
-                  static_cast<int>(v->levels[0].size()) >=
-                      options_.l0_compaction_trigger;
-      for (int level = 1; !busy && level < kNumLevels - 1; ++level) {
-        busy = v->LevelBytes(level) > MaxBytesForLevel(level);
-      }
-      if (!busy) return Status::OK();
-      bg_cv_.SignalAll();
-    }
-    Clock::Real()->SleepMicros(1000);
+  common::MutexLock lock(&mu_);
+  while (!bg_error_set_ &&
+         (imm_ != nullptr || PickCompactionLevel(*versions_->current()) >= 0)) {
+    stall_cv_.Wait();
   }
+  return bg_error_set_ ? bg_error_ : Status::OK();
 }
 
 Status LsmStore::FlushForTesting() {
   {
     common::MutexLock lock(&mu_);
     while (imm_ != nullptr) {
+      if (bg_error_set_) return bg_error_;
       bg_cv_.SignalAll();
       stall_cv_.Wait();
     }

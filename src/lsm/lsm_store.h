@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/kv_engine.h"
 #include "common/mutex.h"
@@ -81,7 +82,9 @@ class LsmStore : public KvEngine {
   // without mu_; the analysis is disabled for them rather than taking an
   // uncontended lock around a recovery that calls back into locking code.
   Status Init() NO_THREAD_SAFETY_ANALYSIS;
-  Status RecoverWals() NO_THREAD_SAFETY_ANALYSIS;
+  /// Replays the WALs among `names` (the directory listing).
+  Status RecoverWals(const std::vector<std::string>& names)
+      NO_THREAD_SAFETY_ANALYSIS;
   Status ReplayWalRecord(const Slice& record);
   Status WriteInternal(const Slice& key, const Slice& value, ValueType type);
 
@@ -90,11 +93,29 @@ class LsmStore : public KvEngine {
   /// Rotates memtable → immutable; creates a fresh WAL.
   Status SwitchMemtable() EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
+  /// The background thread: each round does one unit of work, flushing
+  /// imm_ if set, else compacting the level PickCompactionLevel names.
   void BackgroundWork();
+  /// The level most over its budget (L0 by file count, L1+ by bytes), or
+  /// -1 when no level needs compacting.
+  int PickCompactionLevel(const Version& v) const;
   Status FlushImmutable();
-  Status MaybeCompact();
   Status CompactLevel(int level);
   uint64_t MaxBytesForLevel(int level) const;
+
+  /// An SST being written.
+  struct TableOut {
+    uint64_t number = 0;
+    std::string path;
+    std::unique_ptr<TableBuilder> builder;
+  };
+  /// Starts a table under a new file number.
+  Status OpenTable(TableOut* out);
+  /// Finishes out's table, if one is open, and adds it to `edit` at
+  /// `level`, counting its size into *bytes; an output with no entries is
+  /// deleted instead. Leaves out->builder null.
+  Status FinishTable(TableOut* out, int level, VersionEdit* edit,
+                     uint64_t* bytes);
 
   LsmOptions options_;
   std::unique_ptr<BlockCache> block_cache_;

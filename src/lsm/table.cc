@@ -181,23 +181,31 @@ bool Table::Iterator::Valid() const {
   return data_iter_ != nullptr && data_iter_->Valid();
 }
 
-void Table::Iterator::LoadBlock(uint32_t /*index_pos*/) {
+void Table::Iterator::LoadBlock() {
   data_iter_.reset();
   data_block_.reset();
   if (!index_iter_->Valid()) return;
   Slice handle = index_iter_->value();
   uint64_t offset = 0, size = 0;
-  if (!GetVarint64(&handle, &offset) || !GetVarint64(&handle, &size)) return;
-  if (!table_->ReadBlockAt(offset, size, &data_block_).ok()) return;
+  Status s;
+  if (!GetVarint64(&handle, &offset) || !GetVarint64(&handle, &size)) {
+    s = Status::Corruption("table: bad index handle");
+  } else {
+    s = table_->ReadBlockAt(offset, size, &data_block_);
+  }
+  if (!s.ok()) {
+    if (status_.ok()) status_ = s;
+    return;
+  }
   data_iter_ = std::make_unique<Block::Iterator>(data_block_.get());
 }
 
 void Table::Iterator::SkipEmptyBlocks() {
-  while ((data_iter_ == nullptr || !data_iter_->Valid()) &&
+  while (status_.ok() && (data_iter_ == nullptr || !data_iter_->Valid()) &&
          index_iter_->Valid()) {
     index_iter_->Next();
     if (!index_iter_->Valid()) break;
-    LoadBlock(0);
+    LoadBlock();
     if (data_iter_ != nullptr) data_iter_->SeekToFirst();
   }
 }
@@ -208,7 +216,7 @@ void Table::Iterator::SeekToFirst() {
     data_iter_.reset();
     return;
   }
-  LoadBlock(0);
+  LoadBlock();
   if (data_iter_ != nullptr) data_iter_->SeekToFirst();
   SkipEmptyBlocks();
 }
@@ -219,7 +227,7 @@ void Table::Iterator::Seek(const Slice& internal_key) {
     data_iter_.reset();
     return;
   }
-  LoadBlock(0);
+  LoadBlock();
   if (data_iter_ != nullptr) data_iter_->Seek(internal_key);
   SkipEmptyBlocks();
 }

@@ -89,15 +89,19 @@ class Table {
     void Next();
     Slice key() const;    // Internal key.
     Slice value() const;
+    /// The first block read error. The iterator stops at it (Valid() turns
+    /// false), so a caller that must see every entry checks this at the end.
+    Status status() const { return status_; }
 
    private:
-    void LoadBlock(uint32_t index_pos);
+    void LoadBlock();
     void SkipEmptyBlocks();
 
     Table* table_;
     std::unique_ptr<Block::Iterator> index_iter_;
     std::shared_ptr<Block> data_block_;
     std::unique_ptr<Block::Iterator> data_iter_;
+    Status status_;
   };
 
   uint64_t file_number() const { return file_number_; }
