@@ -240,10 +240,13 @@ Status HashEngine::EvictLocked(Shard& shard, size_t needed,
   Entry* e = shard.lru_tail;
   while (shard.charged + needed > per_shard_budget_ && e != nullptr) {
     Entry* prev = e->lru_prev;
-    if (e != protect &&
-        (filter == nullptr || (*filter)(e->key()))) {
-      RemoveEntryLocked(shard, e);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (e != protect) {
+      if (filter == nullptr || (*filter)(e->key())) {
+        RemoveEntryLocked(shard, e);
+        evictions_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        ++shard.pinned_skips;
+      }
     }
     e = prev;
   }
@@ -920,6 +923,15 @@ uint64_t HashEngine::lru_touches() const {
   for (const auto& shard : shards_) {
     common::MutexLock lock(&shard->mu);
     total += shard->lru_touches;
+  }
+  return total;
+}
+
+uint64_t HashEngine::eviction_pinned_skips() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    common::MutexLock lock(&shard->mu);
+    total += shard->pinned_skips;
   }
   return total;
 }

@@ -182,6 +182,11 @@ class HashEngine : public KvEngine {
   /// no eviction possible the hot path skips recency maintenance (and the
   /// allocation-free lookup leaves no other per-op side effects).
   uint64_t lru_touches() const;
+  /// LRU entries an eviction walked past because the eviction filter
+  /// pinned them (write-back's dirty entries). About one filter call per
+  /// eviction is the healthy rate; many more means pinned entries sit at
+  /// the LRU tails.
+  uint64_t eviction_pinned_skips() const;
   /// Shard mutex acquisitions made by MultiGet/MultiSet (at most one per
   /// shard per batch) and the number of batch calls served.
   uint64_t multi_shard_locks() const { return multi_shard_locks_.load(); }
@@ -291,6 +296,7 @@ class HashEngine : public KvEngine {
     Entry* lru_tail GUARDED_BY(mu) = nullptr;  // Eviction candidate.
     size_t charged GUARDED_BY(mu) = 0;
     uint64_t lru_touches GUARDED_BY(mu) = 0;
+    uint64_t pinned_skips GUARDED_BY(mu) = 0;
     // The last freed node's block. An insert that follows an eviction
     // reallocs it in place of a free + malloc pair; blocks above malloc's
     // per-thread cache size (about 1 KiB) otherwise pay the arena lock

@@ -591,6 +591,7 @@ TierBase::Stats TierBase::GetStats() const {
   s.evictions = cache_->evictions();
   s.expirations = cache_->expirations();
   s.lru_touches = cache_->lru_touches();
+  s.eviction_pinned_skips = cache_->eviction_pinned_skips();
   s.multi_shard_locks = cache_->multi_shard_locks();
   s.multi_batches = cache_->multi_batches();
   UsageStats cache_usage = cache_->GetUsage();

@@ -98,6 +98,8 @@ class TierBase : public KvEngine {
     uint64_t evictions = 0;
     uint64_t expirations = 0;
     uint64_t lru_touches = 0;
+    uint64_t eviction_pinned_skips = 0;  // LRU entries the eviction walk
+                                         // passed because they were dirty.
     uint64_t multi_shard_locks = 0;  // Shard locks taken by batch ops.
     uint64_t multi_batches = 0;      // MultiGet/MultiSet calls served.
     uint64_t bytes_cached = 0;       // DRAM charged to cached entries.

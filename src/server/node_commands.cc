@@ -168,6 +168,9 @@ void NodeCommands::RegisterInstruments() {
        [this] { return info_stats_.expirations; });
   stat("Stats", "lru_touches", "LRU promotions on hit",
        [this] { return info_stats_.lru_touches; });
+  stat("Stats", "eviction_pinned_skips",
+       "Pinned dirty entries the eviction walk passed over",
+       [this] { return info_stats_.eviction_pinned_skips; });
   stat("Stats", "multi_shard_locks", "Multi-op shard lock rounds",
        [this] { return info_stats_.multi_shard_locks; });
   stat("Stats", "multi_batches", "MultiGet/MultiSet engine batches",

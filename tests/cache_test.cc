@@ -374,6 +374,11 @@ TEST(HashEngineTest, EvictionFilterPinsDirtyKeys) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(engine.Get("dirty" + std::to_string(i), &value).ok()) << i;
   }
+  // The ten pins sit at the LRU tail, so every eviction walk counts all
+  // ten before it reaches a clean entry.
+  EXPECT_GT(engine.evictions(), 0u);
+  EXPECT_GE(engine.eviction_pinned_skips(), 10u);
+  EXPECT_EQ(engine.eviction_pinned_skips() % 10, 0u);
 }
 
 // Regression: charging an entry's new size could evict the entry itself

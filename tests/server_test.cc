@@ -1122,7 +1122,7 @@ TEST_F(ServerTest, InfoParsesWithAdvertisedCountersMonotonic) {
        {"total_commands_processed", "dispatch_batches", "command_errors",
         "keyspace_hits", "keyspace_misses", "gets", "sets",
         "deferred_fetches", "deferred_fetch_batch_calls",
-        "deferred_fetch_shared"}) {
+        "deferred_fetch_shared", "evicted_keys", "eviction_pinned_skips"}) {
     ASSERT_TRUE(info["Stats"].count(key)) << key;
   }
   EXPECT_TRUE(info["Server"].count("thread_mode"));
@@ -1150,6 +1150,8 @@ TEST_F(ServerTest, InfoParsesWithAdvertisedCountersMonotonic) {
             commands_before + 7);  // SET + 5 GETs + the first INFO.
   EXPECT_GE(std::stoull(after["Stats"]["gets"]), gets_before + 5);
   EXPECT_GE(std::stoull(after["Stats"]["keyspace_hits"]), 5u);
+  // Cache-only installs no eviction filter, so nothing is ever pinned.
+  EXPECT_EQ(after["Stats"]["eviction_pinned_skips"], "0");
 }
 
 TEST_F(ServerTest, SlowlogRedactsArgsToKeys) {
