@@ -28,23 +28,31 @@ Status WriteBackManager::MarkDirty(const std::vector<Slice>& keys,
   common::MutexLock lock(&mu_);
   for (size_t i = 0; i < keys.size(); ++i) {
     if (!flush_error_.ok()) return flush_error_;
-    std::string key = keys[i].ToString();
+    auto it = index_.find(keys[i].view());
     // Backpressure: block while the dirty set is at capacity (§4.1.2 "a
     // backpressure mechanism is activated when dirty data approaches a
     // predefined threshold"). Updates to an already-dirty key merge.
-    while (dirty_.size() >= options_.max_dirty &&
-           dirty_.find(key) == dirty_.end()) {
+    while (dirty_.size() >= options_.max_dirty && it == index_.end()) {
       ++stats_.backpressure_waits;
       flush_cv_.SignalAll();
       space_cv_.Wait();
       if (!flush_error_.ok()) return flush_error_;
+      it = index_.find(keys[i].view());
     }
     ++stats_.updates;
-    auto [it, inserted] = dirty_.try_emplace(std::move(key));
-    if (!inserted) ++stats_.merged_updates;
-    it->second.value = values[i].ToString();
-    it->second.is_delete = is_delete;
-    it->second.gen = next_gen_++;
+    DirtyList::iterator entry;
+    if (it == index_.end()) {
+      entry = dirty_.emplace(dirty_.end());
+      entry->key = keys[i].ToString();
+      index_.emplace(entry->key, entry);
+    } else {
+      ++stats_.merged_updates;
+      entry = it->second;
+      dirty_.splice(dirty_.end(), dirty_, entry);
+    }
+    entry->value.assign(values[i].data(), values[i].size());
+    entry->is_delete = is_delete;
+    entry->gen = next_gen_++;
   }
   if (dirty_.size() >= options_.flush_threshold) {
     flush_cv_.SignalAll();
@@ -54,7 +62,7 @@ Status WriteBackManager::MarkDirty(const std::vector<Slice>& keys,
 
 bool WriteBackManager::IsDirty(const Slice& key) const {
   common::MutexLock lock(&mu_);
-  return dirty_.find(key.ToString()) != dirty_.end();
+  return index_.count(key.view()) != 0;
 }
 
 void WriteBackManager::GetDirty(const std::vector<Slice>& keys,
@@ -67,25 +75,27 @@ void WriteBackManager::GetDirty(const std::vector<Slice>& keys,
   deletes->assign(n, false);
   common::MutexLock lock(&mu_);
   for (size_t i = 0; i < n; ++i) {
-    auto it = dirty_.find(keys[i].ToString());
-    if (it == dirty_.end()) continue;
+    auto it = index_.find(keys[i].view());
+    if (it == index_.end()) continue;
     (*found)[i] = true;
-    (*values)[i] = it->second.value;
-    (*deletes)[i] = it->second.is_delete;
+    (*values)[i] = it->second->value;
+    (*deletes)[i] = it->second->is_delete;
   }
 }
 
 Result<size_t> WriteBackManager::FlushBatch() {
-  // Snapshot a batch under the lock, write it outside, then remove entries
-  // that were not re-dirtied during the write.
+  // Snapshot the oldest entries under the lock, write them outside, then
+  // remove those that were not re-dirtied during the write. Only this
+  // (single) flusher thread erases entries, so the taken nodes outlive the
+  // write; a re-dirty only splices them to the back.
   std::vector<StorageAdapter::BatchOp> batch;
-  std::vector<std::pair<std::string, uint64_t>> taken;
+  std::vector<std::pair<DirtyList::iterator, uint64_t>> taken;
   {
     common::MutexLock lock(&mu_);
-    for (const auto& [key, entry] : dirty_) {
-      if (batch.size() >= options_.max_batch) break;
-      batch.push_back({key, entry.value, entry.is_delete});
-      taken.emplace_back(key, entry.gen);
+    for (auto it = dirty_.begin();
+         it != dirty_.end() && batch.size() < options_.max_batch; ++it) {
+      batch.push_back({it->key, it->value, it->is_delete});
+      taken.emplace_back(it, it->gen);
     }
   }
   if (batch.empty()) return size_t{0};
@@ -109,10 +119,10 @@ Result<size_t> WriteBackManager::FlushBatch() {
     ++stats_.flush_retries;
   }
   consecutive_flush_failures_ = 0;
-  for (const auto& [key, gen] : taken) {
-    auto it = dirty_.find(key);
-    if (it != dirty_.end() && it->second.gen == gen) {
-      dirty_.erase(it);
+  for (const auto& [entry, gen] : taken) {
+    if (entry->gen == gen) {
+      index_.erase(entry->key);
+      dirty_.erase(entry);
     }
   }
   ++stats_.flush_batches;

@@ -1,11 +1,21 @@
 // Write-back machinery (paper §4.1.2): dirty tracking, deferred batched
 // flushes with per-key update merging, interval-bounded staleness, and a
 // backpressure mechanism when dirty data approaches its cap.
+//
+// The dirty set is one FIFO in dirty order: an update appends its key, or
+// moves an already-dirty key to the back, and every flush batch is the
+// oldest max_batch entries at the front. So an entry waits only behind the
+// dirty entries ahead of it, and the entries the cache must keep pinned
+// are the most recently written ones, never stragglers at the LRU tails.
+// (A re-dirty restarts the key's wait: a key rewritten faster than the
+// queue drains merges in memory until writes to it pause.)
 
 #ifndef TIERBASE_CORE_WRITE_BACK_H_
 #define TIERBASE_CORE_WRITE_BACK_H_
 
+#include <list>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -67,14 +77,17 @@ class WriteBackManager {
 
  private:
   struct DirtyEntry {
+    std::string key;
     std::string value;
     bool is_delete = false;
-    uint64_t gen = 0;
+    uint64_t gen = 0;  // Bumped by every update; a flush removes the entry
+                       // only if no update raced with its write.
   };
+  using DirtyList = std::list<DirtyEntry>;
 
   void FlusherLoop();
-  /// Takes up to max_batch dirty entries and writes them as one batch.
-  /// Returns number flushed.
+  /// Writes the max_batch oldest dirty entries as one batch. Returns
+  /// number flushed.
   Result<size_t> FlushBatch();
 
   StorageAdapter* storage_;
@@ -85,7 +98,11 @@ class WriteBackManager {
   common::CondVar flush_cv_{&mu_};  // Wakes the flusher.
   common::CondVar space_cv_{&mu_};  // Wakes backpressured writers.
   common::CondVar clean_cv_{&mu_};  // Signals "all clean".
-  std::unordered_map<std::string, DirtyEntry> dirty_ GUARDED_BY(mu_);
+  DirtyList dirty_ GUARDED_BY(mu_);  // Oldest update first.
+  // Keyed by views into the entries' own keys, so lookups take a Slice
+  // without building a std::string.
+  std::unordered_map<std::string_view, DirtyList::iterator> index_
+      GUARDED_BY(mu_);
   uint64_t next_gen_ GUARDED_BY(mu_) = 1;
   bool shutting_down_ GUARDED_BY(mu_) = false;
   int flush_waiters_ GUARDED_BY(mu_) = 0;  // FlushAll calls in progress;
