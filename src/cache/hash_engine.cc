@@ -54,10 +54,12 @@ void HashEngine::Entry::GetPmem(PmemPtr* ptr, uint32_t* size) const {
 }
 
 HashEngine::Entry* HashEngine::NewEntryLocked(Shard& shard, const Slice& key,
-                                              uint64_t hash, ValueKind kind,
+                                              ValueKind kind,
                                               size_t payload_len) {
   // The budget charges kEntryOverhead per node; the header must fit in it.
   static_assert(sizeof(Entry) <= kEntryOverhead, "Entry header too large");
+  // Three links, two lengths, kind and flags: nothing else in the header.
+  static_assert(offsetof(Entry, data) <= 34, "Entry header grew");
   // realloc(nullptr, n) is malloc(n).
   void* block =
       std::realloc(shard.spare, Entry::AllocSize(key.size(), payload_len));
@@ -65,9 +67,6 @@ HashEngine::Entry* HashEngine::NewEntryLocked(Shard& shard, const Slice& key,
   shard.spare = nullptr;
   Entry* e = new (block) Entry;
   e->next_hash = e->lru_prev = e->lru_next = nullptr;
-  e->hash = hash;
-  e->expire_at = 0;
-  e->charge = 0;
   e->key_len = static_cast<uint32_t>(key.size());
   e->payload_len = static_cast<uint32_t>(payload_len);
   e->kind = kind;
@@ -86,13 +85,25 @@ void HashEngine::FreeEntryLocked(Shard& shard, Entry* e) {
 }
 
 HashEngine::Entry* HashEngine::ResizeLocked(Shard& shard, Entry* e,
+                                            uint64_t hash,
                                             size_t payload_len) {
   // The slot and the LRU neighbours live outside this block, so they stay
-  // valid across the realloc and can be repointed at the new address.
-  Entry** slot = shard.table.FindPointer(e->key(), e->hash);
+  // valid across the realloc and can be repointed at the new address. The
+  // expiry-map node is taken out while the old address is still valid and
+  // put back under the new one (no allocation either way).
+  Entry** slot = shard.table.FindPointer(e->key(), hash);
+  ExpiryMap::node_type expiry;
+  if ((e->flags & Entry::kHasExpiry) != 0) expiry = shard.expiry.extract(e);
   Entry* moved = static_cast<Entry*>(
       std::realloc(e, Entry::AllocSize(e->key_len, payload_len)));
-  if (moved == nullptr) throw std::bad_alloc();
+  if (moved == nullptr) {
+    if (!expiry.empty()) shard.expiry.insert(std::move(expiry));
+    throw std::bad_alloc();
+  }
+  if (!expiry.empty()) {
+    expiry.key() = moved;
+    shard.expiry.insert(std::move(expiry));
+  }
   moved->payload_len = static_cast<uint32_t>(payload_len);
   if (moved != e) {
     *slot = moved;
@@ -106,8 +117,8 @@ HashEngine::Entry* HashEngine::ResizeLocked(Shard& shard, Entry* e,
 
 // --- Intrusive chained hash table. ---
 
-void HashEngine::Table::Insert(Entry* e) {
-  Entry** ptr = &buckets[e->hash & (buckets.size() - 1)];
+void HashEngine::Table::Insert(Entry* e, uint64_t hash) {
+  Entry** ptr = &buckets[hash & (buckets.size() - 1)];
   e->next_hash = *ptr;
   *ptr = e;
   if (++size > buckets.size()) Grow();
@@ -131,7 +142,7 @@ void HashEngine::Table::Grow() {
   for (Entry* e : buckets) {
     while (e != nullptr) {
       Entry* next = e->next_hash;
-      Entry** dst = &grown[e->hash & mask];
+      Entry** dst = &grown[Hash64(e->key()) & mask];
       e->next_hash = *dst;
       *dst = e;
       e = next;
@@ -176,11 +187,27 @@ HashEngine::HashEngine(HashEngineOptions options)
 
 HashEngine::~HashEngine() { Clear(); }
 
-bool HashEngine::IsExpiredLocked(const Entry& e) const {
-  return e.expire_at != 0 && options_.clock->NowMicros() >= e.expire_at;
+uint64_t HashEngine::ExpireAtLocked(const Shard& shard, const Entry& e) {
+  if ((e.flags & Entry::kHasExpiry) == 0) return 0;
+  return shard.expiry.find(&e)->second;
 }
 
-size_t HashEngine::EntryCharge(const Entry& e) const {
+void HashEngine::SetExpiryLocked(Shard& shard, Entry* e, uint64_t expire_at) {
+  if (expire_at != 0) {
+    shard.expiry[e] = expire_at;
+    e->flags |= Entry::kHasExpiry;
+  } else if ((e->flags & Entry::kHasExpiry) != 0) {
+    shard.expiry.erase(e);
+    e->flags &= static_cast<uint8_t>(~Entry::kHasExpiry);
+  }
+}
+
+bool HashEngine::IsExpiredLocked(const Shard& shard, const Entry& e) const {
+  const uint64_t expire_at = ExpireAtLocked(shard, e);
+  return expire_at != 0 && options_.clock->NowMicros() >= expire_at;
+}
+
+size_t HashEngine::EntryCharge(const Entry& e) {
   // A PMem handle or a ComplexValue pointer is not charged; the complex
   // value's contents are.
   size_t charge = kEntryOverhead + e.key_len;
@@ -202,11 +229,13 @@ void HashEngine::FreePmemLocked(Entry* e) {
   e->flags &= static_cast<uint8_t>(~Entry::kInPmem);
 }
 
-void HashEngine::RemoveEntryLocked(Shard& shard, Entry* e) {
+void HashEngine::RemoveEntryLocked(Shard& shard, Entry* e, uint64_t hash) {
+  // The charge first: freeing the PMem value clears kInPmem.
+  shard.charged -= EntryCharge(*e);
   FreePmemLocked(e);
-  shard.charged -= e->charge;
+  SetExpiryLocked(shard, e, 0);
   LruUnlink(shard, e);
-  shard.table.Remove(e->key(), e->hash);
+  shard.table.Remove(e->key(), hash);
   FreeEntryLocked(shard, e);
 }
 
@@ -242,7 +271,7 @@ Status HashEngine::EvictLocked(Shard& shard, size_t needed,
     Entry* prev = e->lru_prev;
     if (e != protect) {
       if (filter == nullptr || (*filter)(e->key())) {
-        RemoveEntryLocked(shard, e);
+        RemoveEntryLocked(shard, e, Hash64(e->key()));
         evictions_.fetch_add(1, std::memory_order_relaxed);
       } else {
         ++shard.pinned_skips;
@@ -256,32 +285,32 @@ Status HashEngine::EvictLocked(Shard& shard, size_t needed,
   return Status::OK();
 }
 
-Status HashEngine::ChargeLocked(Shard& shard, Entry* e, size_t new_charge) {
-  if (new_charge > e->charge) {
+Status HashEngine::ChargeLocked(Shard& shard, Entry* e, uint64_t hash,
+                                size_t old_charge) {
+  const size_t new_charge = EntryCharge(*e);
+  Status s;
+  if (new_charge > old_charge) {
     // Never evict the entry being charged: eviction would free the node
     // out from under us.
-    Status s = EvictLocked(shard, new_charge - e->charge, e);
-    if (!s.ok()) {
-      // The caller already mutated the entry to its new (unaffordable)
-      // size. Keeping it would serve the new value while shard.charged
-      // still records the old one, silently busting the budget — drop the
-      // entry instead, like an eviction. Under tiered policies the value
-      // survives in storage or the write-back dirty buffer.
-      RemoveEntryLocked(shard, e);
-      return s;
-    }
+    s = EvictLocked(shard, new_charge - old_charge, e);
   }
-  shard.charged = shard.charged - e->charge + new_charge;
-  e->charge = new_charge;
-  return Status::OK();
+  shard.charged = shard.charged - old_charge + new_charge;
+  if (!s.ok()) {
+    // The caller already mutated the entry to its new (unaffordable)
+    // size. Keeping it would serve the new value over the budget — drop
+    // the entry instead, like an eviction. Under tiered policies the value
+    // survives in storage or the write-back dirty buffer.
+    RemoveEntryLocked(shard, e, hash);
+  }
+  return s;
 }
 
 HashEngine::Entry* HashEngine::LookupLocked(Shard& shard, const Slice& key,
                                             uint64_t hash) {
   Entry* e = shard.table.Find(key, hash);
-  if (e != nullptr && IsExpiredLocked(*e)) {
+  if (e != nullptr && IsExpiredLocked(shard, *e)) {
     expirations_.fetch_add(1, std::memory_order_relaxed);
-    RemoveEntryLocked(shard, e);
+    RemoveEntryLocked(shard, e, hash);
     e = nullptr;
   }
   return e;
@@ -297,13 +326,12 @@ Status HashEngine::FindLocked(Shard& shard, const Slice& key, uint64_t hash,
     auto complex = std::make_unique<ComplexValue>();
     if (kind == ValueKind::kHash) complex->hash.reserve(kComplexReserve);
     if (kind == ValueKind::kZSet) complex->zscores.reserve(kComplexReserve);
-    e = NewEntryLocked(shard, key, hash, kind, sizeof(ComplexValue*));
+    e = NewEntryLocked(shard, key, kind, sizeof(ComplexValue*));
     ComplexValue* raw = complex.release();
     std::memcpy(e->payload(), &raw, sizeof(raw));
-    shard.table.Insert(e);
+    shard.table.Insert(e, hash);
     LruPushFront(shard, e);
-    e->charge = EntryCharge(*e);
-    shard.charged += e->charge;
+    shard.charged += EntryCharge(*e);
     *out = e;
     return Status::OK();
   }
@@ -316,7 +344,7 @@ Status HashEngine::FindLocked(Shard& shard, const Slice& key, uint64_t hash,
 }
 
 Status HashEngine::LoadStringLocked(const Entry& e, std::string* out) const {
-  if (e.flags == 0) {
+  if ((e.flags & Entry::kPayloadFlags) == 0) {
     // Hot path: DRAM-resident uncompressed value, copy straight out.
     out->assign(e.payload(), e.payload_len);
     return Status::OK();
@@ -343,11 +371,13 @@ Status HashEngine::StoreStringLocked(Shard& shard, const Slice& key,
   if (!FitsEntry(key) || !FitsEntry(value)) {
     return Status::InvalidArgument("cache: key or value too large");
   }
+  // The bare node's charge for a new key, which the budget charges before
+  // the value (so that evicted PMem values free space for this one).
+  size_t old_charge = kEntryOverhead + key.size();
   if (*e == nullptr) {
-    // Room for the bare node first, as the budget charges it before the
-    // value (and so that evicted PMem values free space for this one).
-    TIERBASE_RETURN_IF_ERROR(EvictLocked(shard, kEntryOverhead + key.size()));
+    TIERBASE_RETURN_IF_ERROR(EvictLocked(shard, old_charge));
   } else {
+    old_charge = EntryCharge(**e);
     FreePmemLocked(*e);  // Any previous PMem residency.
   }
 
@@ -382,19 +412,18 @@ Status HashEngine::StoreStringLocked(Shard& shard, const Slice& key,
 
   Entry* node = *e;
   if (node == nullptr) {
-    node = NewEntryLocked(shard, key, hash, ValueKind::kString,
-                          stored.size());
-    shard.table.Insert(node);
+    node = NewEntryLocked(shard, key, ValueKind::kString, stored.size());
+    shard.table.Insert(node, hash);
     LruPushFront(shard, node);
-    node->charge = kEntryOverhead + key.size();
-    shard.charged += node->charge;
+    shard.charged += old_charge;
   } else if (node->payload_len != stored.size()) {
-    node = ResizeLocked(shard, node, stored.size());
+    node = ResizeLocked(shard, node, hash, stored.size());
   }
-  node->flags = flags;
+  node->flags =
+      static_cast<uint8_t>((node->flags & Entry::kHasExpiry) | flags);
   std::memcpy(node->payload(), stored.data(), stored.size());
   *e = node;
-  Status s = ChargeLocked(shard, node, EntryCharge(*node));
+  Status s = ChargeLocked(shard, node, hash, old_charge);
   if (!s.ok()) *e = nullptr;
   return s;
 }
@@ -406,13 +435,14 @@ Status HashEngine::SetLocked(Shard& shard, const Slice& key, uint64_t hash,
   Entry* e = LookupLocked(shard, key, hash);
   if (e != nullptr && e->kind != ValueKind::kString) {
     // Overwrite a complex-typed key, Redis SET semantics.
-    RemoveEntryLocked(shard, e);
+    RemoveEntryLocked(shard, e, hash);
     e = nullptr;
   }
   if (e != nullptr) TouchLocked(shard, e);
   TIERBASE_RETURN_IF_ERROR(StoreStringLocked(shard, key, hash, &e, value));
-  e->expire_at =
-      ttl_micros == 0 ? 0 : options_.clock->NowMicros() + ttl_micros;
+  SetExpiryLocked(shard, e,
+                  ttl_micros == 0 ? 0
+                                  : options_.clock->NowMicros() + ttl_micros);
   return Status::OK();
 }
 
@@ -453,7 +483,7 @@ Status HashEngine::Delete(const Slice& key) {
   common::MutexLock lock(&shard.mu);
   Entry* e = shard.table.Find(key, hash);
   if (e == nullptr) return Status::NotFound("");
-  RemoveEntryLocked(shard, e);
+  RemoveEntryLocked(shard, e, hash);
   return Status::OK();
 }
 
@@ -567,9 +597,9 @@ bool HashEngine::Exists(const Slice& key) {
   common::MutexLock lock(&shard.mu);
   Entry* e = shard.table.Find(key, hash);
   if (e == nullptr) return false;
-  if (IsExpiredLocked(*e)) {
+  if (IsExpiredLocked(shard, *e)) {
     expirations_.fetch_add(1, std::memory_order_relaxed);
-    RemoveEntryLocked(shard, e);
+    RemoveEntryLocked(shard, e, hash);
     return false;
   }
   return true;
@@ -582,11 +612,12 @@ Status HashEngine::Expire(const Slice& key, uint64_t ttl_micros) {
   Shard& shard = ShardFor(hash);
   common::MutexLock lock(&shard.mu);
   Entry* e = shard.table.Find(key, hash);
-  if (e == nullptr || IsExpiredLocked(*e)) {
+  if (e == nullptr || IsExpiredLocked(shard, *e)) {
     return Status::NotFound("");
   }
-  e->expire_at =
-      ttl_micros == 0 ? 0 : options_.clock->NowMicros() + ttl_micros;
+  SetExpiryLocked(shard, e,
+                  ttl_micros == 0 ? 0
+                                  : options_.clock->NowMicros() + ttl_micros);
   return Status::OK();
 }
 
@@ -595,11 +626,14 @@ Result<uint64_t> HashEngine::Ttl(const Slice& key) {
   Shard& shard = ShardFor(hash);
   common::MutexLock lock(&shard.mu);
   Entry* e = shard.table.Find(key, hash);
-  if (e == nullptr || IsExpiredLocked(*e)) {
-    return Status::NotFound("");
-  }
-  if (e->expire_at == 0) return uint64_t{0};
-  return e->expire_at - options_.clock->NowMicros();
+  if (e == nullptr) return Status::NotFound("");
+  const uint64_t expire_at = ExpireAtLocked(shard, *e);
+  if (expire_at == 0) return uint64_t{0};
+  // One clock read decides both expiry and the remainder. A remainder of
+  // 0 would read as "no expiry", so the deadline itself counts as expired.
+  const uint64_t now = options_.clock->NowMicros();
+  if (now >= expire_at) return Status::NotFound("");
+  return expire_at - now;
 }
 
 // --- Lists. ---
@@ -611,9 +645,10 @@ Status HashEngine::LPush(const Slice& key, const Slice& value) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kList, true, &e));
+  const size_t old_charge = EntryCharge(*e);
   e->complex()->list.emplace_front(value.data(), value.size());
   e->complex()->bytes += value.size() + kPerElementOverhead;
-  return ChargeLocked(shard, e, EntryCharge(*e));
+  return ChargeLocked(shard, e, hash, old_charge);
 }
 
 Status HashEngine::RPush(const Slice& key, const Slice& value) {
@@ -623,9 +658,10 @@ Status HashEngine::RPush(const Slice& key, const Slice& value) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kList, true, &e));
+  const size_t old_charge = EntryCharge(*e);
   e->complex()->list.emplace_back(value.data(), value.size());
   e->complex()->bytes += value.size() + kPerElementOverhead;
-  return ChargeLocked(shard, e, EntryCharge(*e));
+  return ChargeLocked(shard, e, hash, old_charge);
 }
 
 Status HashEngine::LPop(const Slice& key, std::string* value) {
@@ -635,11 +671,12 @@ Status HashEngine::LPop(const Slice& key, std::string* value) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kList, false, &e));
+  const size_t old_charge = EntryCharge(*e);
   if (e->complex()->list.empty()) return Status::NotFound("empty list");
   *value = std::move(e->complex()->list.front());
   e->complex()->list.pop_front();
   e->complex()->bytes -= value->size() + kPerElementOverhead;
-  return ChargeLocked(shard, e, EntryCharge(*e));
+  return ChargeLocked(shard, e, hash, old_charge);
 }
 
 Status HashEngine::RPop(const Slice& key, std::string* value) {
@@ -649,11 +686,12 @@ Status HashEngine::RPop(const Slice& key, std::string* value) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kList, false, &e));
+  const size_t old_charge = EntryCharge(*e);
   if (e->complex()->list.empty()) return Status::NotFound("empty list");
   *value = std::move(e->complex()->list.back());
   e->complex()->list.pop_back();
   e->complex()->bytes -= value->size() + kPerElementOverhead;
-  return ChargeLocked(shard, e, EntryCharge(*e));
+  return ChargeLocked(shard, e, hash, old_charge);
 }
 
 Result<uint64_t> HashEngine::LLen(const Slice& key) {
@@ -698,6 +736,7 @@ Status HashEngine::HSet(const Slice& key, const Slice& field,
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kHash, true, &e));
+  const size_t old_charge = EntryCharge(*e);
   auto [it, inserted] =
       e->complex()->hash.try_emplace(field.ToString(), std::string());
   if (inserted) {
@@ -707,7 +746,7 @@ Status HashEngine::HSet(const Slice& key, const Slice& field,
     e->complex()->bytes -= it->second.size();
   }
   it->second.assign(value.data(), value.size());
-  return ChargeLocked(shard, e, EntryCharge(*e));
+  return ChargeLocked(shard, e, hash, old_charge);
 }
 
 Status HashEngine::HGet(const Slice& key, const Slice& field,
@@ -731,12 +770,13 @@ Status HashEngine::HDel(const Slice& key, const Slice& field) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kHash, false, &e));
+  const size_t old_charge = EntryCharge(*e);
   auto it = e->complex()->hash.find(field.ToString());
   if (it == e->complex()->hash.end()) return Status::NotFound("no field");
   e->complex()->bytes -=
       field.size() + it->second.size() + kPerElementOverhead;
   e->complex()->hash.erase(it);
-  return ChargeLocked(shard, e, EntryCharge(*e));
+  return ChargeLocked(shard, e, hash, old_charge);
 }
 
 Result<uint64_t> HashEngine::HLen(const Slice& key) {
@@ -773,10 +813,11 @@ Status HashEngine::SAdd(const Slice& key, const Slice& member) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kSet, true, &e));
+  const size_t old_charge = EntryCharge(*e);
   if (e->complex()->set.insert(member.ToString()).second) {
     e->complex()->bytes += member.size() + kPerElementOverhead;
   }
-  return ChargeLocked(shard, e, EntryCharge(*e));
+  return ChargeLocked(shard, e, hash, old_charge);
 }
 
 Status HashEngine::SRem(const Slice& key, const Slice& member) {
@@ -786,11 +827,12 @@ Status HashEngine::SRem(const Slice& key, const Slice& member) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kSet, false, &e));
+  const size_t old_charge = EntryCharge(*e);
   if (e->complex()->set.erase(member.ToString()) == 0) {
     return Status::NotFound("no member");
   }
   e->complex()->bytes -= member.size() + kPerElementOverhead;
-  return ChargeLocked(shard, e, EntryCharge(*e));
+  return ChargeLocked(shard, e, hash, old_charge);
 }
 
 Result<bool> HashEngine::SIsMember(const Slice& key, const Slice& member) {
@@ -824,6 +866,7 @@ Status HashEngine::ZAdd(const Slice& key, double score, const Slice& member) {
   Entry* e = nullptr;
   TIERBASE_RETURN_IF_ERROR(
       FindLocked(shard, key, hash, ValueKind::kZSet, true, &e));
+  const size_t old_charge = EntryCharge(*e);
   std::string m = member.ToString();
   auto it = e->complex()->zscores.find(m);
   if (it != e->complex()->zscores.end()) {
@@ -835,7 +878,7 @@ Status HashEngine::ZAdd(const Slice& key, double score, const Slice& member) {
         2 * m.size() + 2 * kPerElementOverhead + sizeof(double) * 2;
   }
   e->complex()->zordered.insert({score, m});
-  return ChargeLocked(shard, e, EntryCharge(*e));
+  return ChargeLocked(shard, e, hash, old_charge);
 }
 
 Result<double> HashEngine::ZScore(const Slice& key, const Slice& member) {
@@ -948,17 +991,16 @@ size_t HashEngine::SweepExpired() {
   size_t removed = 0;
   for (auto& shard : shards_) {
     common::MutexLock lock(&shard->mu);
-    for (size_t b = 0; b < shard->table.buckets.size(); ++b) {
-      Entry* e = shard->table.buckets[b];
-      while (e != nullptr) {
-        Entry* next = e->next_hash;
-        if (IsExpiredLocked(*e)) {
-          RemoveEntryLocked(*shard, e);
-          ++removed;
-          expirations_.fetch_add(1, std::memory_order_relaxed);
-        }
-        e = next;
-      }
+    const uint64_t now = options_.clock->NowMicros();
+    // Only nodes with a deadline are in the map. Removing one erases just
+    // its own map node, so the saved successor stays valid.
+    for (auto it = shard->expiry.begin(); it != shard->expiry.end();) {
+      auto cur = it++;
+      if (now < cur->second) continue;
+      Entry* e = const_cast<Entry*>(cur->first);
+      RemoveEntryLocked(*shard, e, Hash64(e->key()));
+      ++removed;
+      expirations_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return removed;
@@ -985,7 +1027,9 @@ uint64_t HashEngine::Scan(uint64_t cursor, size_t count,
     while (bucket_idx < buckets) {
       for (Entry* e = shard.table.buckets[bucket_idx]; e != nullptr;
            e = e->next_hash) {
-        if (!IsExpiredLocked(*e)) keys->emplace_back(e->data, e->key_len);
+        if (!IsExpiredLocked(shard, *e)) {
+          keys->emplace_back(e->data, e->key_len);
+        }
       }
       ++bucket_idx;
       if (keys->size() >= count) {
@@ -1011,7 +1055,7 @@ void HashEngine::Clear() {
       Entry* e = shard->table.buckets[b];
       while (e != nullptr) {
         Entry* next = e->next_hash;
-        RemoveEntryLocked(*shard, e);
+        RemoveEntryLocked(*shard, e, Hash64(e->key()));
         e = next;
       }
     }

@@ -15,21 +15,32 @@
 // Hot-path design (one allocation per entry, none per lookup):
 //   * Each key is hashed exactly once per operation; the 64-bit hash picks
 //     the shard (power-of-two count, topmost bits) and probes the shard's
-//     table (low bits + bucket mask) without rehashing.
+//     table (low bits + bucket mask) without rehashing. Nodes do not store
+//     the hash: a chain probe compares key length, then key bytes, and
+//     only a table grow or an eviction recomputes it from the node's key.
 //   * Every entry is a single malloc block (LevelDB LRUHandle idiom): a
-//     <= 64-byte header holding the hash-chain link, the LRU prev/next
-//     pointers, hash, expiry, charge, lengths, kind and flags, followed by
-//     the key bytes and then the payload. The payload is the (possibly
+//     34-byte header holding the hash-chain link, the LRU prev/next
+//     pointers, key and payload lengths, kind and flags, followed by the
+//     key bytes and then the payload. The payload is the (possibly
 //     compressed) string value, the 12-byte PMem handle for a value placed
 //     in PMem, or the ComplexValue pointer of a list/hash/set/zset. The
 //     shard index is an intrusive chained hash table over these nodes, so
 //     lookups compare against a Slice with no temporary std::string and
 //     the LRU needs no separate list nodes.
+//   * The budget charge is derived, not stored: kEntryOverhead (64) plus
+//     the key, plus the DRAM payload of a string or the element bytes of a
+//     complex value. A mutation computes the old charge before it changes
+//     the node.
+//   * Expiry deadlines live in a per-shard side map keyed by node, and a
+//     flag bit marks the nodes that have one (Redis keeps an `expires`
+//     dict for the same reason): a key with no TTL pays no header bytes
+//     for expiry and its lookups never read the map.
 //   * A string overwrite whose stored payload keeps its size rewrites the
 //     bytes in place. A size change reallocs the node: when the block
 //     moves, the new address is spliced into the old node's hash-chain
-//     slot and LRU position, so recency order survives and callers carry
-//     on with the returned pointer. Nothing else moves a node.
+//     slot, LRU position and expiry-map key, so recency order and TTL
+//     survive and callers carry on with the returned pointer. Nothing else
+//     moves a node.
 //   * A removed node's block stays with its shard as a spare, and the
 //     next insert reallocs it: evicting to make room for a new key costs
 //     no malloc/free pair.
@@ -229,17 +240,20 @@ class HashEngine : public KvEngine {
   /// One cache entry, allocated as a single block: this header, then
   /// key_len key bytes, then payload_len payload bytes (see the hot-path
   /// notes at the top of this file). The hash chain (next_hash) and the
-  /// intrusive LRU list (lru_prev/lru_next) link nodes directly.
+  /// intrusive LRU list (lru_prev/lru_next) link nodes directly. The
+  /// header holds neither the key's hash, nor its charge (EntryCharge
+  /// derives it), nor its expiry deadline (Shard::expiry, when kHasExpiry
+  /// is set).
   struct Entry {
     static constexpr uint8_t kCompressed = 1;  // Stored bytes are packed.
     static constexpr uint8_t kInPmem = 2;      // Payload is a PMem handle.
+    static constexpr uint8_t kHasExpiry = 4;   // Deadline in Shard::expiry.
+    // The bits describing how the payload is stored.
+    static constexpr uint8_t kPayloadFlags = kCompressed | kInPmem;
 
     Entry* next_hash;
     Entry* lru_prev;
     Entry* lru_next;
-    uint64_t hash;       // Hash64(key), computed once at insertion.
-    uint64_t expire_at;  // Clock micros; 0 = never.
-    size_t charge;       // DRAM bytes charged to the budget.
     uint32_t key_len;
     uint32_t payload_len;
     ValueKind kind;
@@ -259,7 +273,8 @@ class HashEngine : public KvEngine {
   };
 
   /// Chained hash table over Entry nodes (LevelDB HandleTable idiom):
-  /// power-of-two bucket count, probe by precomputed hash + Slice compare.
+  /// power-of-two bucket count, probe by the caller's precomputed hash,
+  /// then key length and bytes.
   struct Table {
     std::vector<Entry*> buckets;
     size_t size = 0;
@@ -270,8 +285,7 @@ class HashEngine : public KvEngine {
     /// its chain.
     Entry** FindPointer(const Slice& key, uint64_t hash) {
       Entry** ptr = &buckets[hash & (buckets.size() - 1)];
-      while (*ptr != nullptr &&
-             ((*ptr)->hash != hash || (*ptr)->key() != key)) {
+      while (*ptr != nullptr && (*ptr)->key() != key) {
         ptr = &(*ptr)->next_hash;
       }
       return ptr;
@@ -279,8 +293,8 @@ class HashEngine : public KvEngine {
     Entry* Find(const Slice& key, uint64_t hash) {
       return *FindPointer(key, hash);
     }
-    /// Inserts a node whose key is known to be absent.
-    void Insert(Entry* e);
+    /// Inserts a node whose key, hashing to `hash`, is known to be absent.
+    void Insert(Entry* e, uint64_t hash);
     /// Unlinks (does not free) the node; returns it, or null if absent.
     Entry* Remove(const Slice& key, uint64_t hash);
 
@@ -288,6 +302,8 @@ class HashEngine : public KvEngine {
     static constexpr size_t kInitialBuckets = 16;
     void Grow();
   };
+
+  using ExpiryMap = std::unordered_map<const Entry*, uint64_t>;
 
   struct Shard {
     mutable common::Mutex mu;
@@ -302,6 +318,8 @@ class HashEngine : public KvEngine {
     // per-thread cache size (about 1 KiB) otherwise pay the arena lock
     // twice per insert.
     void* spare GUARDED_BY(mu) = nullptr;
+    // Expiry deadlines (clock micros) of the nodes flagged kHasExpiry.
+    ExpiryMap expiry GUARDED_BY(mu);
   };
 
   size_t ShardIndex(uint64_t hash) const {
@@ -319,8 +337,8 @@ class HashEngine : public KvEngine {
 
   /// Allocates an unlinked node holding `key`, with room for a
   /// `payload_len`-byte payload, reusing the shard's spare block if any.
-  static Entry* NewEntryLocked(Shard& shard, const Slice& key, uint64_t hash,
-                               ValueKind kind, size_t payload_len)
+  static Entry* NewEntryLocked(Shard& shard, const Slice& key, ValueKind kind,
+                               size_t payload_len)
       EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
   /// Frees the ComplexValue the node owns and keeps the block as the
   /// shard's spare, or frees it when there already is one (PMem is the
@@ -330,26 +348,40 @@ class HashEngine : public KvEngine {
 
   /// All Locked helpers require the shard mutex (checked statically via
   /// the `shard.mu` capability expression on the reference parameter).
-  bool IsExpiredLocked(const Entry& e) const;
+  /// The node's expiry deadline in clock micros, or 0 for none.
+  static uint64_t ExpireAtLocked(const Shard& shard, const Entry& e)
+      EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
+  /// Sets (expire_at > 0) or clears (0) the node's expiry deadline.
+  static void SetExpiryLocked(Shard& shard, Entry* e, uint64_t expire_at)
+      EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
+  bool IsExpiredLocked(const Shard& shard, const Entry& e) const
+      EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
   /// Gives the node a `payload_len`-byte payload (contents unspecified),
-  /// keeping its key, header, hash-chain slot and LRU position. Returns
-  /// the node's address, which changes when the block moves.
-  static Entry* ResizeLocked(Shard& shard, Entry* e, size_t payload_len)
+  /// keeping its key, header, hash-chain slot, LRU position and expiry.
+  /// Returns the node's address, which changes when the block moves.
+  /// `hash` is Hash64 of the node's key.
+  static Entry* ResizeLocked(Shard& shard, Entry* e, uint64_t hash,
+                             size_t payload_len)
       EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
   void FreePmemLocked(Entry* e);
-  void RemoveEntryLocked(Shard& shard, Entry* e)
+  /// Unlinks and frees the node; `hash` is Hash64 of its key.
+  void RemoveEntryLocked(Shard& shard, Entry* e, uint64_t hash)
       EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
   void TouchLocked(Shard& shard, Entry* e)
       EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
-  Status ChargeLocked(Shard& shard, Entry* e, size_t new_charge)
-      EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
+  /// Moves the shard's charge for the mutated node from `old_charge`, its
+  /// EntryCharge before the mutation, to its EntryCharge now, evicting to
+  /// make room. On failure the node is removed.
+  Status ChargeLocked(Shard& shard, Entry* e, uint64_t hash,
+                      size_t old_charge) EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
   /// Evicts from the LRU tail until `needed` more bytes fit. `protect`,
   /// when non-null, names an entry that must survive (the one being
   /// charged).
   Status EvictLocked(Shard& shard, size_t needed,
                      const Entry* protect = nullptr)
       EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
-  size_t EntryCharge(const Entry& e) const;
+  /// DRAM bytes the node charges to the budget.
+  static size_t EntryCharge(const Entry& e);
 
   /// Returns the live entry for `key` (any kind), or null; an expired
   /// entry is removed on the way.

@@ -58,6 +58,25 @@ class ManualClock : public Clock {
   std::atomic<uint64_t> now_;
 };
 
+/// Test clock that moves `step` micros every time it is read, so code
+/// that reads it twice in one decision sees two different instants.
+class SteppingClock : public Clock {
+ public:
+  SteppingClock(uint64_t start_micros, uint64_t step)
+      : now_(start_micros), step_(step) {}
+
+  uint64_t NowMicros() const override {
+    return now_.fetch_add(step_, std::memory_order_acq_rel) + step_;
+  }
+  void SleepMicros(uint64_t micros) const override {
+    now_.fetch_add(micros, std::memory_order_acq_rel);
+  }
+
+ private:
+  mutable std::atomic<uint64_t> now_;
+  const uint64_t step_;
+};
+
 /// Busy-waits for approximately `ns` nanoseconds. Used to model per-op CPU
 /// overhead of emulated systems and simulated device latencies — sleep
 /// syscalls are far too coarse at these scales.

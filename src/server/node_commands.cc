@@ -724,9 +724,11 @@ void NodeCommands::ReplSnapshot(const RespCommand& cmd, std::string* out) {
   for (std::string& key : keys) {
     std::string value;
     if (!db_->Get(key, &value).ok()) continue;
+    // NotFound here means the key expired after the Get; shipping it with
+    // ttl 0 ("no expiry") would make the replica keep it forever.
     Result<uint64_t> ttl = db_->cache()->Ttl(key);
-    entries.push_back({std::move(key), std::move(value),
-                       ttl.ok() ? *ttl : uint64_t{0}});
+    if (!ttl.ok()) continue;
+    entries.push_back({std::move(key), std::move(value), *ttl});
   }
   AppendArrayHeader(out, 2 + entries.size() * 3);
   AppendBulk(out, std::to_string(next));

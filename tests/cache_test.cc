@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -125,6 +129,33 @@ TEST(HashEngineTest, SweepExpiredRemovesEagerly) {
   clock.Advance(200);
   EXPECT_EQ(engine.SweepExpired(), 10u);
   EXPECT_EQ(engine.GetUsage().keys, 1u);
+}
+
+TEST(HashEngineTest, TtlNearTheDeadlineIsPositiveOrNotFound) {
+  // Every clock read moves time 2 us, so a Ttl that read the clock twice
+  // could see the deadline pass between its reads. Even and odd TTLs land
+  // the deadline on and between the clock's steps.
+  for (const uint64_t ttl_micros : {40u, 41u}) {
+    SteppingClock clock(1000, 2);
+    HashEngineOptions options;
+    options.clock = &clock;
+    HashEngine engine(options);
+    ASSERT_TRUE(engine.SetEx("k", "v", ttl_micros).ok());
+    // 0 would read as "no expiry" and a wrapped value as nearly forever.
+    int reads = 0;
+    for (;; ++reads) {
+      Result<uint64_t> ttl = engine.Ttl("k");
+      if (!ttl.ok()) {
+        EXPECT_TRUE(ttl.status().IsNotFound());
+        break;
+      }
+      EXPECT_GT(*ttl, 0u) << "ttl " << ttl_micros << ", read " << reads;
+      EXPECT_LE(*ttl, ttl_micros) << "ttl " << ttl_micros << ", read "
+                                  << reads;
+      ASSERT_LT(reads, 100);
+    }
+    EXPECT_GT(reads, 0);
+  }
 }
 
 // --- CAS. ---
@@ -1065,6 +1096,455 @@ TEST(HashEngineTest, ChargeMatchesPreviousLayout) {
   EXPECT_EQ(usage.memory_bytes, 48449u);
   EXPECT_EQ(usage.keys, 86u);
   EXPECT_EQ(engine.evictions(), 2067u);
+}
+
+
+// --- Randomized differential test against a std::map model. ---
+
+// splitmix64: a generator fixed by its seed on every standard library, so
+// a printed seed replays the same operation stream anywhere.
+class ModelRng {
+ public:
+  explicit ModelRng(uint64_t seed) : state_(seed) {}
+  uint64_t Next() {
+    uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  size_t Uniform(size_t n) { return static_cast<size_t>(Next() % n); }
+
+ private:
+  uint64_t state_;
+};
+
+// What the engine should hold under one key.
+struct ModelValue {
+  ValueKind kind = ValueKind::kString;
+  std::string str;
+  std::deque<std::string> list;
+  std::map<std::string, std::string> hash;
+  std::map<std::string, double> zset;
+  uint64_t expire_at = 0;  // Clock micros; 0 = never.
+};
+
+// HashEngine's semantics over a std::map. An expired key stays until an
+// operation that checks expiry on the way in touches it, or a sweep, as
+// the engine's lazy expiry keeps it; Delete, Expire and Ttl find it
+// without dropping it. The engine's eviction filter reports evicted keys.
+struct EngineModel {
+  explicit EngineModel(const Clock* clock) : clock(clock) {}
+
+  bool Expired(const ModelValue& v) const {
+    return v.expire_at != 0 && clock->NowMicros() >= v.expire_at;
+  }
+  // A lookup that drops the key if it has expired.
+  ModelValue* Lookup(const std::string& key) {
+    auto it = keys.find(key);
+    if (it == keys.end()) return nullptr;
+    if (Expired(it->second)) {
+      keys.erase(it);
+      return nullptr;
+    }
+    return &it->second;
+  }
+  // The live value under `key`, dropping nothing.
+  ModelValue* Peek(const std::string& key) {
+    auto it = keys.find(key);
+    return it == keys.end() || Expired(it->second) ? nullptr : &it->second;
+  }
+  // Lookup for a typed operation: NotFound, InvalidArgument on a wrong
+  // type, else OK with *out set.
+  Code Typed(const std::string& key, ValueKind kind, ModelValue** out) {
+    *out = Lookup(key);
+    if (*out == nullptr) return Code::kNotFound;
+    return (*out)->kind == kind ? Code::kOk : Code::kInvalidArgument;
+  }
+  // As Typed, creating an empty value of `kind` when the key is missing.
+  Code Create(const std::string& key, ValueKind kind, ModelValue** out) {
+    Code c = Typed(key, kind, out);
+    if (c == Code::kNotFound) {
+      *out = &keys[key];
+      (*out)->kind = kind;
+      c = Code::kOk;
+    }
+    return c;
+  }
+  void SetString(const std::string& key, const std::string& value,
+                 uint64_t ttl_micros) {
+    ModelValue& v = keys[key] = ModelValue();
+    v.str = value;
+    v.expire_at = ttl_micros == 0 ? 0 : clock->NowMicros() + ttl_micros;
+  }
+
+  const Clock* clock;
+  std::map<std::string, ModelValue> keys;
+};
+
+// Memory usage and evictions after every 1000 operations of the default
+// seed. Recorded from the engine whose Entry header held the hash, the
+// expiry deadline and the charge: the budget charge is unchanged.
+const std::vector<std::pair<uint64_t, uint64_t>> kModelCheckpoints = {
+    {23538, 134},  {24268, 349},  {24228, 648},  {23888, 845},
+    {23019, 1105}, {23435, 1332}, {23729, 1583}, {23466, 1801},
+    {23416, 2041}, {23936, 2272}, {22241, 2513}, {23740, 2744},
+    {23342, 3013}, {23051, 3282}, {23496, 3515}, {23781, 3699}};
+
+constexpr uint64_t kModelDefaultSeed = 20240521;
+
+// Runs `num_ops` random operations on a 4-shard engine under eviction
+// pressure, checking every result against EngineModel, and appends
+// (memory_bytes, evictions) after every 1000 operations to `checkpoints`.
+void RunAgainstModel(uint64_t seed, int num_ops,
+                     std::vector<std::pair<uint64_t, uint64_t>>* checkpoints) {
+  workload::DatasetOptions dataset;
+  dataset.kind = workload::DatasetKind::kKv1;
+  dataset.num_records = 200;
+  const std::vector<std::string> samples = workload::MakeDataset(dataset);
+  auto compressor = CreateCompressor(CompressorType::kZliteDict);
+  ASSERT_TRUE(compressor->Train(samples).ok());
+  PmemOptions pmem_options;
+  pmem_options.capacity = 8 << 20;
+  pmem_options.inject_latency = false;
+  auto device = PmemDevice::Create(pmem_options);
+  ASSERT_TRUE(device.ok());
+  PmemAllocator allocator(device->get(), 0, 8 << 20);
+
+  ManualClock clock(1000);
+  HashEngineOptions options;
+  options.shards = 4;
+  options.memory_budget = 24 * 1024;
+  options.clock = &clock;
+  options.compressor = compressor.get();
+  options.compress_min_bytes = 32;
+  options.pmem = &allocator;
+  options.pmem_value_threshold = 256;
+  HashEngine engine(options);
+  std::vector<std::string> evicted;
+  engine.SetEvictionFilter([&evicted](const Slice& key) {
+    evicted.push_back(key.ToString());
+    return true;
+  });
+
+  EngineModel model(&clock);
+  ModelRng rng(seed);
+  auto random_key = [&rng] {
+    return "key" + std::to_string(rng.Uniform(400));
+  };
+  auto random_value = [&rng, &samples] {
+    switch (rng.Uniform(3)) {
+      case 0:  // Short and uniform: stays raw in DRAM.
+        return std::string(rng.Uniform(64), static_cast<char>(
+                                                'a' + rng.Uniform(26)));
+      case 1: {  // Dataset records: compress, and the large ones go to PMem.
+        std::string v;
+        for (size_t n = 1 + rng.Uniform(3); n > 0; --n) {
+          v += samples[rng.Uniform(samples.size())];
+        }
+        return v;
+      }
+      default: {  // Incompressible; 256 bytes and up go to PMem.
+        std::string v(rng.Uniform(600), '\0');
+        for (char& c : v) c = static_cast<char>(rng.Next());
+        return v;
+      }
+    }
+  };
+  auto element = [&rng] { return "e" + std::to_string(rng.Uniform(40)); };
+
+  std::string value;
+  for (int op = 1; op <= num_ops; ++op) {
+    const std::string key = random_key();
+    const std::string where = "op " + std::to_string(op) + " key " + key;
+    ModelValue* m = nullptr;
+    // A mutation the budget cannot hold drops the key; the model follows.
+    auto mutated = [&](const Status& s, Code expected) {
+      if (s.IsOutOfSpace()) {
+        model.keys.erase(key);
+        return;
+      }
+      EXPECT_EQ(s.code(), expected) << where << ": " << s.ToString();
+    };
+    const size_t kind = rng.Uniform(100);
+    if (kind < 20) {  // Set.
+      const std::string v = random_value();
+      model.Lookup(key);
+      model.SetString(key, v, 0);
+      mutated(engine.Set(key, v), Code::kOk);
+    } else if (kind < 28) {  // SetEx.
+      const std::string v = random_value();
+      const uint64_t ttl = 1 + rng.Uniform(5000);
+      model.Lookup(key);
+      model.SetString(key, v, ttl);
+      mutated(engine.SetEx(key, v, ttl), Code::kOk);
+    } else if (kind < 40) {  // Get.
+      const Code c = model.Typed(key, ValueKind::kString, &m);
+      const Status s = engine.Get(key, &value);
+      ASSERT_EQ(s.code(), c) << where;
+      if (c == Code::kOk) {
+        ASSERT_EQ(value, m->str) << where;
+      }
+    } else if (kind < 44) {  // Delete.
+      const bool present = model.keys.erase(key) == 1;
+      ASSERT_EQ(engine.Delete(key).code(),
+                present ? Code::kOk : Code::kNotFound)
+          << where;
+    } else if (kind < 48) {  // Expire, sometimes clearing the TTL.
+      const uint64_t ttl = rng.Uniform(4) == 0 ? 0 : 1 + rng.Uniform(5000);
+      m = model.Peek(key);
+      if (m != nullptr) {
+        m->expire_at = ttl == 0 ? 0 : clock.NowMicros() + ttl;
+      }
+      ASSERT_EQ(engine.Expire(key, ttl).code(),
+                m != nullptr ? Code::kOk : Code::kNotFound)
+          << where;
+    } else if (kind < 53) {  // Ttl.
+      m = model.Peek(key);
+      const Result<uint64_t> ttl = engine.Ttl(key);
+      ASSERT_EQ(ttl.ok(), m != nullptr) << where;
+      if (m != nullptr) {
+        ASSERT_EQ(*ttl, m->expire_at == 0 ? 0
+                                          : m->expire_at - clock.NowMicros())
+            << where;
+      }
+    } else if (kind < 56) {  // Exists.
+      ASSERT_EQ(engine.Exists(key), model.Lookup(key) != nullptr) << where;
+    } else if (kind < 60) {
+      // MultiSet of new keys. The engine sets a batch shard by shard, so
+      // the model could not tell whether an existing key in it was evicted
+      // before or after its own set.
+      std::vector<std::string> batch_keys;
+      for (std::string k = key; batch_keys.size() < 7; k = random_key()) {
+        if (model.keys.count(k) == 0 &&
+            std::find(batch_keys.begin(), batch_keys.end(), k) ==
+                batch_keys.end()) {
+          batch_keys.push_back(k);
+        }
+        if (rng.Uniform(3) == 0) break;
+      }
+      std::vector<std::string> batch_values;
+      for (const std::string& k : batch_keys) {
+        batch_values.push_back(random_value());
+        model.SetString(k, batch_values.back(), 0);
+      }
+      std::vector<Slice> ks(batch_keys.begin(), batch_keys.end());
+      std::vector<Slice> vs(batch_values.begin(), batch_values.end());
+      std::vector<Status> statuses;
+      engine.MultiSet(ks, vs, &statuses);
+      for (size_t i = 0; i < statuses.size(); ++i) {
+        if (statuses[i].IsOutOfSpace()) model.keys.erase(batch_keys[i]);
+        else EXPECT_TRUE(statuses[i].ok()) << where << " batch " << i;
+      }
+    } else if (kind < 64) {  // MultiGet, duplicates allowed.
+      std::vector<std::string> batch_keys = {key};
+      for (size_t n = rng.Uniform(8); n > 0; --n) {
+        batch_keys.push_back(random_key());
+      }
+      std::vector<Slice> ks(batch_keys.begin(), batch_keys.end());
+      std::vector<std::string> values;
+      std::vector<Status> statuses;
+      engine.MultiGet(ks, &values, &statuses);
+      for (size_t i = 0; i < batch_keys.size(); ++i) {
+        const Code c = model.Typed(batch_keys[i], ValueKind::kString, &m);
+        ASSERT_EQ(statuses[i].code(), c) << where << " batch " << i;
+        if (c == Code::kOk) {
+          ASSERT_EQ(values[i], m->str) << where;
+        }
+      }
+    } else if (kind < 72) {
+      // Cas; half of them swap the current value for one of a different
+      // size, which moves the node and keeps its TTL.
+      const Code c = model.Typed(key, ValueKind::kString, &m);
+      std::string expected;
+      if (c == Code::kOk && rng.Uniform(4) != 0) expected = m->str;
+      else if (rng.Uniform(2) == 0) expected = random_value();
+      const bool allow_create = rng.Uniform(2) == 0;
+      const std::string v = random_value();
+      Code want = c;
+      if (c == Code::kNotFound) {
+        want = allow_create && expected.empty() ? Code::kOk : Code::kAborted;
+        if (want == Code::kOk) model.SetString(key, v, 0);
+      } else if (c == Code::kOk) {
+        want = m->str == expected ? Code::kOk : Code::kAborted;
+        if (want == Code::kOk) m->str = v;
+      }
+      mutated(engine.Cas(key, expected, v, allow_create), want);
+    } else if (kind < 78) {  // Lists.
+      const std::string e = element();
+      switch (rng.Uniform(6)) {
+        case 0: {
+          const Code c = model.Create(key, ValueKind::kList, &m);
+          if (c == Code::kOk) m->list.push_front(e);
+          mutated(engine.LPush(key, e), c);
+          break;
+        }
+        case 1: {
+          const Code c = model.Create(key, ValueKind::kList, &m);
+          if (c == Code::kOk) m->list.push_back(e);
+          mutated(engine.RPush(key, e), c);
+          break;
+        }
+        case 2:
+        case 3: {
+          const bool left = rng.Uniform(2) == 0;
+          Code c = model.Typed(key, ValueKind::kList, &m);
+          std::string want;
+          if (c == Code::kOk && m->list.empty()) c = Code::kNotFound;
+          if (c == Code::kOk) {
+            want = left ? m->list.front() : m->list.back();
+            if (left) m->list.pop_front();
+            else m->list.pop_back();
+          }
+          const Status s = left ? engine.LPop(key, &value)
+                                : engine.RPop(key, &value);
+          ASSERT_EQ(s.code(), c) << where;
+          if (c == Code::kOk) {
+            ASSERT_EQ(value, want) << where;
+          }
+          break;
+        }
+        case 4: {
+          const Code c = model.Typed(key, ValueKind::kList, &m);
+          std::vector<std::string> got;
+          const Status s = engine.LRange(key, 0, -1, &got);
+          ASSERT_EQ(s.code(), c == Code::kNotFound ? Code::kOk : c) << where;
+          if (c == Code::kOk) {
+            ASSERT_EQ(got, std::vector<std::string>(m->list.begin(),
+                                                    m->list.end()))
+                << where;
+          }
+          break;
+        }
+        default: {
+          const Code c = model.Typed(key, ValueKind::kList, &m);
+          const Result<uint64_t> len = engine.LLen(key);
+          ASSERT_EQ(len.status().code(), c == Code::kNotFound ? Code::kOk : c)
+              << where;
+          if (len.ok()) {
+            ASSERT_EQ(*len, c == Code::kOk ? m->list.size() : 0u);
+          }
+          break;
+        }
+      }
+    } else if (kind < 84) {  // Hashes.
+      const std::string field = element();
+      switch (rng.Uniform(4)) {
+        case 0:
+        case 1: {
+          const std::string v = random_value().substr(0, 40);
+          const Code c = model.Create(key, ValueKind::kHash, &m);
+          if (c == Code::kOk) m->hash[field] = v;
+          mutated(engine.HSet(key, field, v), c);
+          break;
+        }
+        case 2: {
+          Code c = model.Typed(key, ValueKind::kHash, &m);
+          if (c == Code::kOk && m->hash.count(field) == 0) c = Code::kNotFound;
+          const Status s = engine.HGet(key, field, &value);
+          ASSERT_EQ(s.code(), c) << where;
+          if (c == Code::kOk) {
+            ASSERT_EQ(value, m->hash[field]) << where;
+          }
+          break;
+        }
+        default: {
+          Code c = model.Typed(key, ValueKind::kHash, &m);
+          if (c == Code::kOk && m->hash.erase(field) == 0) c = Code::kNotFound;
+          mutated(engine.HDel(key, field), c);
+          break;
+        }
+      }
+    } else if (kind < 90) {  // Sorted sets.
+      const std::string member = element();
+      switch (rng.Uniform(4)) {
+        case 0:
+        case 1: {
+          const double score = static_cast<double>(rng.Uniform(10));
+          const Code c = model.Create(key, ValueKind::kZSet, &m);
+          if (c == Code::kOk) m->zset[member] = score;
+          mutated(engine.ZAdd(key, score, member), c);
+          break;
+        }
+        case 2: {
+          Code c = model.Typed(key, ValueKind::kZSet, &m);
+          if (c == Code::kOk && m->zset.count(member) == 0) {
+            c = Code::kNotFound;
+          }
+          const Result<double> score = engine.ZScore(key, member);
+          ASSERT_EQ(score.status().code(), c) << where;
+          if (c == Code::kOk) {
+            ASSERT_EQ(*score, m->zset[member]) << where;
+          }
+          break;
+        }
+        default: {
+          const Code c = model.Typed(key, ValueKind::kZSet, &m);
+          std::vector<std::pair<std::string, double>> got;
+          const Status s = engine.ZRange(key, 0, -1, &got);
+          ASSERT_EQ(s.code(), c == Code::kNotFound ? Code::kOk : c) << where;
+          std::vector<std::pair<double, std::string>> want;
+          if (c == Code::kOk) {
+            for (const auto& [mem, sc] : m->zset) want.emplace_back(sc, mem);
+          }
+          std::sort(want.begin(), want.end());
+          ASSERT_EQ(got.size(), want.size()) << where;
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].first, want[i].second) << where;
+            ASSERT_EQ(got[i].second, want[i].first) << where;
+          }
+          break;
+        }
+      }
+    } else if (kind < 93) {  // SweepExpired.
+      size_t expired = 0;
+      for (auto it = model.keys.begin(); it != model.keys.end();) {
+        if (model.Expired(it->second)) {
+          it = model.keys.erase(it);
+          ++expired;
+        } else {
+          ++it;
+        }
+      }
+      ASSERT_EQ(engine.SweepExpired(), expired) << where;
+    } else {
+      clock.Advance(rng.Uniform(1500));
+    }
+    for (const std::string& k : evicted) model.keys.erase(k);
+    evicted.clear();
+
+    if (op % 1000 == 0) {
+      const UsageStats usage = engine.GetUsage();
+      ASSERT_EQ(usage.keys, model.keys.size()) << where;
+      std::vector<std::string> scanned;
+      uint64_t cursor = 0;
+      do {
+        cursor = engine.Scan(cursor, 64, &scanned);
+      } while (cursor != 0);
+      std::sort(scanned.begin(), scanned.end());
+      std::vector<std::string> live;
+      for (const auto& [k, v] : model.keys) {
+        if (!model.Expired(v)) live.push_back(k);
+      }
+      EXPECT_EQ(scanned, live) << where;
+      checkpoints->emplace_back(usage.memory_bytes, engine.evictions());
+    }
+  }
+}
+
+// Replay a failure with TIERBASE_MODEL_SEED=<printed seed>. Other seeds
+// check every result against the model but not the recorded usage.
+TEST(HashEngineTest, MatchesModelUnderRandomOps) {
+  uint64_t seed = kModelDefaultSeed;
+  if (const char* env = std::getenv("TIERBASE_MODEL_SEED")) {
+    seed = std::strtoull(env, nullptr, 10);
+  }
+  std::printf("MatchesModelUnderRandomOps seed %" PRIu64 "\n", seed);
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  std::vector<std::pair<uint64_t, uint64_t>> checkpoints;
+  RunAgainstModel(seed, 16000, &checkpoints);
+  if (seed == kModelDefaultSeed) {
+    EXPECT_EQ(checkpoints, kModelCheckpoints);
+  }
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "cluster_net/proxy.h"
 #include "cluster_net/router.h"
 #include "cluster_net/routing.h"
+#include "common/clock.h"
 #include "common/env.h"
 #include "core/storage_adapter.h"
 #include "server/client.h"
@@ -174,12 +175,13 @@ class ClusterNetTest : public ::testing::Test {
   /// Starts a cache-only data node, or with `tiered` a write-through node
   /// over its own LSM storage tier.
   DataNode* StartNode(const std::string& id, size_t oplog_cap = 65536,
-                      bool tiered = false) {
+                      bool tiered = false, Clock* cache_clock = nullptr) {
     auto node = std::make_unique<DataNode>();
     node->id = id;
     TierBaseOptions options;
     options.policy = CachingPolicy::kCacheOnly;
     options.cache.shards = 2;
+    if (cache_clock != nullptr) options.cache.clock = cache_clock;
     if (tiered) {
       if (dir_.empty()) dir_ = env::MakeTempDir("tb_cluster_net");
       lsm::LsmOptions lsm_options;
@@ -443,6 +445,37 @@ TEST_F(ClusterNetTest, LateReplicaFullResyncsAcrossOplogGap) {
   Result<uint64_t> ttl = r1->db->cache()->Ttl("gkttl");
   ASSERT_TRUE(ttl.ok());
   EXPECT_GT(*ttl, 0u);
+}
+
+TEST_F(ClusterNetTest, SnapshotNeverShipsAnExpiringKeyWithoutTtl) {
+  // Every cache clock read moves time 1 us, so key deadlines pass between
+  // the snapshot's Get of a key and its Ttl. Static: the node's threads
+  // may read it until teardown.
+  static SteppingClock clock(1000, 1);
+  DataNode* n1 = StartNode("n1", 65536, /*tiered=*/false, &clock);
+  constexpr uint64_t kKeys = 8;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(
+        n1->db->cache()->SetEx("tk" + std::to_string(i), "v", 200 + i).ok());
+  }
+  Client cli;
+  ASSERT_TRUE(cli.Connect("127.0.0.1", n1->port()).ok());
+  RespValue v;
+  // Page through snapshots until every key has expired. A shipped TTL of
+  // 0 would tell the replica "no expiry": it would keep the key forever.
+  for (int call = 0;; ++call) {
+    ASSERT_LT(call, 1000);
+    ASSERT_TRUE(cli.Call({"REPLSNAPSHOT", "0", "100"}, &v).ok());
+    ASSERT_FALSE(v.IsError()) << v.str;
+    ASSERT_EQ((v.elements.size() - 2) % 3, 0u);
+    if (v.elements.size() == 2) break;
+    for (size_t i = 2; i < v.elements.size(); i += 3) {
+      const int64_t ttl = v.elements[i + 2].integer;
+      EXPECT_GT(ttl, 0) << v.elements[i].str << ", call " << call;
+      EXPECT_LE(ttl, static_cast<int64_t>(200 + kKeys))
+          << v.elements[i].str << ", call " << call;
+    }
+  }
 }
 
 TEST_F(ClusterNetTest, FailoverPromotesReplicaAndClientsConverge) {
