@@ -20,7 +20,7 @@ std::unique_ptr<KvEngine> MakeLsmBaseline(const std::string& dir,
 
 }  // namespace
 
-// Emulation constant table (see header comment and DESIGN.md). The per-op
+// Emulation constant table (see the header comment). The per-op
 // tax depends on the threading mode: Memcached and Dragonfly carry their
 // connection-state-machine / fiber machinery as pure overhead when pinned
 // to one thread, but amortize it well across threads; Redis is optimized

@@ -7,9 +7,26 @@
 // tax and per-entry memory overhead capturing the architectural properties
 // our substrates do not share with the original (e.g. Redis's robj
 // indirection, the JVM cost of Cassandra/HBase, memcached's slab
-// efficiency). Every constant is declared in one table below so the
-// emulation assumptions are auditable; DESIGN.md discusses why the *shape*
-// of the paper's comparisons survives this substitution.
+// efficiency). Every constant is declared in one table (baselines.cc) so
+// the emulation assumptions are auditable.
+//
+// Why the *shape* of the paper's comparisons survives this substitution:
+// the comparisons rank systems against each other on the same workload
+// (throughput as threads grow, DRAM and disk per user byte, cost per
+// QPS). Every miniature runs on the same substrates as TierBase, so the
+// substrates' own speed and layout are common to all of them and drop
+// out of the ranking. What differs is what each miniature adds on
+// purpose: its threading shape (one event-loop dict for Redis, per-core
+// shards for Dragonfly, fine-grained shards for memcached), its
+// persistence path (a WAL fsynced every second for Redis-AOF, an LSM for
+// Cassandra and HBase), and the table's per-op tax and memory and disk
+// multipliers. Those are the properties the paper credits for each
+// ordering, so an ordering the figures show comes from them. The
+// constants are assumptions, not measurements of the originals: change
+// one and see which conclusion moves. The memory multipliers scale the
+// engine's budget charge (64 bytes per entry plus key and value), not its
+// resident memory, so a change to the cache's node layout leaves the
+// baselines' DRAM figures where they were.
 
 #ifndef TIERBASE_BASELINES_BASELINES_H_
 #define TIERBASE_BASELINES_BASELINES_H_

@@ -344,7 +344,7 @@ Status HashEngine::FindLocked(Shard& shard, const Slice& key, uint64_t hash,
 }
 
 Status HashEngine::LoadStringLocked(const Entry& e, std::string* out) const {
-  if ((e.flags & Entry::kPayloadFlags) == 0) {
+  if ((e.flags & (Entry::kCompressed | Entry::kInPmem)) == 0) {
     // Hot path: DRAM-resident uncompressed value, copy straight out.
     out->assign(e.payload(), e.payload_len);
     return Status::OK();

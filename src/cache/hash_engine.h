@@ -147,7 +147,9 @@ class HashEngine : public KvEngine {
 
   // --- TTL. ---
   Status Expire(const Slice& key, uint64_t ttl_micros);
-  /// Remaining TTL in micros; NotFound if absent; 0 if no expiry set.
+  /// Remaining TTL in micros; NotFound if absent or expired; 0 if no
+  /// expiry set. A key with a TTL never reads 0: its deadline counts as
+  /// expired.
   Result<uint64_t> Ttl(const Slice& key);
 
   // --- Lists. ---
@@ -248,8 +250,6 @@ class HashEngine : public KvEngine {
     static constexpr uint8_t kCompressed = 1;  // Stored bytes are packed.
     static constexpr uint8_t kInPmem = 2;      // Payload is a PMem handle.
     static constexpr uint8_t kHasExpiry = 4;   // Deadline in Shard::expiry.
-    // The bits describing how the payload is stored.
-    static constexpr uint8_t kPayloadFlags = kCompressed | kInPmem;
 
     Entry* next_hash;
     Entry* lru_prev;
