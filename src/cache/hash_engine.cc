@@ -483,8 +483,10 @@ Status HashEngine::Delete(const Slice& key) {
   common::MutexLock lock(&shard.mu);
   Entry* e = shard.table.Find(key, hash);
   if (e == nullptr) return Status::NotFound("");
+  const bool expired = IsExpiredLocked(shard, *e);
+  if (expired) expirations_.fetch_add(1, std::memory_order_relaxed);
   RemoveEntryLocked(shard, e, hash);
-  return Status::OK();
+  return expired ? Status::NotFound("") : Status::OK();
 }
 
 void HashEngine::GroupByShard(const std::vector<Slice>& keys,

@@ -87,6 +87,23 @@ TEST(HashEngineTest, TtlExpiresLazily) {
   EXPECT_GE(engine.expirations(), 1u);
 }
 
+// Delete sees what Get and Exists see: a key whose TTL has passed is gone,
+// even before a lookup or a sweep has dropped its entry.
+TEST(HashEngineTest, DeleteOfExpiredKeyIsNotFound) {
+  ManualClock clock;
+  HashEngineOptions options;
+  options.clock = &clock;
+  HashEngine engine(options);
+  ASSERT_TRUE(engine.SetEx("k", "v", 1000).ok());
+  clock.Advance(1000);
+  EXPECT_TRUE(engine.Delete("k").IsNotFound());
+  EXPECT_EQ(engine.expirations(), 1u);
+  EXPECT_EQ(engine.GetUsage().keys, 0u);
+  EXPECT_EQ(engine.GetUsage().memory_bytes, 0u);
+  EXPECT_TRUE(engine.Delete("k").IsNotFound());
+  EXPECT_EQ(engine.expirations(), 1u);
+}
+
 TEST(HashEngineTest, TtlQueryAndUpdate) {
   ManualClock clock;
   HashEngineOptions options;
@@ -1130,7 +1147,7 @@ struct ModelValue {
 
 // HashEngine's semantics over a std::map. An expired key stays until an
 // operation that checks expiry on the way in touches it, or a sweep, as
-// the engine's lazy expiry keeps it; Delete, Expire and Ttl find it
+// the engine's lazy expiry keeps it; Expire and Ttl see it as missing
 // without dropping it. The engine's eviction filter reports evicted keys.
 struct EngineModel {
   explicit EngineModel(const Clock* clock) : clock(clock) {}
@@ -1285,7 +1302,8 @@ void RunAgainstModel(uint64_t seed, int num_ops,
         ASSERT_EQ(value, m->str) << where;
       }
     } else if (kind < 44) {  // Delete.
-      const bool present = model.keys.erase(key) == 1;
+      const bool present = model.Lookup(key) != nullptr;
+      model.keys.erase(key);
       ASSERT_EQ(engine.Delete(key).code(),
                 present ? Code::kOk : Code::kNotFound)
           << where;
