@@ -77,9 +77,9 @@ class SteppingClock : public Clock {
   const uint64_t step_;
 };
 
-/// Busy-waits for approximately `ns` nanoseconds. Used to model per-op CPU
-/// overhead of emulated systems and simulated device latencies — sleep
-/// syscalls are far too coarse at these scales.
+/// Busy-waits for approximately `ns` nanoseconds, burning CPU the whole
+/// time. Only for modelled CPU work (the baselines' per-op overhead); a
+/// modelled wait belongs in SleepNanos.
 inline void BusySpinNanos(uint64_t ns) {
   if (ns == 0) return;
   auto deadline =
@@ -87,6 +87,14 @@ inline void BusySpinNanos(uint64_t ns) {
   while (std::chrono::steady_clock::now() < deadline) {
   }
 }
+
+/// Blocks the calling thread, off CPU, until `ns` nanoseconds from now on
+/// CLOCK_MONOTONIC (the clock behind std::chrono::steady_clock). Never
+/// returns before that deadline: it sleeps to the absolute deadline and
+/// sleeps again when a signal interrupts it. The first call on a thread
+/// sets the thread's timer slack to 1 ns, so the kernel's default 50 us
+/// slack does not stretch each wake-up.
+void SleepNanos(uint64_t ns);
 
 /// Simple stopwatch over a Clock.
 class Stopwatch {

@@ -3,6 +3,10 @@
 #include <cstdint>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace tierbase {
 namespace crc32c {
 
@@ -43,7 +47,9 @@ const Tables& GetTables() {
 
 }  // namespace
 
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+namespace internal {
+
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) {
   const Tables& tables = GetTables();
   const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
   uint32_t crc = init_crc ^ 0xffffffffu;
@@ -74,6 +80,60 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
     --n;
   }
   return crc ^ 0xffffffffu;
+}
+
+#if defined(__x86_64__)
+// Same loop shape as ExtendPortable, one crc32 instruction per 8 bytes.
+// Only this function is built for SSE4.2, so the rest of the binary still
+// runs on a CPU without it.
+__attribute__((target("sse4.2"))) uint32_t ExtendHardware(
+    uint32_t init_crc, const char* data, size_t n) {
+  const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  while (n > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0) {
+    crc = _mm_crc32_u8(static_cast<uint32_t>(crc), *p++);
+    --n;
+  }
+  while (n >= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, 8);
+    crc = _mm_crc32_u64(crc, word);
+    p += 8;
+    n -= 8;
+  }
+  while (n > 0) {
+    crc = _mm_crc32_u8(static_cast<uint32_t>(crc), *p++);
+    --n;
+  }
+  return static_cast<uint32_t>(crc) ^ 0xffffffffu;
+}
+
+bool HardwareAvailable() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+#else
+bool HardwareAvailable() { return false; }
+#endif
+
+}  // namespace internal
+
+namespace {
+
+using ExtendFn = uint32_t (*)(uint32_t, const char*, size_t);
+
+ExtendFn ChooseExtend() {
+#if defined(__x86_64__)
+  if (internal::HardwareAvailable()) return internal::ExtendHardware;
+#endif
+  return internal::ExtendPortable;
+}
+
+}  // namespace
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  static const ExtendFn extend = ChooseExtend();
+  return extend(init_crc, data, n);
 }
 
 }  // namespace crc32c

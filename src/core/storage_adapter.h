@@ -191,10 +191,10 @@ class RemoteStorageAdapter : public StorageAdapter {
 
  private:
   void RoundTrip() const {
-    // Busy-spin rather than sleep: OS sleep granularity can be ~1 ms,
-    // which would swamp a sub-millisecond RTT model. The calling thread is
-    // "on the wire" for exactly rtt_micros_.
-    if (rtt_micros_ > 0) BusySpinNanos(rtt_micros_ * 1000);
+    // The calling thread waits on the wire, off CPU, for at least
+    // rtt_micros_ (never less; wake-up latency may add a few micros). A
+    // round trip costs the cache node time, not compute (paper §4.1).
+    SleepNanos(rtt_micros_ * 1000);
   }
   Status Forward(Status s) {
     if (s.ok()) writes_.fetch_add(1, std::memory_order_relaxed);

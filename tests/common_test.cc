@@ -2,7 +2,10 @@
 // histogram, random distributions, arena, clocks, env file helpers.
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -203,6 +206,93 @@ TEST(Crc32cTest, DetectsSingleBitFlip) {
   uint32_t before = crc32c::Value(data.data(), data.size());
   data[17] ^= 0x04;
   EXPECT_NE(crc32c::Value(data.data(), data.size()), before);
+}
+
+// Differential tests of the two Extend implementations over seeded random
+// bytes. Replay a failure with TIERBASE_CRC_SEED=<printed seed>.
+constexpr size_t kCrcMaxLen = 4096;
+using CrcExtendFn = uint32_t (*)(uint32_t, const char*, size_t);
+
+uint64_t CrcSeed() {
+  uint64_t seed = 20261018;
+  if (const char* env = std::getenv("TIERBASE_CRC_SEED")) {
+    seed = std::strtoull(env, nullptr, 10);
+  }
+  std::printf("crc32c seed %" PRIu64 "\n", seed);
+  return seed;
+}
+
+// kCrcMaxLen + 8 random bytes, so every length can start at offsets 0-7.
+std::string CrcData(Random* rnd) {
+  std::string buf(kCrcMaxLen + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd->Next());
+  return buf;
+}
+
+// Cuts random stretches of `buf` into up to five pieces at random split
+// points and chains Extend over them, alternating `a` and `b` piece by
+// piece; the result must equal `b` over the whole stretch.
+void ExpectSplitsCompose(CrcExtendFn a, CrcExtendFn b, const std::string& buf,
+                         Random* rnd) {
+  for (int round = 0; round < 2000; ++round) {
+    const size_t offset = rnd->Uniform(8);
+    const size_t len = rnd->Uniform(kCrcMaxLen + 1);
+    std::vector<size_t> cuts = {0, len};
+    for (size_t n = rnd->Uniform(5); n > 0; --n) {
+      cuts.push_back(rnd->Uniform(len + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    const char* data = buf.data() + offset;
+    uint32_t crc = 0;
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      crc = (i % 2 == 0 ? a : b)(crc, data + cuts[i], cuts[i + 1] - cuts[i]);
+    }
+    ASSERT_EQ(crc, b(0, data, len))
+        << "offset " << offset << " length " << len << " pieces "
+        << cuts.size() - 1;
+  }
+}
+
+TEST(Crc32cTest, PortableMatchesBitwiseReference) {
+  Random rnd(CrcSeed());
+  const std::string buf = CrcData(&rnd);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const char* data = buf.data() + offset;
+    uint32_t reg = 0xffffffffu;  // Bit-at-a-time CRC over data[0, len).
+    for (size_t len = 0; len <= kCrcMaxLen; ++len) {
+      ASSERT_EQ(crc32c::internal::ExtendPortable(0, data, len),
+                reg ^ 0xffffffffu)
+          << "offset " << offset << " length " << len;
+      reg ^= static_cast<unsigned char>(data[len]);
+      for (int bit = 0; bit < 8; ++bit) {
+        reg = (reg >> 1) ^ (0x82f63b78u & (0u - (reg & 1)));
+      }
+    }
+  }
+  ExpectSplitsCompose(crc32c::internal::ExtendPortable,
+                      crc32c::internal::ExtendPortable, buf, &rnd);
+}
+
+TEST(Crc32cTest, HardwareMatchesPortable) {
+#if defined(__x86_64__)
+  if (!crc32c::internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 on this CPU";
+  }
+  Random rnd(CrcSeed());
+  const std::string buf = CrcData(&rnd);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const char* data = buf.data() + offset;
+    for (size_t len = 0; len <= kCrcMaxLen; ++len) {
+      ASSERT_EQ(crc32c::internal::ExtendHardware(0, data, len),
+                crc32c::internal::ExtendPortable(0, data, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  ExpectSplitsCompose(crc32c::internal::ExtendHardware,
+                      crc32c::internal::ExtendPortable, buf, &rnd);
+#else
+  GTEST_SKIP() << "no CRC32C instruction path on this architecture";
+#endif
 }
 
 // --- Hash. ---

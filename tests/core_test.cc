@@ -3,6 +3,8 @@
 // manager (merging, backpressure, flush), deferred fetching, and crash
 // recovery of the cache tier.
 
+#include <time.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -780,6 +782,36 @@ TEST(RemoteStorageAdapterTest, BatchPaysOneRoundTrip) {
   }
   double single_secs = single_timer.ElapsedSeconds();
   EXPECT_GT(single_secs, batch_secs * 10);
+}
+
+// The modelled round trip is a wait, not compute: every call lasts at
+// least rtt_micros on the steady clock, and the thread is off CPU for
+// nearly all of it.
+TEST(RemoteStorageAdapterTest, RoundTripBlocksOffCpu) {
+  MockStorageAdapter inner;
+  constexpr uint64_t kRttMicros = 2000;
+  RemoteStorageAdapter remote(&inner, kRttMicros);
+  auto thread_cpu_nanos = [] {
+    timespec ts;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+  };
+  const int64_t cpu_start = thread_cpu_nanos();
+  const auto wall_start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    const auto call_start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(remote.Write("k" + std::to_string(i), "v").ok());
+    const auto elapsed = std::chrono::steady_clock::now() - call_start;
+    EXPECT_GE(elapsed, std::chrono::microseconds(kRttMicros)) << "call " << i;
+  }
+  const int64_t wall_nanos =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - wall_start)
+          .count();
+  const int64_t cpu_nanos = thread_cpu_nanos() - cpu_start;
+  EXPECT_LT(cpu_nanos, wall_nanos / 10)
+      << "thread CPU " << cpu_nanos << " ns over " << wall_nanos
+      << " ns of wall time";
 }
 
 TEST(RemoteStorageAdapterTest, MultiReadSharesRoundTrip) {
