@@ -136,8 +136,6 @@ class SymbolTable:
 def demangle(names):
     """Demangled names without their parameter lists."""
     names = sorted(names)
-    if not names or not shutil.which("c++filt"):
-        return {n: n for n in names}
     out = subprocess.run(["c++filt", "-p"], input="\n".join(names) + "\n",
                          stdout=subprocess.PIPE, text=True).stdout
     return dict(zip(names, out.splitlines()))

@@ -7,10 +7,10 @@
  *
  * Only a process whose executable (/proc/self/exe) has the base name
  * SIGPROF_EXE samples itself; every other process the command starts runs
- * as if the sampler were not there. For each SIGPROF_INTERVAL_US (default
- * 1000) of CPU time the process uses, the kernel sends SIGPROF to a
- * running thread, and the handler keeps that thread's stack, innermost
- * frame first, in a fixed buffer. At exit the sampler writes
+ * as if the sampler were not there. For each millisecond of CPU time the
+ * process uses (in practice one kernel tick or more), the kernel sends
+ * SIGPROF to a running thread, and the handler keeps that thread's stack,
+ * innermost frame first, in a fixed buffer. At exit the sampler writes
  * SIGPROF_OUT/sigprof.<pid>: a copy of /proc/self/maps, a line
  * "samples <kept> <dropped>", then one stack per line as hex addresses.
  * The first address of a stack is the interrupted instruction; the others
@@ -33,7 +33,7 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-enum { kMaxSamples = 1 << 16, kMaxDepth = 48 };
+enum { kIntervalMicros = 1000, kMaxSamples = 1 << 16, kMaxDepth = 48 };
 
 static uintptr_t g_frames[kMaxSamples][kMaxDepth];
 /* Written last, so a sample whose depth is 0 at exit is skipped. */
@@ -45,8 +45,6 @@ static char g_out[PATH_MAX];
 static uintptr_t InterruptedPc(void* ucontext) {
 #if defined(__x86_64__)
   return (uintptr_t)((ucontext_t*)ucontext)->uc_mcontext.gregs[REG_RIP];
-#elif defined(__aarch64__)
-  return (uintptr_t)((ucontext_t*)ucontext)->uc_mcontext.pc;
 #else
   (void)ucontext;
   return 0;
@@ -93,9 +91,6 @@ __attribute__((constructor)) static void SamplerStart(void) {
   const char* out = getenv("SIGPROF_OUT");
   if (want == NULL || out == NULL || !IsSampledProgram(want)) return;
   snprintf(g_out, sizeof(g_out), "%s/sigprof.%d", out, (int)getpid());
-  long interval_us = 1000;
-  const char* interval = getenv("SIGPROF_INTERVAL_US");
-  if (interval != NULL && atol(interval) > 0) interval_us = atol(interval);
 
   void* warm[4];
   backtrace(warm, 4);
@@ -107,8 +102,8 @@ __attribute__((constructor)) static void SamplerStart(void) {
   if (sigaction(SIGPROF, &sa, NULL) != 0) return;
   atomic_store(&g_active, 1);
   struct itimerval timer;
-  timer.it_interval.tv_sec = interval_us / 1000000;
-  timer.it_interval.tv_usec = interval_us % 1000000;
+  timer.it_interval.tv_sec = 0;
+  timer.it_interval.tv_usec = kIntervalMicros;
   timer.it_value = timer.it_interval;
   if (setitimer(ITIMER_PROF, &timer, NULL) != 0) atomic_store(&g_active, 0);
 }
