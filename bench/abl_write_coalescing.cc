@@ -18,7 +18,7 @@ void BM_Coalescer(benchmark::State& state) {
   const bool coalesce = state.range(0) != 0;
   const int hot_keys = static_cast<int>(state.range(1));
 
-  // Storage writes pay a fixed simulated remote latency (a 20us busy-spin
+  // Storage writes pay a fixed simulated remote latency (a 20us off-CPU wait
   // per call); the coalescer's value is collapsing redundant remote writes.
   MockStorageAdapter mock;
   RemoteStorageAdapter storage(&mock, /*rtt_micros=*/20);
