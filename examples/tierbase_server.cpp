@@ -61,7 +61,9 @@
 //                       replies, and oplog recording for wire replication
 //   --replicaof H:P     boot as a replica streaming from this master
 //                       (normally the coordinator wires this on ADDNODE)
-//   --oplog-cap N       replication oplog bound in ops (default 65536)
+//   --oplog-cap N       replication oplog bound in ops (default 65536);
+//                       ops are retained only from the first REPLPULL
+//                       on, so a node without replicas keeps none
 //
 // The process exits when a client issues SHUTDOWN (or on SIGINT/SIGTERM).
 

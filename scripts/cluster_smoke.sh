@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Cluster smoke: boots a coordinator, two masters, one replica and the
 # RESP proxy; registers the topology; drives traffic through the proxy and
-# the smart client; kills a master mid-flight and verifies the replica is
-# promoted with no lost keys; checks SCAN/DBSIZE key placement; then shuts
+# the smart client; checks that the master without a replica retains no
+# oplog, then attaches a late replica to it, which must full-resync and
+# catch up; kills a master mid-flight and verifies the replica is promoted
+# with no lost keys; checks SCAN/DBSIZE key placement; then shuts
 # everything down without leaking a process. Used by the CI cluster-smoke
 # job; runnable locally:
 #
@@ -111,6 +113,29 @@ echo "smoke: proxy METRICS lint OK, $GET_COUNT GETs in its histogram"
   --remote "127.0.0.1:$PP" | grep -q "run " || fail "proxy YCSB"
 echo "smoke: YCSB-A over smart client and proxy OK"
 
+# --- n2 has no replica, so its oplog has kept no op (min = head + 1). A
+# late replica's first pull then hits the gap and full-resyncs. ---
+info_field() { # info_field <port> <name>
+  "$CLI" -p "$1" INFO | grep -o "$2:[0-9]*" | cut -d: -f2
+}
+N2_HEAD=$(info_field "$N2" repl_head_seq)
+N2_MIN=$(info_field "$N2" repl_min_seq)
+[ "$N2_HEAD" -gt 0 ] || fail "n2 recorded no writes (head $N2_HEAD)"
+[ "$N2_MIN" -eq "$((N2_HEAD + 1))" ] || \
+  fail "n2 without a replica retains ops (min $N2_MIN, head $N2_HEAD)"
+"$SERVER" --port 0 --port-file "$WORK/r2.port" --cluster-id r2 &
+PIDS+=($!)
+wait_port_file "$WORK/r2.port" "${PIDS[-1]}"
+R2=$(cat "$WORK/r2.port")
+expect "OK" "$CP" CLUSTER ADDNODE r2 127.0.0.1 "$R2" REPLICAOF n2
+ACKED=$("$CLI" -p "$N2" WAIT 1 5000 | tr -dc '0-9')
+[ "$ACKED" -ge 1 ] || fail "late replica r2 never acked (WAIT -> $ACKED)"
+N2_KEYS=$("$CLI" -p "$N2" DBSIZE | tr -dc '0-9')
+R2_KEYS=$("$CLI" -p "$R2" DBSIZE | tr -dc '0-9')
+[ "$R2_KEYS" -eq "$N2_KEYS" ] || fail "r2 holds $R2_KEYS != n2's $N2_KEYS"
+[ "$(info_field "$R2" full_resyncs)" -ge 1 ] || fail "r2 never full-resynced"
+echo "smoke: n2 retained no oplog (head $N2_HEAD); late r2 resynced $R2_KEYS keys"
+
 # --- Kill a master; the replica must take over with no lost smoke keys. ---
 kill -9 "$N1_PID"
 expect "OK" "$CP" CLUSTER FAIL n1
@@ -138,6 +163,7 @@ expect "OK" "$R1" FLUSHALL
 expect "OK" "$PP" SHUTDOWN
 expect "OK" "$N2" SHUTDOWN
 expect "OK" "$R1" SHUTDOWN
+expect "OK" "$R2" SHUTDOWN
 expect "OK" "$CP" SHUTDOWN
 # (pgrep -x matches the 15-char truncated comm name, which also covers
 # tierbase_coordinator.)

@@ -3,6 +3,7 @@
 
     python3 scripts/profile_setup.py --workload tiered-read [--seed 1]
         [--tiny] [--exe tbb_server] [--top 25] [--require tierbase::]
+        [--callers FUNC]
 
 Builds the benchmark as tbbench/run.py does, compiles
 scripts/sigprof_sampler.c and runs one set-up of the workload (launch,
@@ -12,8 +13,12 @@ by --exe samples itself. When set-up is done the servers shut down, the
 sampler writes its stacks, and this script symbolizes them with nm and
 c++filt and prints two tables: the functions with the largest inclusive
 share (samples with the function anywhere on the stack) and those with the
-largest self share (samples with the function innermost). --require exits
-non-zero when no sampled frame's function name contains the given text.
+largest self share (samples with the function innermost). --callers FUNC
+adds a third table: for the samples with a frame whose function name
+contains FUNC, the share under each nearest tierbase:: caller of that
+frame (the innermost such frame, walking outward past frames that match
+FUNC themselves). --require exits non-zero when no sampled frame's
+function name contains the given text.
 """
 
 import argparse
@@ -181,6 +186,21 @@ def shares(stacks):
     return self_counts, incl_counts
 
 
+def callers(stacks, func):
+    """Samples per nearest tierbase:: caller of the innermost frame whose
+    name contains `func`; each sample counts once."""
+    counts = collections.Counter()
+    for frames in stacks:
+        hit = next((i for i, f in enumerate(frames) if func in f), None)
+        if hit is None:
+            continue
+        caller = next((f for f in frames[hit + 1:]
+                       if f.startswith("tierbase::") and func not in f),
+                      "[no tierbase:: caller]")
+        counts[caller] += 1
+    return counts
+
+
 def print_table(title, order, self_counts, incl_counts, total, top):
     print(f"\n{title}")
     print(f"  {'self%':>6} {'incl%':>6}  function")
@@ -198,6 +218,9 @@ def main():
     ap.add_argument("--exe", default="tbb_server",
                     help="base name of the program to sample")
     ap.add_argument("--top", type=int, default=25)
+    ap.add_argument("--callers", default="", metavar="FUNC",
+                    help="split the samples under frames whose function "
+                         "name contains FUNC by nearest tierbase:: caller")
     ap.add_argument("--require", default="",
                     help="fail unless some sampled function contains this")
     args = ap.parse_args()
@@ -231,6 +254,14 @@ def main():
     for title, order in (("By inclusive share:", incl_counts),
                          ("By self share:", self_counts)):
         print_table(title, order, self_counts, incl_counts, total, args.top)
+    if args.callers:
+        counts = callers(stacks, args.callers)
+        print(f"\nUnder frames naming {args.callers!r}: "
+              f"{100.0 * sum(counts.values()) / total:.1f}% of samples, by "
+              f"nearest tierbase:: caller:")
+        print(f"  {'share%':>6}  caller")
+        for name, n in counts.most_common(args.top):
+            print(f"  {100.0 * n / total:6.1f}  {name[:110]}")
     if args.require and not any(args.require in name for name in incl_counts):
         print(f"no sampled frame names {args.require!r}", file=sys.stderr)
         return 1

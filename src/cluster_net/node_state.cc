@@ -77,33 +77,19 @@ bool NodeClusterState::CheckMoved(const Slice& key, std::string* moved_error) {
 
 void NodeClusterState::RecordSet(const Slice& key, const Slice& value,
                                  uint64_t ttl_micros) {
-  ReplOp op;
-  op.type = ReplOp::Type::kSet;
-  op.key = key.ToString();
-  op.value = value.ToString();
-  op.ttl_micros = ttl_micros;
-  oplog_.Append(std::move(op));
+  oplog_.Append(ReplOp::Type::kSet, key, value, ttl_micros);
 }
 
 void NodeClusterState::RecordDelete(const Slice& key) {
-  ReplOp op;
-  op.type = ReplOp::Type::kDelete;
-  op.key = key.ToString();
-  oplog_.Append(std::move(op));
+  oplog_.Append(ReplOp::Type::kDelete, key, Slice(), 0);
 }
 
 void NodeClusterState::RecordExpire(const Slice& key, uint64_t ttl_micros) {
-  ReplOp op;
-  op.type = ReplOp::Type::kExpire;
-  op.key = key.ToString();
-  op.ttl_micros = ttl_micros;
-  oplog_.Append(std::move(op));
+  oplog_.Append(ReplOp::Type::kExpire, key, Slice(), ttl_micros);
 }
 
 void NodeClusterState::RecordFlush() {
-  ReplOp op;
-  op.type = ReplOp::Type::kFlushAll;
-  oplog_.Append(std::move(op));
+  oplog_.Append(ReplOp::Type::kFlushAll, Slice(), Slice(), 0);
 }
 
 void NodeClusterState::NoteReplicaAck(const std::string& replica_id,

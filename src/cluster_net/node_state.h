@@ -8,14 +8,17 @@
 //     and refresh on the epoch bump.
 //   * Master role. Applied string mutations are recorded into a bounded
 //     OpLog; replicas pull ranges over the wire with REPLPULL, and WAIT
-//     reports how many replicas have acknowledged the current head.
+//     reports how many replicas have acknowledged the current head. The
+//     OpLog keeps op copies only from its first REPLPULL on, so a node
+//     without replicas holds just a sequence counter.
 //   * Replica role. REPLICAOF starts a pull thread that streams the
 //     master's oplog over a persistent RESP connection, applying each op
 //     locally and acking by sequence. A sequence gap (bounded-ring
 //     overrun) triggers a full resync via REPLSNAPSHOT pages. REPLICAOF NO
 //     ONE — sent by the coordinator on failover — stops the link and
-//     promotes the node to master; its own oplog has been maintained all
-//     along, so new replicas can chain off it immediately.
+//     promotes the node to master. Its own oplog has counted every applied
+//     op all along but holds copies only if something pulled from it, so
+//     a new replica chaining off it full-resyncs once, then streams.
 //
 // Scope: string ops replicate (SET with TTL, DEL, EXPIRE, FLUSHALL); rich
 // cache-tier types stay node-local in this reproduction. Replication

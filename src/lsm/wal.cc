@@ -19,13 +19,14 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
 
 Status WalWriter::AddRecord(const Slice& record) {
   common::MutexLock lock(&mu_);
-  std::string framed;
-  framed.reserve(8 + record.size());
-  PutFixed32(&framed,
+  // Header and payload go down in one Append: two could leave a header
+  // without its payload if the second one failed.
+  framed_.clear();
+  PutFixed32(&framed_,
              crc32c::Mask(crc32c::Value(record.data(), record.size())));
-  PutFixed32(&framed, static_cast<uint32_t>(record.size()));
-  framed.append(record.data(), record.size());
-  TIERBASE_RETURN_IF_ERROR(file_->Append(framed));
+  PutFixed32(&framed_, static_cast<uint32_t>(record.size()));
+  framed_.append(record.data(), record.size());
+  TIERBASE_RETURN_IF_ERROR(file_->Append(framed_));
 
   // The paper's "WAL" mode: records accumulate in the writer's buffer and
   // hit the disk on the sync interval ("asynchronous disk flushes every

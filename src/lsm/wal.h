@@ -58,6 +58,9 @@ class WalWriter {
   WalOptions options_;
   common::Mutex mu_;
   uint64_t last_sync_micros_ GUARDED_BY(mu_) = 0;
+  // Framing buffer reused across records, so a record costs no allocation
+  // once it has grown to the largest record size.
+  std::string framed_ GUARDED_BY(mu_);
 };
 
 /// Outcome of one WalReader::ReadRecord call. The reader distinguishes a

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,15 +116,16 @@ TEST(CoordinatorServiceTest, StartRejectsOutOfRangeVirtualNodes) {
 
 TEST(OpLogTest, SequencesAndGapDetection) {
   OpLog log(4);
+  // A first pull starts retention (see RetainsNothingBeforeFirstRead).
+  std::vector<ReplOp> ops;
+  ASSERT_TRUE(log.Read(1, 16, &ops));
+  EXPECT_TRUE(ops.empty());
   for (int i = 0; i < 3; ++i) {
-    ReplOp op;
-    op.key = "k" + std::to_string(i);
-    log.Append(std::move(op));
+    log.Append(ReplOp::Type::kSet, "k" + std::to_string(i), "v", 0);
   }
   EXPECT_EQ(3u, log.head_seq());
   EXPECT_EQ(1u, log.min_seq());
 
-  std::vector<ReplOp> ops;
   ASSERT_TRUE(log.Read(2, 16, &ops));
   ASSERT_EQ(2u, ops.size());
   EXPECT_EQ(2u, ops[0].seq);
@@ -135,15 +137,52 @@ TEST(OpLogTest, SequencesAndGapDetection) {
 
   // Overrun the ring: seq 1 and 2 fall out; reading them is a gap.
   for (int i = 3; i < 6; ++i) {
-    ReplOp op;
-    op.key = "k" + std::to_string(i);
-    log.Append(std::move(op));
+    log.Append(ReplOp::Type::kSet, "k" + std::to_string(i), "v", 0);
   }
   EXPECT_EQ(6u, log.head_seq());
   EXPECT_EQ(3u, log.min_seq());
   EXPECT_FALSE(log.Read(1, 16, &ops));
   ASSERT_TRUE(log.Read(3, 16, &ops));
   EXPECT_EQ(4u, ops.size());
+}
+
+TEST(OpLogTest, RetainsNothingBeforeFirstRead) {
+  OpLog log(16);
+  for (int i = 0; i < 5; ++i) {
+    log.Append(ReplOp::Type::kSet, "k" + std::to_string(i), "v", 0);
+  }
+  // Sequences advance, but no op is kept: the log reads as empty.
+  EXPECT_EQ(5u, log.head_seq());
+  EXPECT_EQ(log.head_seq() + 1, log.min_seq());
+
+  // The first pull from before the head is a gap (the replica then
+  // full-resyncs) and starts retention.
+  std::vector<ReplOp> ops;
+  EXPECT_FALSE(log.Read(1, 16, &ops));
+  EXPECT_TRUE(ops.empty());
+  EXPECT_EQ(6u, log.min_seq());
+
+  // Every op after that first pull is returned, in order, with its fields.
+  log.Append(ReplOp::Type::kSet, "a", "va", 7);
+  log.Append(ReplOp::Type::kDelete, "b", Slice(), 0);
+  log.Append(ReplOp::Type::kExpire, "a", Slice(), 9);
+  log.Append(ReplOp::Type::kFlushAll, Slice(), Slice(), 0);
+  EXPECT_EQ(9u, log.head_seq());
+  EXPECT_EQ(6u, log.min_seq());
+  ASSERT_TRUE(log.Read(6, 16, &ops));
+  ASSERT_EQ(4u, ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) EXPECT_EQ(6 + i, ops[i].seq);
+  EXPECT_EQ(ReplOp::Type::kSet, ops[0].type);
+  EXPECT_EQ("a", ops[0].key);
+  EXPECT_EQ("va", ops[0].value);
+  EXPECT_EQ(7u, ops[0].ttl_micros);
+  EXPECT_EQ(ReplOp::Type::kDelete, ops[1].type);
+  EXPECT_EQ("b", ops[1].key);
+  EXPECT_EQ(ReplOp::Type::kExpire, ops[2].type);
+  EXPECT_EQ(9u, ops[2].ttl_micros);
+  EXPECT_EQ(ReplOp::Type::kFlushAll, ops[3].type);
+  // Ops from before the first pull stay unreadable.
+  EXPECT_FALSE(log.Read(5, 16, &ops));
 }
 
 // ---------------------------------------------------------------------------
@@ -445,6 +484,103 @@ TEST_F(ClusterNetTest, LateReplicaFullResyncsAcrossOplogGap) {
   Result<uint64_t> ttl = r1->db->cache()->Ttl("gkttl");
   ASSERT_TRUE(ttl.ok());
   EXPECT_GT(*ttl, 0u);
+}
+
+TEST_F(ClusterNetTest, FirstAttachAfterWritesFullResyncsThenStreams) {
+  StartCoordinator();
+  // Default-size oplog: the gap comes from retention starting at the first
+  // REPLPULL, not from the ring bound.
+  DataNode* n1 = StartNode("n1");
+  ASSERT_TRUE(Register(*n1).ok());
+
+  Client cli;
+  ASSERT_TRUE(cli.Connect("127.0.0.1", n1->port()).ok());
+  RespValue v;
+  for (int i = 0; i < 100; ++i) {
+    std::vector<std::string> args{"SET", "ak" + std::to_string(i),
+                                  "v" + std::to_string(i)};
+    if (i % 3 == 0) {
+      args.push_back("EX");
+      args.push_back("100");
+    }
+    ASSERT_TRUE(cli.Call(std::vector<Slice>(args.begin(), args.end()), &v)
+                    .ok());
+    ASSERT_EQ("OK", v.str);
+  }
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(cli.Call({"DEL", "ak" + std::to_string(i * 7)}, &v).ok());
+    EXPECT_EQ(1, v.integer);
+  }
+  EXPECT_EQ(110u, n1->cluster->oplog()->head_seq());
+  EXPECT_EQ(111u, n1->cluster->oplog()->min_seq());
+
+  DataNode* r1 = StartNode("r1");
+  ASSERT_TRUE(Register(*r1, "n1").ok());
+  ASSERT_TRUE(cli.Call({"WAIT", "1", "5000"}, &v).ok());
+  ASSERT_GE(v.integer, 1) << "replica never caught up";
+  const uint64_t resyncs = r1->cluster->full_resyncs();
+  EXPECT_GE(resyncs, 1u);
+
+  auto keys_of = [](DataNode* node) {
+    std::set<std::string> keys;
+    std::vector<std::string> page;
+    uint64_t cursor = 0;
+    do {
+      page.clear();
+      cursor = node->db->cache()->Scan(cursor, 64, &page);
+      keys.insert(page.begin(), page.end());
+    } while (cursor != 0);
+    return keys;
+  };
+  const std::set<std::string> master_keys = keys_of(n1);
+  EXPECT_EQ(90u, master_keys.size());
+  EXPECT_EQ(master_keys, keys_of(r1));
+  for (const std::string& key : master_keys) {
+    std::string want, got;
+    ASSERT_TRUE(n1->db->Get(key, &want).ok()) << key;
+    ASSERT_TRUE(r1->db->Get(key, &got).ok()) << key;
+    EXPECT_EQ(want, got) << key;
+    Result<uint64_t> master_ttl = n1->db->cache()->Ttl(key);
+    Result<uint64_t> replica_ttl = r1->db->cache()->Ttl(key);
+    ASSERT_TRUE(master_ttl.ok() && replica_ttl.ok()) << key;
+    // Both carry the EX 100 deadline, or neither has one; the replica's
+    // was read later and shipped with the time already elapsed.
+    EXPECT_EQ(*master_ttl == 0, *replica_ttl == 0) << key;
+    EXPECT_LE(*replica_ttl, 100'000'000u) << key;
+    if (*master_ttl != 0) {
+      EXPECT_GT(*replica_ttl, 90'000'000u) << key;
+    }
+  }
+
+  // Once attached, the replica streams: no further full resync.
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(
+        cli.Call({"SET", "bk" + std::to_string(i), std::to_string(i)}, &v)
+            .ok());
+  }
+  ASSERT_TRUE(cli.Call({"WAIT", "1", "5000"}, &v).ok());
+  EXPECT_GE(v.integer, 1);
+  EXPECT_EQ(resyncs, r1->cluster->full_resyncs());
+  std::string value;
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(r1->db->Get("bk" + std::to_string(i), &value).ok()) << i;
+    EXPECT_EQ(std::to_string(i), value);
+  }
+  EXPECT_EQ(keys_of(n1), keys_of(r1));
+
+  // A master nobody pulls from keeps no op copies: INFO shows an empty
+  // oplog (min = head + 1) after its writes.
+  DataNode* n2 = StartNode("n2");
+  Client cli2;
+  ASSERT_TRUE(cli2.Connect("127.0.0.1", n2->port()).ok());
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(cli2.Call({"SET", "ck" + std::to_string(i), "v"}, &v).ok());
+  }
+  ASSERT_TRUE(cli2.Call({"INFO"}, &v).ok());
+  EXPECT_NE(std::string::npos, v.str.find("repl_head_seq:1000\r\n"))
+      << v.str;
+  EXPECT_NE(std::string::npos, v.str.find("repl_min_seq:1001\r\n"))
+      << v.str;
 }
 
 TEST_F(ClusterNetTest, SnapshotNeverShipsAnExpiringKeyWithoutTtl) {

@@ -347,6 +347,11 @@ TEST(RaceTest, CrossLoopMetricsSnapshotsVsTraffic) {
 
 TEST(RaceTest, OplogAppendVsRangeReads) {
   cluster_net::OpLog oplog(128);  // Bounded ring: readers race the bound.
+  // A first pull starts retention, as a replica's first REPLPULL does;
+  // without it the appenders could finish before the reader's first Read
+  // and the ring would never fill.
+  std::vector<cluster_net::ReplOp> primed;
+  ASSERT_TRUE(oplog.Read(1, 64, &primed));
 
   constexpr int kAppenders = 2;
   constexpr int kOps = 500;
@@ -355,11 +360,7 @@ TEST(RaceTest, OplogAppendVsRangeReads) {
   for (int t = 0; t < kAppenders; ++t) {
     threads.emplace_back([&oplog, t] {
       for (int i = 0; i < kOps; ++i) {
-        cluster_net::ReplOp op;
-        op.type = cluster_net::ReplOp::Type::kSet;
-        op.key = Key(t, i);
-        op.value = "v";
-        oplog.Append(std::move(op));
+        oplog.Append(cluster_net::ReplOp::Type::kSet, Key(t, i), "v", 0);
       }
     });
   }
