@@ -250,8 +250,8 @@ inline std::unique_ptr<TieredTierBase> MakeTieredTierBase(
   options.cache.memory_budget = static_cast<size_t>(
       cache_ratio_x > 0 ? payload_bytes / cache_ratio_x : 0);
   options.cache.shards = 4;  // The replays drive several client threads.
-  // Keep the dirty set small relative to the (ratio-bounded) cache so
-  // pinned dirty entries never crowd out the hot set, while batches stay
+  // Keep the dirty set small relative to the (ratio-bounded) cache: the
+  // dirty buffer's value copies sit outside the cache budget. Batches stay
   // large enough to amortize the RTT ("Managing Dirty Data", §4.1.2).
   options.write_back.flush_threshold = 256;
   options.write_back.max_batch = 256;

@@ -41,7 +41,7 @@ TieredRun RunPolicy(CachingPolicy policy, const workload::Trace& trace,
   options.cache.memory_budget = cache_budget;
   options.cache.shards = 4;
   // Keep the dirty set well under the cache budget ("Managing Dirty
-  // Data", §4.1.2) so pinned dirty entries never crowd out the hot set.
+  // Data", §4.1.2): the dirty buffer's value copies sit outside it.
   options.write_back.flush_threshold = 256;
   options.write_back.max_dirty = 512;
   options.write_back.max_batch = 256;

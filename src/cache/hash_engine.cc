@@ -259,28 +259,21 @@ Status HashEngine::EvictLocked(Shard& shard, size_t needed,
     return Status::OK();
   }
 
-  std::shared_ptr<const EvictionFilter> filter =
-      std::atomic_load_explicit(&eviction_filter_,
-                                std::memory_order_acquire);
-
-  // March from the LRU tail, skipping pinned entries. Removing a node
+  // March from the LRU tail, passing over only `protect`. Removing a node
   // leaves its neighbours' links intact, so the walk continues from the
   // saved predecessor without restarting.
   Entry* e = shard.lru_tail;
   while (shard.charged + needed > per_shard_budget_ && e != nullptr) {
     Entry* prev = e->lru_prev;
     if (e != protect) {
-      if (filter == nullptr || (*filter)(e->key())) {
-        RemoveEntryLocked(shard, e, Hash64(e->key()));
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ++shard.pinned_skips;
-      }
+      RemoveEntryLocked(shard, e, Hash64(e->key()));
+      evictions_.fetch_add(1, std::memory_order_relaxed);
     }
     e = prev;
   }
   if (shard.charged + needed > per_shard_budget_) {
-    return Status::OutOfSpace("cache: all remaining entries pinned");
+    // Nothing but `protect` is left: the entry outgrows its shard's budget.
+    return Status::OutOfSpace("cache: entry exceeds the shard budget");
   }
   return Status::OK();
 }
@@ -970,23 +963,6 @@ uint64_t HashEngine::lru_touches() const {
     total += shard->lru_touches;
   }
   return total;
-}
-
-uint64_t HashEngine::eviction_pinned_skips() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    common::MutexLock lock(&shard->mu);
-    total += shard->pinned_skips;
-  }
-  return total;
-}
-
-void HashEngine::SetEvictionFilter(EvictionFilter filter) {
-  std::shared_ptr<const EvictionFilter> next =
-      filter ? std::make_shared<const EvictionFilter>(std::move(filter))
-             : nullptr;
-  std::atomic_store_explicit(&eviction_filter_, std::move(next),
-                             std::memory_order_release);
 }
 
 size_t HashEngine::SweepExpired() {

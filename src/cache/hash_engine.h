@@ -4,8 +4,7 @@
 // Features exercised by the paper's evaluation:
 //   * Redis-compatible data model: strings plus lists, hashes, sets and
 //     sorted sets; CAS (compare-and-set) on strings; TTL expiry.
-//   * LRU eviction against a configurable memory budget, with an eviction
-//     filter so the write-back path can pin dirty entries.
+//   * LRU eviction against a configurable memory budget.
 //   * Value compression hook (§4.2): string values above a threshold are
 //     stored compressed with the configured pre-trained compressor.
 //   * DRAM/PMem split placement (§4.3): keys and index metadata always stay
@@ -59,7 +58,6 @@
 
 #include <atomic>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -90,7 +88,7 @@ enum class ValueKind : uint8_t {
 
 enum class EvictionPolicy {
   kNoEviction,  // Set fails with OutOfSpace when over budget.
-  kLru,         // Evict least-recently-used unpinned entries.
+  kLru,         // Evict least-recently-used entries.
 };
 
 struct HashEngineOptions {
@@ -195,21 +193,10 @@ class HashEngine : public KvEngine {
   /// no eviction possible the hot path skips recency maintenance (and the
   /// allocation-free lookup leaves no other per-op side effects).
   uint64_t lru_touches() const;
-  /// LRU entries an eviction walked past because the eviction filter
-  /// pinned them (write-back's dirty entries). About one filter call per
-  /// eviction is the healthy rate; many more means pinned entries sit at
-  /// the LRU tails.
-  uint64_t eviction_pinned_skips() const;
   /// Shard mutex acquisitions made by MultiGet/MultiSet (at most one per
   /// shard per batch) and the number of batch calls served.
   uint64_t multi_shard_locks() const { return multi_shard_locks_.load(); }
   uint64_t multi_batches() const { return multi_batches_.load(); }
-
-  /// Write-back integration: return false to protect a key from eviction.
-  /// The filter is installed behind an atomically swapped shared_ptr, so
-  /// installation never blocks (or takes a lock on) the eviction path.
-  using EvictionFilter = std::function<bool(const Slice& key)>;
-  void SetEvictionFilter(EvictionFilter filter);
 
   /// Removes expired entries eagerly (normally lazy). Returns # removed.
   size_t SweepExpired();
@@ -312,7 +299,6 @@ class HashEngine : public KvEngine {
     Entry* lru_tail GUARDED_BY(mu) = nullptr;  // Eviction candidate.
     size_t charged GUARDED_BY(mu) = 0;
     uint64_t lru_touches GUARDED_BY(mu) = 0;
-    uint64_t pinned_skips GUARDED_BY(mu) = 0;
     // The last freed node's block. An insert that follows an eviction
     // reallocs it in place of a free + malloc pair; blocks above malloc's
     // per-thread cache size (about 1 KiB) otherwise pay the arena lock
@@ -376,7 +362,8 @@ class HashEngine : public KvEngine {
                       size_t old_charge) EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
   /// Evicts from the LRU tail until `needed` more bytes fit. `protect`,
   /// when non-null, names an entry that must survive (the one being
-  /// charged).
+  /// charged). OutOfSpace means only `protect` is left and it still does
+  /// not fit.
   Status EvictLocked(Shard& shard, size_t needed,
                      const Entry* protect = nullptr)
       EXCLUSIVE_LOCKS_REQUIRED(shard.mu);
@@ -424,10 +411,6 @@ class HashEngine : public KvEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
   int shard_shift_ = 64;  // 64 - log2(shard count).
   size_t per_shard_budget_ = 0;
-
-  /// Swapped wholesale with atomic shared_ptr ops; eviction loads it
-  /// lock-free.
-  std::shared_ptr<const EvictionFilter> eviction_filter_;
 
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> expirations_{0};

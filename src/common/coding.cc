@@ -14,15 +14,20 @@ void PutFixed64(std::string* dst, uint64_t value) {
   dst->append(buf, sizeof(buf));
 }
 
-void PutVarint32(std::string* dst, uint32_t v) {
-  unsigned char buf[5];
-  int i = 0;
+char* EncodeVarint32(char* dst, uint32_t v) {
+  unsigned char* p = reinterpret_cast<unsigned char*>(dst);
   while (v >= 0x80) {
-    buf[i++] = static_cast<unsigned char>(v | 0x80);
+    *p++ = static_cast<unsigned char>(v | 0x80);
     v >>= 7;
   }
-  buf[i++] = static_cast<unsigned char>(v);
-  dst->append(reinterpret_cast<char*>(buf), i);
+  *p++ = static_cast<unsigned char>(v);
+  return reinterpret_cast<char*>(p);
+}
+
+void PutVarint32(std::string* dst, uint32_t v) {
+  char buf[5];
+  char* end = EncodeVarint32(buf, v);
+  dst->append(buf, end - buf);
 }
 
 void PutVarint64(std::string* dst, uint64_t v) {

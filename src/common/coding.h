@@ -35,7 +35,10 @@ inline uint64_t DecodeFixed64(const char* ptr) {
 void PutFixed32(std::string* dst, uint32_t value);
 void PutFixed64(std::string* dst, uint64_t value);
 
-/// Appends a varint32 (1-5 bytes, 7 bits per byte, MSB = continuation).
+/// Writes a varint32 (1-5 bytes, 7 bits per byte, MSB = continuation) at
+/// `dst`, which must have room for it; returns the byte past it.
+char* EncodeVarint32(char* dst, uint32_t value);
+/// Appends a varint32.
 void PutVarint32(std::string* dst, uint32_t value);
 /// Appends a varint64 (1-10 bytes).
 void PutVarint64(std::string* dst, uint64_t value);

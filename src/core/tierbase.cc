@@ -84,12 +84,10 @@ Status TierBase::Init() {
     }
 
     case CachingPolicy::kWriteBack: {
+      // The cache may evict a dirty entry: the dirty buffer keeps its own
+      // copy until the flush (§4.1.2 reliability), and ReadMisses reads it.
       write_back_ = std::make_unique<WriteBackManager>(
           storage_, options_.write_back);
-      // Dirty entries must stay cached until flushed (§4.1.2 reliability).
-      cache_->SetEvictionFilter([this](const Slice& key) {
-        return !write_back_->IsDirty(key);
-      });
       break;
     }
   }
@@ -248,10 +246,11 @@ Status TierBase::SetInternal(const Slice& key, const Slice& value,
       // the update).
       Status s = cache_->SetEx(key, value, ttl_micros);
       if (s.IsOutOfSpace()) {
-        // The cache is full of pinned dirty entries; skip the cache copy.
-        // The dirty buffer (replicated in production) serves reads until
-        // the batch flush lands, and MarkDirty's max_dirty backpressure —
-        // not a synchronous flush — bounds the backlog.
+        // The entry outgrows its cache shard, or kNoEviction's budget is
+        // spent; skip the cache copy. The dirty buffer (replicated in
+        // production) serves reads until the batch flush lands, and
+        // MarkDirty's max_dirty backpressure — not a synchronous flush —
+        // bounds the backlog.
         s = Status::OK();
       }
       TIERBASE_RETURN_IF_ERROR(s);
@@ -469,8 +468,9 @@ void TierBase::MultiSet(const std::vector<Slice>& keys,
       std::vector<Slice> dirty_keys, dirty_values;
       std::vector<uint32_t> dirty_index;
       for (size_t i = 0; i < n; ++i) {
-        // OutOfSpace: the cache is full of pinned dirty entries; the dirty
-        // buffer still serves reads until the flush lands.
+        // OutOfSpace: the entry outgrows its cache shard, or kNoEviction's
+        // budget is spent; the dirty buffer still serves reads until the
+        // flush lands.
         if (cache_statuses[i].ok() || cache_statuses[i].IsOutOfSpace()) {
           dirty_keys.push_back(keys[i]);
           dirty_values.push_back(values[i]);
@@ -508,6 +508,15 @@ Status TierBase::Delete(const Slice& key) {
     }
   }
   return Status::OK();
+}
+
+bool TierBase::Exists(const Slice& key) {
+  if (cache_->Exists(key)) return true;
+  if (!tiered()) return false;
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ReadMisses({key}, /*populate=*/false, &values, &statuses);
+  return statuses[0].ok();
 }
 
 Status TierBase::Cas(const Slice& key, const Slice& expected,
@@ -591,7 +600,6 @@ TierBase::Stats TierBase::GetStats() const {
   s.evictions = cache_->evictions();
   s.expirations = cache_->expirations();
   s.lru_touches = cache_->lru_touches();
-  s.eviction_pinned_skips = cache_->eviction_pinned_skips();
   s.multi_shard_locks = cache_->multi_shard_locks();
   s.multi_batches = cache_->multi_batches();
   UsageStats cache_usage = cache_->GetUsage();

@@ -68,6 +68,10 @@ class TierBase : public KvEngine {
 
   // --- Extensions. ---
   Status SetEx(const Slice& key, const Slice& value, uint64_t ttl_micros);
+  /// True if a read would find the key: the cache, then (tiered modes)
+  /// the write-back dirty buffer, where a pending delete reads as absent,
+  /// then storage. Populates nothing.
+  bool Exists(const Slice& key);
   /// Compare-and-set; in tiered modes a cache miss triggers a (deferred)
   /// fetch before comparing, per §4.1.2's update-on-missing-key path.
   Status Cas(const Slice& key, const Slice& expected, const Slice& value,
@@ -98,8 +102,6 @@ class TierBase : public KvEngine {
     uint64_t evictions = 0;
     uint64_t expirations = 0;
     uint64_t lru_touches = 0;
-    uint64_t eviction_pinned_skips = 0;  // LRU entries the eviction walk
-                                         // passed because they were dirty.
     uint64_t multi_shard_locks = 0;  // Shard locks taken by batch ops.
     uint64_t multi_batches = 0;      // MultiGet/MultiSet calls served.
     uint64_t bytes_cached = 0;       // DRAM charged to cached entries.

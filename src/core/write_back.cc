@@ -60,11 +60,6 @@ Status WriteBackManager::MarkDirty(const std::vector<Slice>& keys,
   return Status::OK();
 }
 
-bool WriteBackManager::IsDirty(const Slice& key) const {
-  common::MutexLock lock(&mu_);
-  return index_.count(key.view()) != 0;
-}
-
 void WriteBackManager::GetDirty(const std::vector<Slice>& keys,
                                 std::vector<bool>* found,
                                 std::vector<std::string>* values,

@@ -5,10 +5,13 @@
 // The dirty set is one FIFO in dirty order: an update appends its key, or
 // moves an already-dirty key to the back, and every flush batch is the
 // oldest max_batch entries at the front. So an entry waits only behind the
-// dirty entries ahead of it, and the entries the cache must keep pinned
-// are the most recently written ones, never stragglers at the LRU tails.
-// (A re-dirty restarts the key's wait: a key rewritten faster than the
-// queue drains merges in memory until writes to it pause.)
+// dirty entries ahead of it. (A re-dirty restarts the key's wait: a key
+// rewritten faster than the queue drains merges in memory until writes to
+// it pause.)
+//
+// Each entry holds its own copy of the value, so the cache may evict a
+// dirty key at any time: reads consult GetDirty before storage, and the
+// value is never lost before its flush.
 
 #ifndef TIERBASE_CORE_WRITE_BACK_H_
 #define TIERBASE_CORE_WRITE_BACK_H_
@@ -42,10 +45,6 @@ class WriteBackManager {
   /// the batch aborts at once: the remaining ops would fail identically.
   Status MarkDirty(const std::vector<Slice>& keys,
                    const std::vector<Slice>& values, bool is_delete);
-
-  /// True while the key has an unflushed update; such keys must not be
-  /// evicted from the cache (the eviction filter consults this).
-  bool IsDirty(const Slice& key) const;
 
   /// Reads the dirty (not yet flushed) state of every key under one
   /// dirty-set lock, so reads see pending writes without touching storage.

@@ -29,14 +29,17 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
   const size_t ikey_size = user_key.size() + 8;
   const size_t encoded_len = VarintLength(ikey_size) + ikey_size +
                              VarintLength(value.size()) + value.size();
+  // Encode straight into the arena block (LevelDB's MemTable::Add):
+  // varint32(ikey_size) | user_key | fixed64(seq, type) | varint32(vlen) |
+  // value.
   char* buf = arena_.Allocate(encoded_len);
-  std::string scratch;  // Small; encode through a string for clarity.
-  scratch.reserve(encoded_len);
-  PutVarint32(&scratch, static_cast<uint32_t>(ikey_size));
-  AppendInternalKey(&scratch, user_key, seq, type);
-  PutVarint32(&scratch, static_cast<uint32_t>(value.size()));
-  scratch.append(value.data(), value.size());
-  memcpy(buf, scratch.data(), encoded_len);
+  char* p = EncodeVarint32(buf, static_cast<uint32_t>(ikey_size));
+  memcpy(p, user_key.data(), user_key.size());
+  p += user_key.size();
+  EncodeFixed64(p, PackSequenceAndType(seq, type));
+  p += 8;
+  p = EncodeVarint32(p, static_cast<uint32_t>(value.size()));
+  memcpy(p, value.data(), value.size());
   table_.Insert(buf);
   ++num_entries_;
 }

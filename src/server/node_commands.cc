@@ -168,9 +168,6 @@ void NodeCommands::RegisterInstruments() {
        [this] { return info_stats_.expirations; });
   stat("Stats", "lru_touches", "LRU promotions on hit",
        [this] { return info_stats_.lru_touches; });
-  stat("Stats", "eviction_pinned_skips",
-       "Pinned dirty entries the eviction walk passed over",
-       [this] { return info_stats_.eviction_pinned_skips; });
   stat("Stats", "multi_shard_locks", "Multi-op shard lock rounds",
        [this] { return info_stats_.multi_shard_locks; });
   stat("Stats", "multi_batches", "MultiGet/MultiSet engine batches",
@@ -280,17 +277,9 @@ void NodeCommands::Del(const RespCommand& cmd, std::string* out) {
   int64_t removed = 0;
   for (size_t i = 1; i < cmd.args.size(); ++i) {
     // Delete is policy-aware (tombstones under write-back, synchronous
-    // under write-through); count only keys that were present. For
-    // cache-cold keys the storage tier is probed directly — no value
-    // round trip through the Get path and no cache populate just to
-    // answer a count. (The probe can overcount a key whose write-back
-    // delete tombstone has not flushed yet; Redis-exact counting there
-    // would need a dirty-buffer existence API for a rare edge.)
-    bool existed = db_->cache()->Exists(cmd.args[i]);
-    if (!existed && db_->storage() != nullptr) {
-      std::string scratch;
-      existed = db_->storage()->Read(cmd.args[i], &scratch).ok();
-    }
+    // under write-through); count only keys that were present. The probe
+    // populates no cache entry just to answer a count.
+    const bool existed = db_->Exists(cmd.args[i]);
     Status s;
     {
       common::OptionalMutexLock order_lock(write_order_mu());
@@ -375,7 +364,7 @@ void NodeCommands::Expire(const RespCommand& cmd, std::string* out) {
   common::OptionalMutexLock order_lock(write_order_mu());
   if (seconds <= 0) {
     // Redis deletes the key on a non-positive TTL.
-    bool existed = db_->cache()->Exists(cmd.args[1]);
+    const bool existed = db_->Exists(cmd.args[1]);
     if (existed) {
       db_->Delete(cmd.args[1]);
       if (cluster() != nullptr) cluster()->RecordDelete(cmd.args[1]);

@@ -1,17 +1,16 @@
 // Tests for the cache-tier hash engine: strings, TTL, CAS, rich data
-// types, LRU eviction under a memory budget, the eviction filter used by
-// write-back, value compression, and DRAM/PMem split placement.
+// types, LRU eviction under a memory budget, value compression, and
+// DRAM/PMem split placement.
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <map>
+#include <set>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -404,36 +403,17 @@ TEST(HashEngineTest, NoEvictionPolicyReturnsOutOfSpace) {
   EXPECT_GT(inserted, 5);
 }
 
-TEST(HashEngineTest, EvictionFilterPinsDirtyKeys) {
-  HashEngineOptions options;
-  options.memory_budget = 32 * 1024;
-  HashEngine engine(options);
-  engine.SetEvictionFilter(
-      [](const Slice& key) { return !key.starts_with("dirty"); });
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        engine.Set("dirty" + std::to_string(i), std::string(500, 'd')).ok());
-  }
-  for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(
-        engine.Set("clean" + std::to_string(i), std::string(500, 'c')).ok());
-  }
-  std::string value;
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(engine.Get("dirty" + std::to_string(i), &value).ok()) << i;
-  }
-  // The ten pins sit at the LRU tail, so every eviction walk counts all
-  // ten before it reaches a clean entry.
-  EXPECT_GT(engine.evictions(), 0u);
-  EXPECT_GE(engine.eviction_pinned_skips(), 10u);
-  EXPECT_EQ(engine.eviction_pinned_skips() % 10, 0u);
+// Budget charge of one DRAM string entry: node overhead + key + value.
+size_t StringCharge(const std::string& key, size_t value_bytes) {
+  return 64 + key.size() + value_bytes;
 }
 
 // Regression: charging an entry's new size could evict the entry itself
-// (its map node freed mid-charge — an ASan heap-use-after-free) once the
-// LRU march, skipping pinned keys, reached the only evictable entry: the
-// one being stored. Now the charged key is protected; an unaffordable
-// store drops the entry with accounting intact instead of corrupting it.
+// (its node freed mid-charge — an ASan heap-use-after-free) once the LRU
+// march reached it. The overwrite moves the key to the LRU head, so the
+// walk evicts everything else, reaches it last, passes over it and still
+// lacks room: the store fails, and the entry is dropped with the
+// accounting exact instead of being left half-charged.
 TEST(HashEngineTest, ChargingNeverEvictsTheEntryBeingStored) {
   HashEngineOptions options;
   options.shards = 1;
@@ -441,20 +421,63 @@ TEST(HashEngineTest, ChargingNeverEvictsTheEntryBeingStored) {
   HashEngine engine(options);
   ASSERT_TRUE(engine.Set("grow", "small").ok());
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(engine.Set("pin" + std::to_string(i), "small").ok());
+    ASSERT_TRUE(engine.Set("old" + std::to_string(i), "small").ok());
   }
-  size_t charged_before = engine.GetUsage().memory_bytes;
-  // Pin everything except the key being grown, then grow it past the
-  // budget: eviction must skip the pins AND the entry being charged.
-  engine.SetEvictionFilter(
-      [](const Slice& key) { return key == Slice("grow"); });
+  ASSERT_EQ(engine.GetUsage().memory_bytes, 9 * StringCharge("grow", 5));
   Status s = engine.Set("grow", std::string(8 * 1024, 'x'));
   EXPECT_TRUE(s.IsOutOfSpace()) << s.ToString();
-  // The unaffordable entry was dropped, not left half-charged.
   std::string value;
   EXPECT_TRUE(engine.Get("grow", &value).IsNotFound());
-  size_t grow_charge = charged_before / 9;  // All nine entries equal-sized.
-  EXPECT_EQ(engine.GetUsage().memory_bytes, charged_before - grow_charge);
+  EXPECT_EQ(engine.evictions(), 8u);
+  EXPECT_EQ(engine.GetUsage().keys, 0u);
+  EXPECT_EQ(engine.GetUsage().memory_bytes, 0u);
+  // The shard is empty and usable again.
+  ASSERT_TRUE(engine.Set("grow", "small").ok());
+  EXPECT_EQ(engine.GetUsage().memory_bytes, StringCharge("grow", 5));
+}
+
+// An expired entry stays in the table until a lookup or SweepExpired
+// drops it, and the eviction walk may take it first. Scan never shows
+// such an entry, so the counts are checked here exactly: evicted entries
+// leave the key count, and the sweep counts only the ones still held.
+TEST(HashEngineTest, EvictsExpiredEntriesNotYetDropped) {
+  ManualClock clock(1000);
+  HashEngineOptions options;
+  options.shards = 1;
+  const size_t charge = StringCharge("t0", 100);
+  options.memory_budget = 8 * charge;
+  options.clock = &clock;
+  HashEngine engine(options);
+  const std::string v(100, 'v');
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(engine.SetEx("t" + std::to_string(i), v, 100).ok());
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(engine.Set("k" + std::to_string(i), v).ok());
+  }
+  clock.Advance(200);  // t0..t3 expire; nothing drops them yet.
+  EXPECT_EQ(engine.GetUsage().keys, 8u);
+  EXPECT_EQ(engine.evictions(), 0u);
+
+  // Each new key evicts one entry from the LRU tail: t0, then t1.
+  ASSERT_TRUE(engine.Set("n0", v).ok());
+  ASSERT_TRUE(engine.Set("n1", v).ok());
+  EXPECT_EQ(engine.evictions(), 2u);
+  EXPECT_EQ(engine.expirations(), 0u);
+  EXPECT_EQ(engine.GetUsage().keys, 8u);
+  EXPECT_EQ(engine.GetUsage().memory_bytes, 8 * charge);
+  std::vector<std::string> scanned;
+  EXPECT_EQ(engine.Scan(0, 100, &scanned), 0u);
+  std::sort(scanned.begin(), scanned.end());
+  EXPECT_EQ(scanned, (std::vector<std::string>{"k0", "k1", "k2", "k3", "n0",
+                                               "n1"}));
+
+  // Only t2 and t3 are left to sweep.
+  EXPECT_EQ(engine.SweepExpired(), 2u);
+  EXPECT_EQ(engine.expirations(), 2u);
+  EXPECT_EQ(engine.GetUsage().keys, 6u);
+  EXPECT_EQ(engine.GetUsage().memory_bytes, 6 * charge);
+  EXPECT_EQ(engine.SweepExpired(), 0u);
 }
 
 TEST(HashEngineTest, ClearDropsEverything) {
@@ -824,42 +847,7 @@ TEST(HashEngineTest, ComplexChargeTracksIncrementally) {
   EXPECT_EQ(engine.GetUsage().memory_bytes, with_set);
 }
 
-TEST(HashEngineTest, EvictionFilterSwapsWithoutStallingEviction) {
-  HashEngineOptions options;
-  options.shards = 1;
-  options.memory_budget = 32 * 1024;
-  HashEngine engine(options);
-  // Swap the filter concurrently with eviction-heavy writes; the eviction
-  // path reads the filter through an atomic shared_ptr, so this must be
-  // race-free (verified under TSan/ASan CI) and never deadlock.
-  std::atomic<bool> stop{false};
-  std::thread swapper([&] {
-    int flip = 0;
-    while (!stop.load()) {
-      if (++flip % 2 == 0) {
-        engine.SetEvictionFilter(
-            [](const Slice& key) { return !key.starts_with("pin"); });
-      } else {
-        engine.SetEvictionFilter(nullptr);
-      }
-    }
-  });
-  for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(
-        engine.Set("key" + std::to_string(i), std::string(400, 'x')).ok());
-  }
-  stop.store(true);
-  swapper.join();
-  EXPECT_GT(engine.evictions(), 0u);
-  EXPECT_LE(engine.GetUsage().memory_bytes, 32 * 1024u);
-}
-
 // --- Single-block nodes: overwrites that change the payload size. ---
-
-// Budget charge of one DRAM string entry: node overhead + key + value.
-size_t StringCharge(const std::string& key, size_t value_bytes) {
-  return 64 + key.size() + value_bytes;
-}
 
 // Eviction order (LRU first) of `keys`, read off by inserting fillers that
 // each force exactly one eviction of an equal-charge entry.
@@ -1148,7 +1136,8 @@ struct ModelValue {
 // HashEngine's semantics over a std::map. An expired key stays until an
 // operation that checks expiry on the way in touches it, or a sweep, as
 // the engine's lazy expiry keeps it; Expire and Ttl see it as missing
-// without dropping it. The engine's eviction filter reports evicted keys.
+// without dropping it. Keys the engine evicted are read off its public
+// state after each op that raised evictions() (see EngineKeys).
 struct EngineModel {
   explicit EngineModel(const Clock* clock) : clock(clock) {}
 
@@ -1209,6 +1198,23 @@ const std::vector<std::pair<uint64_t, uint64_t>> kModelCheckpoints = {
 
 constexpr uint64_t kModelDefaultSeed = 20240521;
 
+// Every key the engine holds, expired or not. Scan hides expired entries,
+// so the test clock is set back to `start` (before every deadline) for
+// the scan and then restored; Scan reorders no LRU list and drops
+// nothing, so the engine's state is unchanged.
+std::set<std::string> EngineKeys(HashEngine* engine, ManualClock* clock,
+                                 uint64_t start) {
+  const uint64_t now = clock->NowMicros();
+  clock->Set(start);
+  std::vector<std::string> scanned;
+  uint64_t cursor = 0;
+  do {
+    cursor = engine->Scan(cursor, 64, &scanned);
+  } while (cursor != 0);
+  clock->Set(now);
+  return std::set<std::string>(scanned.begin(), scanned.end());
+}
+
 // Runs `num_ops` random operations on a 4-shard engine under eviction
 // pressure, checking every result against EngineModel, and appends
 // (memory_bytes, evictions) after every 1000 operations to `checkpoints`.
@@ -1227,7 +1233,8 @@ void RunAgainstModel(uint64_t seed, int num_ops,
   ASSERT_TRUE(device.ok());
   PmemAllocator allocator(device->get(), 0, 8 << 20);
 
-  ManualClock clock(1000);
+  constexpr uint64_t kStart = 1000;
+  ManualClock clock(kStart);
   HashEngineOptions options;
   options.shards = 4;
   options.memory_budget = 24 * 1024;
@@ -1237,11 +1244,6 @@ void RunAgainstModel(uint64_t seed, int num_ops,
   options.pmem = &allocator;
   options.pmem_value_threshold = 256;
   HashEngine engine(options);
-  std::vector<std::string> evicted;
-  engine.SetEvictionFilter([&evicted](const Slice& key) {
-    evicted.push_back(key.ToString());
-    return true;
-  });
 
   EngineModel model(&clock);
   ModelRng rng(seed);
@@ -1271,6 +1273,7 @@ void RunAgainstModel(uint64_t seed, int num_ops,
 
   std::string value;
   for (int op = 1; op <= num_ops; ++op) {
+    const uint64_t evictions_before = engine.evictions();
     const std::string key = random_key();
     const std::string where = "op " + std::to_string(op) + " key " + key;
     ModelValue* m = nullptr;
@@ -1527,8 +1530,22 @@ void RunAgainstModel(uint64_t seed, int num_ops,
     } else {
       clock.Advance(rng.Uniform(1500));
     }
-    for (const std::string& k : evicted) model.keys.erase(k);
-    evicted.clear();
+    if (engine.evictions() != evictions_before) {
+      // Each eviction removed one key the model holds, and the engine holds
+      // no key the model lacks.
+      const std::set<std::string> held = EngineKeys(&engine, &clock, kStart);
+      uint64_t evicted = 0;
+      for (auto it = model.keys.begin(); it != model.keys.end();) {
+        if (held.count(it->first) != 0) {
+          ++it;
+        } else {
+          it = model.keys.erase(it);
+          ++evicted;
+        }
+      }
+      ASSERT_EQ(evicted, engine.evictions() - evictions_before) << where;
+      ASSERT_EQ(held.size(), model.keys.size()) << where;
+    }
 
     if (op % 1000 == 0) {
       const UsageStats usage = engine.GetUsage();

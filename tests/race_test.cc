@@ -6,6 +6,8 @@
 //
 //   * cache eviction vs cross-shard MultiGet/MultiSet batches
 //   * the write-back FlusherLoop vs foreground Set/FlushAll
+//   * write-back TierBase: cache eviction vs the flusher vs reads served
+//     from the dirty buffer
 //   * ElasticExecutor controller scale-up vs concurrent Submit/Execute
 //   * the server event loop vs a SHUTDOWN drain under client load
 //   * multi-reactor accept-distribute (cross-loop connection hand-off)
@@ -20,6 +22,9 @@
 // minute even at TSan's slowdown on one core.
 
 #include <atomic>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -35,6 +40,7 @@
 #include "common/clock.h"
 #include "common/histogram.h"
 #include "common/metrics.h"
+#include "common/random.h"
 #include "core/storage_adapter.h"
 #include "core/tierbase.h"
 #include "core/write_back.h"
@@ -129,7 +135,6 @@ TEST(RaceTest, WriteBackFlusherVsForeground) {
         std::vector<bool> found, deletes;
         std::vector<std::string> values;
         wb.GetDirty({k}, &found, &values, &deletes);
-        (void)wb.IsDirty(k);
       }
     });
   }
@@ -146,6 +151,104 @@ TEST(RaceTest, WriteBackFlusherVsForeground) {
   EXPECT_EQ(storage.size(), static_cast<size_t>(kWriters * 50));
   // Re-dirtying merged at least some updates into pending entries.
   EXPECT_GT(wb.GetStats().merged_updates, 0u);
+}
+
+// --- Seam 2b: write-back TierBase: eviction vs flush vs dirty reads. ----
+
+// A tiny cache evicts dirty entries while the flusher drains them, so a
+// read is served by the cache, the dirty buffer or storage depending on
+// the interleaving. Each writer owns its keys and reads every write back
+// at once, through Get or MultiGet: read-your-write must always hold.
+// Replay a failure with TIERBASE_RACE_SEED=<printed seed>.
+TEST(RaceTest, WriteBackEvictionVsFlushVsReads) {
+  uint64_t seed = 20261018;
+  if (const char* env = std::getenv("TIERBASE_RACE_SEED")) {
+    seed = std::strtoull(env, nullptr, 10);
+  }
+  std::printf("WriteBackEvictionVsFlushVsReads seed %" PRIu64 "\n", seed);
+  SCOPED_TRACE("seed " + std::to_string(seed));
+
+  MockStorageAdapter::Options storage_opt;
+  storage_opt.latency_micros = 20;
+  MockStorageAdapter storage(storage_opt);
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteBack;
+  options.cache.shards = 4;
+  options.cache.memory_budget = 16 << 10;  // ~40 entries: writers evict.
+  options.write_back.flush_interval_micros = 500;
+  options.write_back.flush_threshold = 16;
+  options.write_back.max_batch = 32;
+  auto db = TierBase::Open(options, &storage);
+  ASSERT_TRUE(db.ok());
+  TierBase* tb = db->get();
+
+  constexpr int kWriters = 3;
+  constexpr int kRounds = 300;
+  constexpr int kKeys = 64;  // Per writer.
+  std::vector<std::vector<std::string>> last(
+      kWriters, std::vector<std::string>(kKeys));
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([tb, t, seed, &last] {
+      Random rnd(seed + t);
+      for (int r = 0; r < kRounds; ++r) {
+        const size_t n = rnd.Uniform(2) == 0 ? 1 : 2 + rnd.Uniform(7);
+        const size_t first = rnd.Uniform(kKeys);
+        std::vector<std::string> key_strs, value_strs;
+        for (size_t i = 0; i < n; ++i) {
+          const size_t k = (first + i) % kKeys;
+          key_strs.push_back(Key(t, static_cast<int>(k)));
+          value_strs.push_back(std::to_string(r) + "/" + std::to_string(i) +
+                               std::string(rnd.Uniform(400), 'v'));
+          last[t][k] = value_strs.back();
+        }
+        std::vector<Slice> keys(key_strs.begin(), key_strs.end());
+        std::vector<Slice> values(value_strs.begin(), value_strs.end());
+        if (n == 1) {
+          ASSERT_TRUE(tb->Set(keys[0], values[0]).ok());
+          std::string got;
+          ASSERT_TRUE(tb->Get(keys[0], &got).ok()) << key_strs[0];
+          ASSERT_EQ(got, value_strs[0]) << key_strs[0];
+          continue;
+        }
+        std::vector<Status> statuses;
+        tb->MultiSet(keys, values, &statuses);
+        for (const Status& s : statuses) ASSERT_TRUE(s.ok()) << s.ToString();
+        std::vector<std::string> got;
+        tb->MultiGet(keys, &got, &statuses);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(statuses[i].ok()) << key_strs[i];
+          ASSERT_EQ(got[i], value_strs[i]) << key_strs[i];
+        }
+      }
+    });
+  }
+  // Stats snapshots and whole-buffer flushes racing the writers.
+  threads.emplace_back([tb, &stop] {
+    while (!stop.load(std::memory_order_acquire)) {
+      (void)tb->GetStats();
+      ASSERT_TRUE(tb->WaitIdle().ok());
+    }
+  });
+  for (int t = 0; t < kWriters; ++t) threads[t].join();
+  stop.store(true, std::memory_order_release);
+  threads.back().join();
+
+  ASSERT_TRUE(tb->WaitIdle().ok());
+  const TierBase::Stats stats = tb->GetStats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.write_back.flush_batches, 0u);
+  EXPECT_EQ(stats.write_back_dirty, 0u);
+  // The last write to every key reached storage.
+  for (int t = 0; t < kWriters; ++t) {
+    for (int k = 0; k < kKeys; ++k) {
+      if (last[t][k].empty()) continue;
+      std::string stored;
+      ASSERT_TRUE(storage.Read(Key(t, k), &stored).ok()) << Key(t, k);
+      EXPECT_EQ(stored, last[t][k]) << Key(t, k);
+    }
+  }
 }
 
 // --- Seam 3: ElasticExecutor scale-up vs Submit/Execute. ----------------

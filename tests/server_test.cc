@@ -188,6 +188,20 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(srv_->Start().ok());
   }
 
+  // A server over `options` (a tiered policy) and a fresh in-memory
+  // storage tier.
+  void StartTieredServer(const TierBaseOptions& options,
+                         MockStorageAdapter::Options storage_options = {}) {
+    storage_ = std::make_unique<MockStorageAdapter>(storage_options);
+    auto db = TierBase::Open(options, storage_.get());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    db_ = std::move(*db);
+    ServerOptions server_options;
+    server_options.net.port = 0;
+    srv_ = std::make_unique<Server>(db_.get(), server_options);
+    ASSERT_TRUE(srv_->Start().ok());
+  }
+
   void TearDown() override {
     if (srv_ != nullptr) srv_->Stop();
   }
@@ -196,6 +210,7 @@ class ServerTest : public ::testing::Test {
     return client->Connect("127.0.0.1", srv_->port());
   }
 
+  std::unique_ptr<MockStorageAdapter> storage_;  // Outlives db_.
   std::unique_ptr<TierBase> db_;
   std::unique_ptr<Server> srv_;
   // Tweak before StartServer(); defaults match production.
@@ -839,20 +854,13 @@ TEST_F(ServerTest, ShutdownCommandStopsServer) {
 // A polite SHUTDOWN must drain the write-back tier before the event loop
 // exits: dirty acknowledged entries land in storage, never in the void.
 TEST_F(ServerTest, ShutdownDrainsWriteBackTier) {
-  MockStorageAdapter storage;
   TierBaseOptions options;
   options.policy = CachingPolicy::kWriteBack;
   // Neither interval nor threshold ever triggers on its own: every entry
   // stays dirty until something explicitly drains.
   options.write_back.flush_interval_micros = 60'000'000;
   options.write_back.flush_threshold = 1 << 30;
-  auto db = TierBase::Open(options, &storage);
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  db_ = std::move(*db);
-  ServerOptions server_options;
-  server_options.net.port = 0;
-  srv_ = std::make_unique<Server>(db_.get(), server_options);
-  ASSERT_TRUE(srv_->Start().ok());
+  StartTieredServer(options);
 
   Client client;
   ASSERT_TRUE(Connect(&client).ok());
@@ -870,11 +878,8 @@ TEST_F(ServerTest, ShutdownDrainsWriteBackTier) {
   EXPECT_EQ("OK", v.str);
   srv_->Wait();
   srv_->Stop();
-  EXPECT_EQ(storage.size(), 32u);  // Drained, not dropped.
+  EXPECT_EQ(storage_->size(), 32u);  // Drained, not dropped.
   EXPECT_EQ(db_->GetStats().write_back_dirty, 0u);
-  // Tear down before `storage` (a test-body local) goes out of scope.
-  srv_.reset();
-  db_.reset();
 }
 
 // SHUTDOWN with a broken storage tier refuses to lose the dirty entries;
@@ -882,7 +887,6 @@ TEST_F(ServerTest, ShutdownDrainsWriteBackTier) {
 TEST_F(ServerTest, ShutdownAbortsWhenFlushFailsUnlessNosave) {
   MockStorageAdapter::Options mock_options;
   mock_options.fail_every = 1;  // Storage is down for good.
-  MockStorageAdapter storage(mock_options);
   TierBaseOptions options;
   options.policy = CachingPolicy::kWriteBack;
   options.write_back.flush_interval_micros = 60'000'000;
@@ -890,13 +894,7 @@ TEST_F(ServerTest, ShutdownAbortsWhenFlushFailsUnlessNosave) {
   options.write_back.retry_backoff_micros = 200;
   options.write_back.retry_backoff_max_micros = 1'000;
   options.write_back.max_flush_failures = 3;
-  auto db = TierBase::Open(options, &storage);
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  db_ = std::move(*db);
-  ServerOptions server_options;
-  server_options.net.port = 0;
-  srv_ = std::make_unique<Server>(db_.get(), server_options);
-  ASSERT_TRUE(srv_->Start().ok());
+  StartTieredServer(options, mock_options);
 
   Client client;
   ASSERT_TRUE(Connect(&client).ok());
@@ -911,8 +909,96 @@ TEST_F(ServerTest, ShutdownAbortsWhenFlushFailsUnlessNosave) {
   EXPECT_EQ("OK", v.str);
   srv_->Wait();
   srv_->Stop();
-  srv_.reset();
-  db_.reset();
+}
+
+// --- DEL and EXPIRE <= 0 count keys wherever a read would find them. ---
+
+// Write-back: a pipelined train of SETs runs as MultiSets, which evict
+// some of their own keys before any flush. Such a key lives only in the
+// dirty buffer, and DEL must count it.
+TEST_F(ServerTest, DelCountsKeyOnlyTheDirtyBufferHolds) {
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteBack;
+  options.cache.memory_budget = 64 << 10;
+  options.write_back.flush_interval_micros = 60'000'000;
+  options.write_back.flush_threshold = 1 << 30;
+  StartTieredServer(options);
+  Client client;
+  ASSERT_TRUE(Connect(&client).ok());
+  RespValue v;
+  constexpr int kKeys = 600;
+  for (int i = 0; i < kKeys; ++i) {
+    client.Append({"SET", "o" + std::to_string(i), std::string(100, 'v')});
+  }
+  ASSERT_TRUE(client.Flush().ok());
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(client.ReadReply(&v).ok());
+    ASSERT_EQ("OK", v.str) << i;
+  }
+  EXPECT_GT(db_->cache()->evictions(), 0u);
+  EXPECT_EQ(storage_->size(), 0u);  // Nothing flushed yet.
+
+  ASSERT_TRUE(client.Call({"EXISTS", "o0"}, &v).ok());
+  EXPECT_EQ(1, v.integer);
+  ASSERT_TRUE(client.Call({"DEL", "o0"}, &v).ok());
+  EXPECT_EQ(1, v.integer);
+  ASSERT_TRUE(client.Call({"GET", "o0"}, &v).ok());
+  EXPECT_TRUE(v.IsNull());
+}
+
+// Write-back: after the flush, storage still holds the key while its
+// delete tombstone waits in the dirty buffer. A second DEL must not count
+// it again.
+TEST_F(ServerTest, DelSeesAPendingDeleteTombstone) {
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteBack;
+  options.write_back.flush_interval_micros = 60'000'000;
+  options.write_back.flush_threshold = 1 << 30;
+  StartTieredServer(options);
+  Client client;
+  ASSERT_TRUE(Connect(&client).ok());
+  RespValue v;
+  ASSERT_TRUE(client.Call({"SET", "k", "v"}, &v).ok());
+  ASSERT_TRUE(db_->WaitIdle().ok());
+  ASSERT_EQ(storage_->size(), 1u);
+
+  client.Append({"DEL", "k"});
+  client.Append({"DEL", "k"});
+  ASSERT_TRUE(client.Flush().ok());
+  ASSERT_TRUE(client.ReadReply(&v).ok());
+  EXPECT_EQ(1, v.integer);
+  ASSERT_TRUE(client.ReadReply(&v).ok());
+  EXPECT_EQ(0, v.integer);
+}
+
+// Write-through: EXPIRE with a non-positive TTL deletes the key even when
+// only storage holds it.
+TEST_F(ServerTest, ExpireZeroDeletesAKeyTheCacheEvicted) {
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteThrough;
+  options.cache.memory_budget = 64 << 10;
+  StartTieredServer(options);
+  Client client;
+  ASSERT_TRUE(Connect(&client).ok());
+  RespValue v;
+  ASSERT_TRUE(client.Call({"SET", "k", "v"}, &v).ok());
+  constexpr int kFillers = 600;
+  for (int i = 0; i < kFillers; ++i) {
+    client.Append({"SET", "f" + std::to_string(i), std::string(100, 'f')});
+  }
+  ASSERT_TRUE(client.Flush().ok());
+  for (int i = 0; i < kFillers; ++i) {
+    ASSERT_TRUE(client.ReadReply(&v).ok());
+    ASSERT_EQ("OK", v.str) << i;
+  }
+  ASSERT_FALSE(db_->cache()->Exists("k"));  // Evicted; storage has it.
+
+  ASSERT_TRUE(client.Call({"EXPIRE", "k", "0"}, &v).ok());
+  EXPECT_EQ(1, v.integer);
+  ASSERT_TRUE(client.Call({"GET", "k"}, &v).ok());
+  EXPECT_TRUE(v.IsNull());
+  ASSERT_TRUE(client.Call({"EXPIRE", "k", "0"}, &v).ok());
+  EXPECT_EQ(0, v.integer);
 }
 
 TEST_F(ServerTest, RemoteEngineBasics) {
@@ -1122,7 +1208,7 @@ TEST_F(ServerTest, InfoParsesWithAdvertisedCountersMonotonic) {
        {"total_commands_processed", "dispatch_batches", "command_errors",
         "keyspace_hits", "keyspace_misses", "gets", "sets",
         "deferred_fetches", "deferred_fetch_batch_calls",
-        "deferred_fetch_shared", "evicted_keys", "eviction_pinned_skips"}) {
+        "deferred_fetch_shared", "evicted_keys"}) {
     ASSERT_TRUE(info["Stats"].count(key)) << key;
   }
   EXPECT_TRUE(info["Server"].count("thread_mode"));
@@ -1150,8 +1236,6 @@ TEST_F(ServerTest, InfoParsesWithAdvertisedCountersMonotonic) {
             commands_before + 7);  // SET + 5 GETs + the first INFO.
   EXPECT_GE(std::stoull(after["Stats"]["gets"]), gets_before + 5);
   EXPECT_GE(std::stoull(after["Stats"]["keyspace_hits"]), 5u);
-  // Cache-only installs no eviction filter, so nothing is ever pinned.
-  EXPECT_EQ(after["Stats"]["eviction_pinned_skips"], "0");
 }
 
 TEST_F(ServerTest, SlowlogRedactsArgsToKeys) {
