@@ -11,9 +11,12 @@ preload, warm-up, quiesce) through tbbench/run.py's own setup_once, with
 the sampler preloaded into every process it starts. Only the program named
 by --exe samples itself. When set-up is done the servers shut down, the
 sampler writes its stacks, and this script symbolizes them with nm and
-c++filt and prints two tables: the functions with the largest inclusive
-share (samples with the function anywhere on the stack) and those with the
-largest self share (samples with the function innermost). --callers FUNC
+c++filt. It prints, for each process of --exe, its peak and current
+resident size (VmHWM, VmRSS) and the user and system CPU of each of its
+threads, read from /proc when set-up is done. Two tables follow: the
+functions with the largest inclusive share (samples with the function
+anywhere on the stack) and those with the largest self share (samples
+with the function innermost). --callers FUNC
 adds a third table: for the samples with a frame whose function name
 contains FUNC, the share under each nearest tierbase:: caller of that
 frame (the innermost such frame, walking outward past frames that match
@@ -46,9 +49,50 @@ def build_sampler(workdir):
     return so
 
 
+def stat_cpu(path):
+    """(name, user s, sys s) from a /proc stat file of a process or
+    thread."""
+    with open(path) as f:
+        text = f.read()
+    name = text[text.index("(") + 1:text.rindex(")")]
+    fields = text.rsplit(")", 1)[1].split()
+    tick = os.sysconf("SC_CLK_TCK")
+    return name, int(fields[11]) / tick, int(fields[12]) / tick
+
+
+def process_report(pid):
+    """The per-thread CPU and peak and current resident size of a live
+    process, as printable lines."""
+    _, user, sys_ = stat_cpu(f"/proc/{pid}/stat")
+    threads = []
+    for tid in os.listdir(f"/proc/{pid}/task"):
+        try:
+            threads.append(stat_cpu(f"/proc/{pid}/task/{tid}/stat"))
+        except OSError:
+            pass  # The thread ended.
+    mem = {}
+    with open(f"/proc/{pid}/status") as f:
+        for line in f:
+            key = line.split(":")[0]
+            if key in ("VmHWM", "VmRSS"):
+                mem[key] = int(line.split()[1]) / 1024.0
+    lines = [f"pid {pid}: VmHWM {mem.get('VmHWM', 0):.1f} MB, VmRSS "
+             f"{mem.get('VmRSS', 0):.1f} MB; CPU user {user:.2f} s, sys "
+             f"{sys_:.2f} s",
+             f"  {'user s':>7} {'sys s':>7}  thread"]
+    threads.sort(key=lambda t: -(t[1] + t[2]))
+    for name, u, s in threads:
+        lines.append(f"  {u:7.2f} {s:7.2f}  {name}")
+    ended_u = user - sum(t[1] for t in threads)
+    ended_s = sys_ - sum(t[2] for t in threads)
+    lines.append(f"  {ended_u:7.2f} {ended_s:7.2f}  [threads that ended]")
+    return lines
+
+
 def profiled_setup(wl, workdir, so, exe, seed):
     """One set-up of `wl` under the sampler; returns the set-up's CPU
-    seconds over all its processes."""
+    seconds over all its processes, and a report on each process named
+    `exe` taken when set-up is done."""
     logical = tb.run_driver(["--mode", "describe"] +
                             tb.driver_args(wl, seed))["logical_bytes"]
     budget = logical // wl["cache_ratio_x"] if wl["cache_ratio_x"] else 0
@@ -58,12 +102,17 @@ def profiled_setup(wl, workdir, so, exe, seed):
     try:
         topo, cpu, _ = tb.setup_once(wl, procs, workdir, budget, False, seed,
                                      "prof")
+        report = []
+        for p in procs.live:
+            if (p.poll() is None and
+                    os.path.basename(os.readlink(f"/proc/{p.pid}/exe")) == exe):
+                report += process_report(p.pid)
         topo.stop()
     finally:
         procs.stop_all()
         os.environ.clear()
         os.environ.update(saved)
-    return cpu
+    return cpu, report
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +280,7 @@ def main():
     workdir = tempfile.mkdtemp(prefix="profile-", dir=tb.RUN_ROOT)
     try:
         so = build_sampler(workdir)
-        cpu = profiled_setup(wl, workdir, so, args.exe, args.seed)
+        cpu, report = profiled_setup(wl, workdir, so, args.exe, args.seed)
         dumps = [os.path.join(workdir, f) for f in os.listdir(workdir)
                  if f.startswith("sigprof.")]
         if not dumps:
@@ -248,6 +297,9 @@ def main():
           f"{', tiny' if args.tiny else ''}): {cpu:.3f} CPU s over all its "
           f"processes; {total} samples of {args.exe} in {len(dumps)} "
           f"process(es)")
+    print(f"\n{args.exe} at the end of set-up, per thread:")
+    for line in report:
+        print(line)
     if total == 0:
         return 1
     self_counts, incl_counts = shares(stacks)

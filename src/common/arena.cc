@@ -5,13 +5,13 @@
 namespace tierbase {
 
 char* Arena::AllocateFallback(size_t bytes) {
-  if (bytes > kBlockSize / 4) {
+  if (bytes > block_bytes_ / 4) {
     // Large objects get their own block so we don't waste the remainder of
     // the current block.
     return AllocateNewBlock(bytes);
   }
-  alloc_ptr_ = AllocateNewBlock(kBlockSize);
-  alloc_bytes_remaining_ = kBlockSize;
+  alloc_ptr_ = AllocateNewBlock(block_bytes_);
+  alloc_bytes_remaining_ = block_bytes_;
   char* result = alloc_ptr_;
   alloc_ptr_ += bytes;
   alloc_bytes_remaining_ -= bytes;
@@ -36,7 +36,8 @@ char* Arena::AllocateAligned(size_t bytes) {
 }
 
 char* Arena::AllocateNewBlock(size_t block_bytes) {
-  blocks_.push_back(std::make_unique<char[]>(block_bytes));
+  // new char[] and not make_unique<char[]>: no zero fill.
+  blocks_.emplace_back(new char[block_bytes]);
   memory_usage_.fetch_add(block_bytes + sizeof(char*),
                           std::memory_order_relaxed);
   return blocks_.back().get();

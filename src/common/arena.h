@@ -1,5 +1,7 @@
 // Arena: block allocator backing the skiplist memtable. All allocations
-// live until the arena is destroyed (matching memtable lifetime).
+// live until the arena is destroyed (matching memtable lifetime). Blocks
+// come from the heap uninitialised: every byte handed out is written by
+// its caller before it is read.
 
 #ifndef TIERBASE_COMMON_ARENA_H_
 #define TIERBASE_COMMON_ARENA_H_
@@ -14,9 +16,12 @@ namespace tierbase {
 
 class Arena {
  public:
-  static constexpr size_t kBlockSize = 4096;
+  static constexpr size_t kBlockSize = 4096;  // The default block size.
 
-  Arena() = default;
+  /// Carves allocations of up to block_bytes / 4 from blocks of
+  /// `block_bytes`; a larger one gets a block of its own.
+  explicit Arena(size_t block_bytes = kBlockSize)
+      : block_bytes_(block_bytes) {}
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
@@ -35,6 +40,7 @@ class Arena {
   char* AllocateFallback(size_t bytes);
   char* AllocateNewBlock(size_t block_bytes);
 
+  const size_t block_bytes_;
   char* alloc_ptr_ = nullptr;
   size_t alloc_bytes_remaining_ = 0;
   std::vector<std::unique_ptr<char[]>> blocks_;

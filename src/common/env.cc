@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
@@ -22,26 +23,28 @@ class PosixWritableFile final : public WritableFile {
   }
 
   Status Append(const Slice& data) override {
-    buffer_.append(data.data(), data.size());
     size_ += data.size();
+    if (buffer_.empty() && data.size() >= kBufferSize) {
+      // A buffer's worth or more with nothing ahead of it goes straight to
+      // write(2), without a copy into buffer_. What a failed write leaves
+      // unwritten is buffered, as Flush leaves it, for a later Flush.
+      const size_t written = WriteAll(data.data(), data.size());
+      if (written == data.size()) return Status::OK();
+      buffer_.assign(data.data() + written, data.size() - written);
+      return Status::IOError("write failed: " + path_);
+    }
+    buffer_.append(data.data(), data.size());
     if (buffer_.size() >= kBufferSize) return Flush();
     return Status::OK();
   }
 
   Status Flush() override {
     if (buffer_.empty()) return Status::OK();
-    const char* p = buffer_.data();
-    size_t left = buffer_.size();
-    while (left > 0) {
-      ssize_t n = write(fd_, p, left);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError("write failed: " + path_);
-      }
-      p += n;
-      left -= static_cast<size_t>(n);
-    }
-    buffer_.clear();
+    // Drop what did reach the file even when a later write fails, so a
+    // retried Flush does not write those bytes twice.
+    const size_t written = WriteAll(buffer_.data(), buffer_.size());
+    buffer_.erase(0, written);
+    if (!buffer_.empty()) return Status::IOError("write failed: " + path_);
     return Status::OK();
   }
 
@@ -63,6 +66,21 @@ class PosixWritableFile final : public WritableFile {
   uint64_t Size() const override { return size_; }
 
  private:
+  /// Writes [p, p + n) until done or a write(2) fails; returns the bytes
+  /// written.
+  size_t WriteAll(const char* p, size_t n) {
+    size_t written = 0;
+    while (written < n) {
+      ssize_t r = write(fd_, p + written, n - written);
+      if (r <= 0) {
+        if (r < 0 && errno == EINTR) continue;
+        break;
+      }
+      written += static_cast<size_t>(r);
+    }
+    return written;
+  }
+
   static constexpr size_t kBufferSize = 64 * 1024;
   std::string path_;
   int fd_;

@@ -108,9 +108,9 @@ Status MockStorageAdapter::WriteBatch(const std::vector<BatchOp>& ops) {
   common::MutexLock lock(&mu_);
   for (const auto& op : ops) {
     if (op.is_delete) {
-      map_.erase(op.key);
+      map_.erase(op.key.ToString());
     } else {
-      map_[op.key] = op.value;
+      map_[op.key.ToString()] = op.value.ToString();
     }
   }
   return Status::OK();

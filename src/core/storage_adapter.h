@@ -23,7 +23,9 @@ namespace tierbase {
 class StorageAdapter {
  public:
   /// One op of a batched write: the LSM store's own batch op, so the LSM
-  /// adapter hands a batch down without copying it.
+  /// adapter hands a batch down without copying it. Its key and value are
+  /// views that must stay valid until WriteBatch returns; an adapter that
+  /// keeps them copies them.
   using BatchOp = lsm::LsmStore::BatchOp;
 
   virtual ~StorageAdapter() = default;

@@ -155,10 +155,17 @@ Status TierBase::RecoverFromWal() {
   {
     auto compact = lsm::WalWriter::Open(compact_path, wal_options);
     if (!compact.ok()) return compact.status();
+    // Framed in place a few hundred records per append, so the framing
+    // buffer never holds the whole log.
+    std::vector<lsm::WalMutation> chunk;
     for (const auto& [key, value] : live) {
-      TIERBASE_RETURN_IF_ERROR(
-          (*compact)->AddRecord(lsm::EncodeWalMutation(false, key, value)));
+      chunk.push_back({key, value, /*is_delete=*/false});
+      if (chunk.size() == 256) {
+        TIERBASE_RETURN_IF_ERROR((*compact)->AddMutations(chunk));
+        chunk.clear();
+      }
     }
+    TIERBASE_RETURN_IF_ERROR((*compact)->AddMutations(chunk));
     TIERBASE_RETURN_IF_ERROR((*compact)->Sync());
   }
   TIERBASE_RETURN_IF_ERROR(env::RenameFile(compact_path, wal_path));
@@ -182,14 +189,14 @@ Status TierBase::RecoverFromWal() {
 Status TierBase::LogMutation(const Slice& key, const Slice& value,
                              bool is_delete) {
   metrics::ScopedPerfStage wal_stage(metrics::PerfContext::kWalAppend);
-  std::string rec = lsm::EncodeWalMutation(is_delete, key, value);
   if (options_.policy == CachingPolicy::kWalFile) {
-    return wal_->AddRecord(rec);
+    return wal_->AddMutations({{key, value, is_delete}});
   }
   // WAL-PMem: durable on the ring per record; batch-moved to the file when
   // the ring fills (§4.3 "batch-moved to cloud storage"). Peek + sync +
   // discard: the ring's durable head must not advance before the file
   // copy is synced, or a crash in between loses acknowledged records.
+  const std::string rec = lsm::EncodeWalMutation(is_delete, key, value);
   Status s = wal_ring_->Append(rec);
   if (s.IsBusy()) {
     std::vector<std::string> batch;

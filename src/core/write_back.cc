@@ -4,6 +4,8 @@
 #include <chrono>
 #include <vector>
 
+#include "common/thread_name.h"
+
 namespace tierbase {
 
 WriteBackManager::WriteBackManager(StorageAdapter* storage,
@@ -45,6 +47,18 @@ Status WriteBackManager::MarkDirty(const std::vector<Slice>& keys,
       entry = dirty_.emplace(dirty_.end());
       entry->key = keys[i].ToString();
       index_.emplace(entry->key, entry);
+    } else if (it->second->in_flight) {
+      // The flush views the old entry: leave it be, and move the key's
+      // index slot, re-keyed by the new entry's copy of the key, to a new
+      // entry. The flush retires the old one.
+      ++stats_.merged_updates;
+      it->second->superseded = true;
+      entry = dirty_.emplace(dirty_.end());
+      entry->key = it->second->key;
+      auto node = index_.extract(it);
+      node.key() = entry->key;
+      node.mapped() = entry;
+      index_.insert(std::move(node));
     } else {
       ++stats_.merged_updates;
       entry = it->second;
@@ -52,7 +66,6 @@ Status WriteBackManager::MarkDirty(const std::vector<Slice>& keys,
     }
     entry->value.assign(values[i].data(), values[i].size());
     entry->is_delete = is_delete;
-    entry->gen = next_gen_++;
   }
   if (dirty_.size() >= options_.flush_threshold) {
     flush_cv_.SignalAll();
@@ -79,18 +92,19 @@ void WriteBackManager::GetDirty(const std::vector<Slice>& keys,
 }
 
 Result<size_t> WriteBackManager::FlushBatch() {
-  // Snapshot the oldest entries under the lock, write them outside, then
-  // remove those that were not re-dirtied during the write. Only this
-  // (single) flusher thread erases entries, so the taken nodes outlive the
-  // write; a re-dirty only splices them to the back.
+  // Mark the oldest entries in flight under the lock and write views of
+  // them outside it. Only this (single) flusher thread erases entries, and
+  // a MarkDirty of an in-flight key leaves its entry untouched, so the
+  // views stay valid through the write.
   std::vector<StorageAdapter::BatchOp> batch;
-  std::vector<std::pair<DirtyList::iterator, uint64_t>> taken;
+  std::vector<DirtyList::iterator> taken;
   {
     common::MutexLock lock(&mu_);
     for (auto it = dirty_.begin();
          it != dirty_.end() && batch.size() < options_.max_batch; ++it) {
+      it->in_flight = true;
       batch.push_back({it->key, it->value, it->is_delete});
-      taken.emplace_back(it, it->gen);
+      taken.push_back(it);
     }
   }
   if (batch.empty()) return size_t{0};
@@ -99,8 +113,16 @@ Result<size_t> WriteBackManager::FlushBatch() {
 
   common::MutexLock lock(&mu_);
   if (!s.ok()) {
-    // Leave entries dirty; record the error so writers observe it. The
-    // flusher retries with backoff and a later success clears the error.
+    // Leave entries dirty, but drop those a newer entry supersedes. Record
+    // the error so writers observe it. The flusher retries with backoff
+    // and a later success clears the error.
+    for (const DirtyList::iterator& entry : taken) {
+      if (entry->superseded) {
+        dirty_.erase(entry);
+      } else {
+        entry->in_flight = false;
+      }
+    }
     flush_error_ = s;
     ++stats_.flush_failures;
     ++consecutive_flush_failures_;
@@ -114,11 +136,9 @@ Result<size_t> WriteBackManager::FlushBatch() {
     ++stats_.flush_retries;
   }
   consecutive_flush_failures_ = 0;
-  for (const auto& [entry, gen] : taken) {
-    if (entry->gen == gen) {
-      index_.erase(entry->key);
-      dirty_.erase(entry);
-    }
+  for (const DirtyList::iterator& entry : taken) {
+    if (!entry->superseded) index_.erase(std::string_view(entry->key));
+    dirty_.erase(entry);
   }
   ++stats_.flush_batches;
   stats_.flushed_ops += batch.size();
@@ -128,6 +148,7 @@ Result<size_t> WriteBackManager::FlushBatch() {
 }
 
 void WriteBackManager::FlusherLoop() {
+  SetCurrentThreadName("tb-wb-flush");
   uint64_t backoff_micros = 0;  // 0 = healthy, no backoff pending.
   while (true) {
     {
@@ -197,7 +218,7 @@ Status WriteBackManager::FlushAll() {
 
 size_t WriteBackManager::dirty_count() const {
   common::MutexLock lock(&mu_);
-  return dirty_.size();
+  return index_.size();
 }
 
 WriteBackManager::Stats WriteBackManager::GetStats() const {

@@ -12,6 +12,11 @@
 // Each entry holds its own copy of the value, so the cache may evict a
 // dirty key at any time: reads consult GetDirty before storage, and the
 // value is never lost before its flush.
+//
+// A flush batch views its entries' keys and values instead of copying
+// them, so an entry is immutable while its flush is in flight: an update
+// to that key appends a fresh entry and repoints the index at it, and the
+// flush then retires the old entry.
 
 #ifndef TIERBASE_CORE_WRITE_BACK_H_
 #define TIERBASE_CORE_WRITE_BACK_H_
@@ -79,8 +84,9 @@ class WriteBackManager {
     std::string key;
     std::string value;
     bool is_delete = false;
-    uint64_t gen = 0;  // Bumped by every update; a flush removes the entry
-                       // only if no update raced with its write.
+    bool in_flight = false;   // In the batch on the wire: read-only.
+    bool superseded = false;  // An update raced the flight: a newer entry
+                              // holds the key's value and its index_ slot.
   };
   using DirtyList = std::list<DirtyEntry>;
 
@@ -97,12 +103,13 @@ class WriteBackManager {
   common::CondVar flush_cv_{&mu_};  // Wakes the flusher.
   common::CondVar space_cv_{&mu_};  // Wakes backpressured writers.
   common::CondVar clean_cv_{&mu_};  // Signals "all clean".
-  DirtyList dirty_ GUARDED_BY(mu_);  // Oldest update first.
-  // Keyed by views into the entries' own keys, so lookups take a Slice
-  // without building a std::string.
+  // Oldest update first. Holds one entry per dirty key, plus the
+  // superseded entries of a flush in flight.
+  DirtyList dirty_ GUARDED_BY(mu_);
+  // Each dirty key's newest entry, keyed by a view of that entry's own
+  // key, so lookups take a Slice without building a std::string.
   std::unordered_map<std::string_view, DirtyList::iterator> index_
       GUARDED_BY(mu_);
-  uint64_t next_gen_ GUARDED_BY(mu_) = 1;
   bool shutting_down_ GUARDED_BY(mu_) = false;
   int flush_waiters_ GUARDED_BY(mu_) = 0;  // FlushAll calls in progress;
                                            // while > 0 the flusher flushes

@@ -15,12 +15,27 @@ Status PerKeyCoalescer::StoreLocked(
   return s;
 }
 
-void PerKeyCoalescer::DrainLocked(const std::string& key, KeyState* ks) {
+PerKeyCoalescer::KeyState* PerKeyCoalescer::FindOrAddLocked(
+    const Slice& key) {
+  mu_.AssertHeld();
+  auto it = keys_.find(key.view());
+  if (it == keys_.end()) {
+    auto ks = std::make_unique<KeyState>(&mu_, key);
+    const std::string_view view = ks->key;
+    it = keys_.emplace(view, std::move(ks)).first;
+  }
+  return it->second.get();
+}
+
+void PerKeyCoalescer::DrainLocked(KeyState* ks) {
   mu_.AssertHeld();
   while (ks->pending) {
     const uint64_t g = ks->latest_gen;
     ks->pending = false;
-    Status s = StoreLocked({{key, ks->latest_value, ks->latest_is_delete}});
+    // The write views a local: the next delegated update may overwrite
+    // latest_value while mu_ is released around the storage call.
+    const std::string value = std::move(ks->latest_value);
+    Status s = StoreLocked({{ks->key, value, ks->latest_is_delete}});
     if (s.ok()) {
       ks->flushed_gen = std::max(ks->flushed_gen, g);
     } else {
@@ -35,12 +50,7 @@ Status PerKeyCoalescer::WriteUncoalescedLocked(const Slice& key,
                                                const Slice& value,
                                                bool is_delete) {
   mu_.AssertHeld();
-  std::string key_str = key.ToString();
-  auto it = keys_.find(key_str);
-  if (it == keys_.end()) {
-    it = keys_.emplace(key_str, std::make_unique<KeyState>(&mu_)).first;
-  }
-  KeyState* ks = it->second.get();
+  KeyState* ks = FindOrAddLocked(key);
   const uint64_t my_gen = ks->next_gen++;
   ++ks->waiters;
   // One storage write per update, per-key FIFO order.
@@ -48,12 +58,12 @@ Status PerKeyCoalescer::WriteUncoalescedLocked(const Slice& key,
     ks->cv.Wait();
   }
   ks->in_flight = true;
-  Status s = StoreLocked({{key_str, value.ToString(), is_delete}});
+  Status s = StoreLocked({{key, value, is_delete}});
   ks->processed_gen = my_gen;
   if (s.ok()) ks->flushed_gen = my_gen;
   ks->in_flight = false;
   ks->cv.SignalAll();
-  if (--ks->waiters == 0) keys_.erase(key_str);
+  if (--ks->waiters == 0) keys_.erase(std::string_view(ks->key));
   return s;
 }
 
@@ -86,40 +96,36 @@ void PerKeyCoalescer::WriteBatch(const std::vector<Slice>& keys,
     bool delegated = false;
   };
   std::vector<Reg> regs;
-  std::vector<std::string> reg_keys;
-  std::unordered_map<std::string, size_t> reg_of;  // key → regs index.
+  std::unordered_map<std::string_view, size_t> reg_of;  // key → regs index.
   std::vector<size_t> reg_for_op(n);
 
   for (size_t i = 0; i < n; ++i) {
-    std::string k = keys[i].ToString();
-    auto [it, inserted] = reg_of.emplace(std::move(k), regs.size());
-    if (inserted) {
-      auto key_it = keys_.find(it->first);
-      if (key_it == keys_.end()) {
-        key_it =
-            keys_.emplace(it->first, std::make_unique<KeyState>(&mu_)).first;
+    if (n > 1) {
+      auto [it, inserted] = reg_of.emplace(keys[i].view(), regs.size());
+      if (!inserted) {
+        regs[it->second].value_index = i;
+        reg_for_op[i] = it->second;
+        continue;
       }
-      Reg r;
-      r.ks = key_it->second.get();
-      ++r.ks->waiters;
-      r.value_index = i;
-      regs.push_back(r);
-      reg_keys.push_back(it->first);
-    } else {
-      regs[it->second].value_index = i;
     }
-    reg_for_op[i] = it->second;
+    Reg r;
+    r.ks = FindOrAddLocked(keys[i]);
+    ++r.ks->waiters;
+    r.value_index = i;
+    reg_for_op[i] = regs.size();
+    regs.push_back(r);
   }
 
   std::vector<StorageAdapter::BatchOp> batch;
-  for (size_t r = 0; r < regs.size(); ++r) {
-    Reg& reg = regs[r];
+  for (Reg& reg : regs) {
     reg.gen = reg.ks->next_gen++;
-    reg.ks->latest_value = values[reg.value_index].ToString();
-    reg.ks->latest_is_delete = is_delete;
-    reg.ks->latest_gen = reg.gen;
+    const Slice& value = values[reg.value_index];
     if (reg.ks->in_flight) {
-      // An active leader will flush this value; wait for it below.
+      // An active leader will flush this value; wait for it below. It
+      // outlives this call, so it is copied.
+      reg.ks->latest_value.assign(value.data(), value.size());
+      reg.ks->latest_is_delete = is_delete;
+      reg.ks->latest_gen = reg.gen;
       reg.ks->pending = true;
       reg.delegated = true;
     } else {
@@ -128,14 +134,13 @@ void PerKeyCoalescer::WriteBatch(const std::vector<Slice>& keys,
       // on the wire sets pending again and we drain it afterwards.
       reg.ks->in_flight = true;
       reg.ks->pending = false;
-      batch.push_back({reg_keys[r], reg.ks->latest_value, is_delete});
+      batch.push_back({reg.ks->key, value, is_delete});
     }
   }
 
   if (!batch.empty()) {
     Status s = StoreLocked(batch);
-    for (size_t r = 0; r < regs.size(); ++r) {
-      Reg& reg = regs[r];
+    for (Reg& reg : regs) {
       if (reg.delegated) continue;
       if (s.ok()) {
         reg.ks->flushed_gen = std::max(reg.ks->flushed_gen, reg.gen);
@@ -145,14 +150,13 @@ void PerKeyCoalescer::WriteBatch(const std::vector<Slice>& keys,
       reg.ks->processed_gen = std::max(reg.ks->processed_gen, reg.gen);
       reg.ks->cv.SignalAll();
       // Serve any writers that queued behind the batch, then step down.
-      DrainLocked(reg_keys[r], reg.ks);
+      DrainLocked(reg.ks);
       reg.ks->in_flight = false;
       reg.ks->cv.SignalAll();
     }
   }
 
-  for (size_t r = 0; r < regs.size(); ++r) {
-    Reg& reg = regs[r];
+  for (const Reg& reg : regs) {
     if (reg.delegated) {
       while (reg.ks->processed_gen < reg.gen) reg.ks->cv.Wait();
     }
@@ -168,10 +172,10 @@ void PerKeyCoalescer::WriteBatch(const std::vector<Slice>& keys,
                    : reg.ks->last_error);
   }
 
-  for (size_t r = 0; r < regs.size(); ++r) {
-    KeyState* ks = regs[r].ks;
+  for (const Reg& reg : regs) {
+    KeyState* ks = reg.ks;
     if (--ks->waiters == 0 && !ks->in_flight && !ks->pending) {
-      keys_.erase(reg_keys[r]);
+      keys_.erase(std::string_view(ks->key));
     }
   }
 }

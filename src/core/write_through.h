@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -55,13 +56,17 @@ class PerKeyCoalescer {
   /// mu_ (the cv is bound to it); KeyState lives in keys_, which the same
   /// mutex guards, so the analysis checks access through the map.
   struct KeyState {
-    explicit KeyState(common::Mutex* mu) : cv(mu) {}
+    KeyState(common::Mutex* mu, const Slice& k) : key(k.ToString()), cv(mu) {}
 
+    const std::string key;  // keys_ is keyed by a view of it.
     uint64_t next_gen = 1;
     uint64_t flushed_gen = 0;    // Highest generation durably in storage.
     uint64_t processed_gen = 0;  // Highest generation whose write finished.
     bool in_flight = false;
     bool pending = false;       // A newer value awaits flush.
+    // The pending update, delegated to the in-flight leader. The only copy
+    // of a value the coalescer makes: every other write views the caller's
+    // bytes, which outlive the call.
     std::string latest_value;
     bool latest_is_delete = false;
     uint64_t latest_gen = 0;
@@ -70,6 +75,8 @@ class PerKeyCoalescer {
     common::CondVar cv;
   };
 
+  /// The key's state, created on first use.
+  KeyState* FindOrAddLocked(const Slice& key) EXCLUSIVE_LOCKS_REQUIRED(mu_);
   /// One storage WriteBatch of `ops`. Requires mu_ held; releases it around
   /// the storage call and counts the call and its ops.
   Status StoreLocked(const std::vector<StorageAdapter::BatchOp>& ops)
@@ -82,14 +89,15 @@ class PerKeyCoalescer {
   /// Leader drain loop: flushes the key's latest pending value until no
   /// newer one arrives. Requires mu_ held; releases it around storage
   /// calls (re-held on return). The caller owns ks->in_flight.
-  void DrainLocked(const std::string& key, KeyState* ks)
-      EXCLUSIVE_LOCKS_REQUIRED(mu_);
+  void DrainLocked(KeyState* ks) EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
   StorageAdapter* storage_;
   bool coalesce_;
 
   mutable common::Mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<KeyState>> keys_
+  // Keyed by views of KeyState::key, so a lookup takes a Slice without
+  // building a std::string.
+  std::unordered_map<std::string_view, std::unique_ptr<KeyState>> keys_
       GUARDED_BY(mu_);
   uint64_t submitted_ GUARDED_BY(mu_) = 0;
   uint64_t storage_writes_ GUARDED_BY(mu_) = 0;

@@ -6,6 +6,7 @@
 
 #include "common/env.h"
 #include "common/logging.h"
+#include "common/thread_name.h"
 
 namespace tierbase {
 namespace lsm {
@@ -70,7 +71,7 @@ Status LsmStore::Init() {
     }
   }
 
-  mem_ = std::make_shared<MemTable>();
+  mem_ = std::make_shared<MemTable>(options_.memtable_bytes);
   TIERBASE_RETURN_IF_ERROR(RecoverWals(names));
 
   TIERBASE_RETURN_IF_ERROR(NewWal());
@@ -111,7 +112,7 @@ Status LsmStore::RecoverWals(const std::vector<std::string>& names) {
   // place until the SST + manifest are durable.
   if (mem_->num_entries() > 0) {
     imm_ = mem_;
-    mem_ = std::make_shared<MemTable>();
+    mem_ = std::make_shared<MemTable>(options_.memtable_bytes);
     TIERBASE_RETURN_IF_ERROR(FlushImmutable());
   }
   for (uint64_t number : wal_numbers) {
@@ -142,12 +143,8 @@ Status LsmStore::NewWal() {
   return Status::OK();
 }
 
-Status LsmStore::WriteInternal(const Slice& key, const Slice& value,
-                               ValueType type) {
-  common::MutexLock lock(&mu_);
-  if (bg_error_set_) return bg_error_;
-
-  // Stall when both memtables are full.
+Status LsmStore::MakeRoomForWrite() {
+  mu_.AssertHeld();
   while (mem_->ApproximateMemoryUsage() >= options_.memtable_bytes &&
          imm_ != nullptr) {
     ++stats_.write_stalls;
@@ -156,33 +153,34 @@ Status LsmStore::WriteInternal(const Slice& key, const Slice& value,
     if (bg_error_set_) return bg_error_;
   }
   if (mem_->ApproximateMemoryUsage() >= options_.memtable_bytes) {
-    TIERBASE_RETURN_IF_ERROR(SwitchMemtable());
+    return SwitchMemtable();
   }
-
-  TIERBASE_RETURN_IF_ERROR(
-      wal_->AddRecord(EncodeWalMutation(type == kTypeDeletion, key, value)));
-
-  SequenceNumber seq = versions_->last_sequence() + 1;
-  versions_->set_last_sequence(seq);
-  mem_->Add(seq, type, key, value);
   return Status::OK();
 }
 
 Status LsmStore::Set(const Slice& key, const Slice& value) {
-  return WriteInternal(key, value, kTypeValue);
+  return ApplyBatch({{key, value, /*is_delete=*/false}});
 }
 
 Status LsmStore::Delete(const Slice& key) {
-  return WriteInternal(key, Slice(), kTypeDeletion);
+  return ApplyBatch({{key, Slice(), /*is_delete=*/true}});
 }
 
 Status LsmStore::ApplyBatch(const std::vector<BatchOp>& batch) {
-  // One WAL append for the whole batch would need a composite record; we
-  // keep per-op records but only sync once by relying on interval sync.
-  for (const auto& op : batch) {
-    TIERBASE_RETURN_IF_ERROR(WriteInternal(
-        op.key, op.value, op.is_delete ? kTypeDeletion : kTypeValue));
+  if (batch.empty()) return Status::OK();
+  common::MutexLock lock(&mu_);
+  if (bg_error_set_) return bg_error_;
+  TIERBASE_RETURN_IF_ERROR(MakeRoomForWrite());
+  TIERBASE_RETURN_IF_ERROR(wal_->AddMutations(batch));
+
+  // Publish the batch's last sequence only after every op is in mem_: a
+  // reader's snapshot sees all of the batch or none of it.
+  SequenceNumber seq = versions_->last_sequence();
+  for (const BatchOp& op : batch) {
+    mem_->Add(++seq, op.is_delete ? kTypeDeletion : kTypeValue, op.key,
+              op.value);
   }
+  versions_->set_last_sequence(seq);
   return Status::OK();
 }
 
@@ -192,7 +190,7 @@ Status LsmStore::SwitchMemtable() {
 
   imm_ = mem_;
   imm_wal_number_ = wal_number_;
-  mem_ = std::make_shared<MemTable>();
+  mem_ = std::make_shared<MemTable>(options_.memtable_bytes);
   TIERBASE_RETURN_IF_ERROR(NewWal());
 
   bg_cv_.SignalAll();
@@ -257,6 +255,7 @@ uint64_t LsmStore::MaxBytesForLevel(int level) const {
 }
 
 void LsmStore::BackgroundWork() {
+  SetCurrentThreadName("tb-lsm-bg");
   while (true) {
     bool flush = false;
     int level = -1;

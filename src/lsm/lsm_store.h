@@ -5,7 +5,8 @@
 // A leveled LSM tree: writes land in the WAL and a skiplist memtable; full
 // memtables become immutable and are flushed to L0 SSTs by a background
 // thread; leveled compaction keeps read amplification bounded. Every
-// write is logged; the WAL is synced at an interval or per record.
+// write is logged, one WAL append per batch; the WAL is synced at an
+// interval or per append.
 
 #ifndef TIERBASE_LSM_LSM_STORE_H_
 #define TIERBASE_LSM_LSM_STORE_H_
@@ -49,13 +50,14 @@ class LsmStore : public KvEngine {
   Status Get(const Slice& key, std::string* value) override;
   Status Delete(const Slice& key) override;
 
-  /// Applies a batch of (key, value-or-tombstone) with one WAL append —
-  /// the write-back flush path uses this to amortize storage-tier cost.
-  struct BatchOp {
-    std::string key;
-    std::string value;
-    bool is_delete = false;
-  };
+  /// One op of a batch. Its key and value are views that must stay valid
+  /// until ApplyBatch returns.
+  using BatchOp = WalMutation;
+  /// Applies a batch of (key, value-or-tombstone) under one lock
+  /// acquisition, with one WAL append, and makes it visible at once. The
+  /// only write path: Set and Delete are batches of one. The room check
+  /// runs once per batch, so a memtable can overshoot memtable_bytes by one
+  /// batch (LevelDB's MakeRoomForWrite).
   Status ApplyBatch(const std::vector<BatchOp>& batch);
 
   UsageStats GetUsage() const override;
@@ -86,7 +88,8 @@ class LsmStore : public KvEngine {
   Status RecoverWals(const std::vector<std::string>& names)
       NO_THREAD_SAFETY_ANALYSIS;
   Status ReplayWalRecord(const Slice& record);
-  Status WriteInternal(const Slice& key, const Slice& value, ValueType type);
+  /// Stalls while both memtables are full, then retires a full mem_.
+  Status MakeRoomForWrite() EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
   /// Starts a fresh WAL, under a new file number, for mem_.
   Status NewWal() EXCLUSIVE_LOCKS_REQUIRED(mu_);

@@ -7,6 +7,7 @@
 #ifndef TIERBASE_LSM_MEMTABLE_H_
 #define TIERBASE_LSM_MEMTABLE_H_
 
+#include <algorithm>
 #include <string>
 
 #include "common/arena.h"
@@ -26,7 +27,13 @@ class MemTableKeyComparator {
 
 class MemTable {
  public:
-  MemTable() : table_(MemTableKeyComparator(), &arena_) {}
+  /// `write_buffer_bytes` is the size at which the owner retires the
+  /// memtable; the arena's blocks are an eighth of it, between 4 and 64
+  /// KiB (RocksDB's arena block rule), so a ~1 KB entry is carved from a
+  /// block instead of taking a heap block of its own.
+  explicit MemTable(size_t write_buffer_bytes = 0)
+      : arena_(std::clamp<size_t>(write_buffer_bytes / 8, 4 << 10, 64 << 10)),
+        table_(MemTableKeyComparator(), &arena_) {}
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
 

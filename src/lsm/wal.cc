@@ -19,18 +19,49 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
 
 Status WalWriter::AddRecord(const Slice& record) {
   common::MutexLock lock(&mu_);
-  // Header and payload go down in one Append: two could leave a header
-  // without its payload if the second one failed.
   framed_.clear();
   PutFixed32(&framed_,
              crc32c::Mask(crc32c::Value(record.data(), record.size())));
   PutFixed32(&framed_, static_cast<uint32_t>(record.size()));
   framed_.append(record.data(), record.size());
+  return AppendFramedLocked();
+}
+
+Status WalWriter::AddMutations(const std::vector<WalMutation>& ops) {
+  if (ops.empty()) return Status::OK();
+  common::MutexLock lock(&mu_);
+  size_t total = 0;
+  for (const WalMutation& op : ops) {
+    total += 8 + 1 + VarintLength(op.key.size()) + op.key.size() +
+             VarintLength(op.value.size()) + op.value.size();
+  }
+  framed_.clear();
+  framed_.reserve(total);
+  for (const WalMutation& op : ops) {
+    // The header's slot first; its crc and length are known once the
+    // payload (EncodeWalMutation's layout) follows it.
+    const size_t header = framed_.size();
+    framed_.append(8, '\0');
+    framed_.push_back(op.is_delete ? kWalOpDelete : kWalOpPut);
+    PutLengthPrefixedSlice(&framed_, op.key);
+    PutLengthPrefixedSlice(&framed_, op.value);
+    const char* payload = framed_.data() + header + 8;
+    const size_t len = framed_.size() - header - 8;
+    EncodeFixed32(&framed_[header], crc32c::Mask(crc32c::Value(payload, len)));
+    EncodeFixed32(&framed_[header + 4], static_cast<uint32_t>(len));
+  }
+  return AppendFramedLocked();
+}
+
+Status WalWriter::AppendFramedLocked() {
+  mu_.AssertHeld();
+  // Every record of the append goes down in one Append: two could leave a
+  // header without its payload if the second one failed.
   TIERBASE_RETURN_IF_ERROR(file_->Append(framed_));
 
   // The paper's "WAL" mode: records accumulate in the writer's buffer and
   // hit the disk on the sync interval ("asynchronous disk flushes every
-  // second"), bounding loss to one interval. Interval 0 syncs every record.
+  // second"), bounding loss to one interval. Interval 0 syncs every append.
   uint64_t now = options_.clock->NowMicros();
   if (now - last_sync_micros_ >= options_.sync_interval_micros) {
     last_sync_micros_ = now;

@@ -4,8 +4,8 @@
 // kWalPmem policy, a PMem ring buffer in front of this file log.
 //
 // Record framing: fixed32 masked-crc | fixed32 len | payload. Both users
-// carry the same mutation payload (EncodeWalMutation) and recover through
-// the same loop (ReplayWal).
+// carry the same mutation payload (EncodeWalMutation, framed in place by
+// WalWriter::AddMutations) and recover through the same loop (ReplayWal).
 
 #ifndef TIERBASE_LSM_WAL_H_
 #define TIERBASE_LSM_WAL_H_
@@ -13,21 +13,33 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/env.h"
 #include "common/mutex.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 
 namespace tierbase {
 namespace lsm {
 
 struct WalOptions {
-  /// fsync at most once per interval; 0 = fsync every record. The 1 s
-  /// default is the paper's "WAL" (Redis' appendfsync everysec).
+  /// fsync at most once per interval; 0 = fsync every append (each
+  /// AddRecord or AddMutations call). The 1 s default is the paper's
+  /// "WAL" (Redis' appendfsync everysec).
   uint64_t sync_interval_micros = 1'000'000;
   Clock* clock = Clock::Real();
+};
+
+/// One logged mutation: a put of key = value, or a delete of key. It views
+/// bytes the caller owns, which must stay valid for the call it is passed
+/// to.
+struct WalMutation {
+  Slice key;
+  Slice value;
+  bool is_delete = false;
 };
 
 /// Append-only log writer over a file.
@@ -46,6 +58,11 @@ class WalWriter {
   }
 
   Status AddRecord(const Slice& record);
+  /// Logs one record per op, each byte-identical to
+  /// AddRecord(EncodeWalMutation(op)), with a single Append: the payloads
+  /// are encoded straight into the framing buffer (LevelDB's one log
+  /// write per write group).
+  Status AddMutations(const std::vector<WalMutation>& ops);
   Status Sync();
   uint64_t size() const { return file_->Size(); }
 
@@ -53,13 +70,16 @@ class WalWriter {
   WalWriter(std::unique_ptr<WritableFile> file, const WalOptions& options)
       : file_(std::move(file)), options_(options) {}
 
+  /// Appends framed_ to the file, then syncs if the interval has passed.
+  Status AppendFramedLocked() EXCLUSIVE_LOCKS_REQUIRED(mu_);
+
   std::unique_ptr<WritableFile> file_;  // Never reseated; calls serialize
                                         // under mu_.
   WalOptions options_;
   common::Mutex mu_;
   uint64_t last_sync_micros_ GUARDED_BY(mu_) = 0;
-  // Framing buffer reused across records, so a record costs no allocation
-  // once it has grown to the largest record size.
+  // Framing buffer reused across appends, so an append costs no
+  // allocation once the buffer has grown to the largest append size.
   std::string framed_ GUARDED_BY(mu_);
 };
 

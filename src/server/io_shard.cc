@@ -15,6 +15,7 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
+#include "common/thread_name.h"
 #include "server/event_loop.h"
 
 namespace tierbase {
@@ -582,6 +583,7 @@ bool IoShard::StoppingAndDrained() {
 }
 
 void IoShard::Run() {
+  SetCurrentThreadName("tb-reactor-" + std::to_string(index_));
   constexpr int kMaxEvents = 128;
   struct epoll_event events[kMaxEvents];
 

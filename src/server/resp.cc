@@ -1,7 +1,7 @@
 #include "server/resp.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
 
 namespace tierbase {
@@ -166,16 +166,28 @@ void AppendError(std::string* out, const Slice& msg) {
   out->append("\r\n");
 }
 
+namespace {
+
+/// Appends `<type><v>\r\n`, a RESP number line, formatted by to_chars.
+template <typename Int>
+void AppendNumberLine(std::string* out, char type, Int v) {
+  char buf[24];  // Sign and 20 digits at most, then CRLF.
+  char* p = buf;
+  *p++ = type;
+  p = std::to_chars(p, buf + sizeof(buf) - 2, v).ptr;
+  *p++ = '\r';
+  *p++ = '\n';
+  out->append(buf, static_cast<size_t>(p - buf));
+}
+
+}  // namespace
+
 void AppendInteger(std::string* out, int64_t v) {
-  char buf[32];
-  int n = snprintf(buf, sizeof(buf), ":%lld\r\n", static_cast<long long>(v));
-  out->append(buf, static_cast<size_t>(n));
+  AppendNumberLine(out, ':', v);
 }
 
 void AppendBulk(std::string* out, const Slice& s) {
-  char buf[32];
-  int n = snprintf(buf, sizeof(buf), "$%zu\r\n", s.size());
-  out->append(buf, static_cast<size_t>(n));
+  AppendNumberLine(out, '$', s.size());
   out->append(s.data(), s.size());
   out->append("\r\n");
 }
@@ -183,9 +195,7 @@ void AppendBulk(std::string* out, const Slice& s) {
 void AppendNullBulk(std::string* out) { out->append("$-1\r\n"); }
 
 void AppendArrayHeader(std::string* out, size_t n) {
-  char buf[32];
-  int len = snprintf(buf, sizeof(buf), "*%zu\r\n", n);
-  out->append(buf, static_cast<size_t>(len));
+  AppendNumberLine(out, '*', n);
 }
 
 namespace {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
+
+#include "common/thread_name.h"
 
 namespace tierbase {
 namespace threading {
@@ -78,6 +81,7 @@ void ElasticExecutor::Execute(const Task& task) {
 }
 
 void ElasticExecutor::WorkerLoop(int worker_id) {
+  SetCurrentThreadName("tb-exec-" + std::to_string(worker_id));
   while (true) {
     Task task;
     {

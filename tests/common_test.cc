@@ -1,6 +1,11 @@
 // Unit tests for src/common: Status/Result, Slice, coding, CRC32C, hash,
 // histogram, random distributions, arena, clocks, env file helpers.
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
@@ -575,6 +580,53 @@ TEST_F(EnvTest, ListRenameRemove) {
   EXPECT_TRUE(env::FileExists(dir_ + "/c"));
   ASSERT_TRUE(env::RemoveFile(dir_ + "/c").ok());
   EXPECT_FALSE(env::FileExists(dir_ + "/c"));
+}
+
+// A write(2) that fails partway must not leave the bytes it did write
+// queued for the next Flush, which would write them twice. The file size
+// limit makes the write short; a forked child keeps the limit, and the
+// SIGXFSZ it raises, out of this process. Both Append paths are covered:
+// one append straight to write(2), and appends through the buffer.
+TEST_F(EnvTest, FlushAfterShortWriteWritesEachByteOnce) {
+  std::string data(100000, '\0');
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<char>(i % 251);
+  const std::string direct = dir_ + "/direct.log";
+  const std::string buffered = dir_ + "/buffered.log";
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    signal(SIGXFSZ, SIG_IGN);
+    rlimit saved;
+    if (getrlimit(RLIMIT_FSIZE, &saved) != 0) _exit(10);
+    rlimit limited = saved;
+    limited.rlim_cur = 10000;
+    if (setrlimit(RLIMIT_FSIZE, &limited) != 0) _exit(11);
+    std::unique_ptr<WritableFile> a, b;
+    if (!env::NewWritableFile(direct, &a).ok()) _exit(12);
+    if (!env::NewWritableFile(buffered, &b).ok()) _exit(13);
+    // One append of more than a buffer's worth with nothing buffered.
+    if (a->Append(data).ok()) _exit(14);
+    // A small append, then one that fills the buffer and flushes it.
+    if (!b->Append(Slice(data.data(), 1000)).ok()) _exit(15);
+    if (b->Append(Slice(data.data() + 1000, data.size() - 1000)).ok()) {
+      _exit(16);
+    }
+    if (setrlimit(RLIMIT_FSIZE, &saved) != 0) _exit(17);
+    if (!a->Flush().ok() || !a->Close().ok()) _exit(18);
+    if (!b->Flush().ok() || !b->Close().ok()) _exit(19);
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+  for (const std::string& path : {direct, buffered}) {
+    std::string out;
+    ASSERT_TRUE(env::ReadFileToString(path, &out).ok()) << path;
+    EXPECT_EQ(out.size(), data.size()) << path;
+    EXPECT_TRUE(out == data) << path;
+  }
 }
 
 TEST_F(EnvTest, MissingFileErrors) {

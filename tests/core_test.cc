@@ -452,7 +452,9 @@ class RecordingStorage : public MockStorageAdapter {
     {
       common::MutexLock lock(&record_mu_);
       batches_.emplace_back();
-      for (const BatchOp& op : ops) batches_.back().push_back(op.key);
+      for (const BatchOp& op : ops) {
+        batches_.back().push_back(op.key.ToString());
+      }
     }
     return MockStorageAdapter::WriteBatch(ops);
   }
@@ -772,10 +774,10 @@ TEST(RemoteStorageAdapterTest, BatchPaysOneRoundTrip) {
   RemoteStorageAdapter remote(&inner, /*rtt_micros=*/300);
   // 64 individual writes vs one 64-op batch: the batch must be close to
   // 64x cheaper in wall time.
+  std::vector<std::string> keys;  // A BatchOp views its key.
+  for (int i = 0; i < 64; ++i) keys.push_back("b" + std::to_string(i));
   std::vector<StorageAdapter::BatchOp> batch;
-  for (int i = 0; i < 64; ++i) {
-    batch.push_back({"b" + std::to_string(i), "v", false});
-  }
+  for (const std::string& key : keys) batch.push_back({key, "v", false});
   Stopwatch batch_timer;
   ASSERT_TRUE(remote.WriteBatch(batch).ok());
   double batch_secs = batch_timer.ElapsedSeconds();

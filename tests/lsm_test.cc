@@ -275,6 +275,88 @@ TEST_F(WalTest, MidLogCorruptionSurfaced) {
   EXPECT_GT((*reader)->skipped_bytes(), 0u);
 }
 
+// AddMutations frames a batch in place; the file must be the one that
+// AddRecord(EncodeWalMutation(op)) per op writes, and replay must return
+// the same records. A batch larger than the file buffer takes the direct
+// write path.
+TEST_F(WalTest, AddMutationsMatchesAddRecordByteForByte) {
+  const std::string big(70000, 'b');
+  const std::string mid(300, 'm');  // Two-byte varint length.
+  const std::vector<std::vector<WalMutation>> batches = {
+      {{"k1", "v1", false}},
+      {{"k2", mid, false},
+       {"k1", Slice(), true},
+       {Slice(), "empty-key", false}},
+      {{"big", big, false}, {"k3", "v3", false}, {"k2", "", true}},
+      {{"tail-a", mid, false}, {"tail-b", mid, false}, {"tail-c", "c", false}}};
+  const std::string batched = dir_ + "/batched.wal";
+  const std::string single = dir_ + "/single.wal";
+  {
+    auto a = WalWriter::Open(batched, WalOptions());
+    auto b = WalWriter::Open(single, WalOptions());
+    ASSERT_TRUE(a.ok() && b.ok());
+    for (const auto& batch : batches) {
+      ASSERT_TRUE((*a)->AddMutations(batch).ok());
+      for (const WalMutation& op : batch) {
+        ASSERT_TRUE((*b)->AddRecord(EncodeWalMutation(op.is_delete, op.key,
+                                                      op.value))
+                        .ok());
+      }
+    }
+    ASSERT_TRUE((*a)->AddMutations({}).ok());  // Writes nothing.
+    ASSERT_TRUE((*a)->Sync().ok() && (*b)->Sync().ok());
+    EXPECT_EQ((*a)->size(), (*b)->size());
+  }
+  std::string batched_bytes, single_bytes;
+  ASSERT_TRUE(env::ReadFileToString(batched, &batched_bytes).ok());
+  ASSERT_TRUE(env::ReadFileToString(single, &single_bytes).ok());
+  ASSERT_EQ(batched_bytes.size(), single_bytes.size());
+  EXPECT_TRUE(batched_bytes == single_bytes);
+
+  auto replay = [](const std::string& path, std::vector<std::string>* records,
+                   WalRecoveryStats* stats) {
+    return ReplayWal(path, /*torn_tail_ok=*/true,
+                     [records](const Slice& record) {
+                       records->push_back(record.ToString());
+                       return Status::OK();
+                     },
+                     stats);
+  };
+  std::vector<std::string> from_batched, from_single;
+  WalRecoveryStats batched_stats, single_stats;
+  ASSERT_TRUE(replay(batched, &from_batched, &batched_stats).ok());
+  ASSERT_TRUE(replay(single, &from_single, &single_stats).ok());
+  EXPECT_EQ(from_batched, from_single);
+  ASSERT_EQ(from_batched.size(), 10u);
+  EXPECT_EQ(batched_stats.records_replayed, 10u);
+  bool is_delete = false;
+  Slice key, value;
+  ASSERT_TRUE(DecodeWalMutation(from_batched[4], &is_delete, &key, &value));
+  EXPECT_EQ(key, Slice("big"));
+  EXPECT_EQ(value, Slice(big));
+  EXPECT_FALSE(is_delete);
+
+  // A crash that tears the last batch inside its second record: the
+  // batch's first record replays, and the torn suffix ends replay with OK.
+  auto framed_size = [](const WalMutation& op) {
+    return 8 + EncodeWalMutation(op.is_delete, op.key, op.value).size();
+  };
+  const std::vector<WalMutation>& last = batches.back();
+  size_t last_batch_start = batched_bytes.size();
+  for (const WalMutation& op : last) last_batch_start -= framed_size(op);
+  const size_t second_record = last_batch_start + framed_size(last[0]);
+  const size_t cut = second_record + 8 + 50;
+  ASSERT_TRUE(
+      env::WriteStringToFileSync(batched, batched_bytes.substr(0, cut)).ok());
+  std::vector<std::string> torn;
+  WalRecoveryStats torn_stats;
+  ASSERT_TRUE(replay(batched, &torn, &torn_stats).ok());
+  ASSERT_EQ(torn.size(), 8u);
+  EXPECT_TRUE(std::equal(torn.begin(), torn.end(), from_single.begin()));
+  EXPECT_EQ(torn_stats.truncated_tails, 1u);
+  EXPECT_EQ(torn_stats.skipped_bytes, cut - second_record);
+}
+
 // The mutation payload both WALs carry (LsmStore's and TierBase's
 // cache-tier log). Its bytes are an on-disk format.
 TEST(WalMutationTest, EncodesTheOnDiskFormatAndRejectsUnknownOps) {

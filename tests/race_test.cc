@@ -8,6 +8,8 @@
 //   * the write-back FlusherLoop vs foreground Set/FlushAll
 //   * write-back TierBase: cache eviction vs the flusher vs reads served
 //     from the dirty buffer
+//   * write-back updates vs the flush batch in flight that views them
+//   * write-through updates delegated to a leader vs its drain
 //   * ElasticExecutor controller scale-up vs concurrent Submit/Execute
 //   * the server event loop vs a SHUTDOWN drain under client load
 //   * multi-reactor accept-distribute (cross-loop connection hand-off)
@@ -22,9 +24,11 @@
 // minute even at TSan's slowdown on one core.
 
 #include <atomic>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -44,6 +48,7 @@
 #include "core/storage_adapter.h"
 #include "core/tierbase.h"
 #include "core/write_back.h"
+#include "core/write_through.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "threading/elastic_executor.h"
@@ -53,6 +58,17 @@ namespace {
 
 std::string Key(int t, int i) {
   return "k" + std::to_string(t) + "_" + std::to_string(i);
+}
+
+// The seed of a seeded race test: TIERBASE_RACE_SEED when set, else
+// `fallback`. Printed, so a failure replays.
+uint64_t RaceSeed(const char* test, uint64_t fallback) {
+  uint64_t seed = fallback;
+  if (const char* env = std::getenv("TIERBASE_RACE_SEED")) {
+    seed = std::strtoull(env, nullptr, 10);
+  }
+  std::printf("%s seed %" PRIu64 "\n", test, seed);
+  return seed;
 }
 
 // --- Seam 1: cross-shard Multi ops vs eviction. -------------------------
@@ -248,6 +264,266 @@ TEST(RaceTest, WriteBackEvictionVsFlushVsReads) {
       ASSERT_TRUE(storage.Read(Key(t, k), &stored).ok()) << Key(t, k);
       EXPECT_EQ(stored, last[t][k]) << Key(t, k);
     }
+  }
+}
+
+// --- Seam 2c: write-back updates vs the flush batch in flight. ----------
+
+// Holds every WriteBatch at a gate until the test releases it, so a flush
+// stays in flight while writers update the keys it carries.
+class GatedWriteStorage : public MockStorageAdapter {
+ public:
+  Status WriteBatch(const std::vector<BatchOp>& ops) override {
+    {
+      common::MutexLock lock(&gate_mu_);
+      const uint64_t mine = ++arrived_;
+      gate_cv_.SignalAll();
+      while (!open_ && released_ < mine) gate_cv_.Wait();
+    }
+    return MockStorageAdapter::WriteBatch(ops);
+  }
+
+  /// Waits up to `micros` for a batch to be held; true if one is.
+  bool AwaitHeld(uint64_t micros) {
+    common::MutexLock lock(&gate_mu_);
+    if (arrived_ == released_) gate_cv_.WaitFor(micros);
+    return arrived_ > released_;
+  }
+  /// Lets the oldest held batch through.
+  void ReleaseOne() {
+    common::MutexLock lock(&gate_mu_);
+    ++released_;
+    gate_cv_.SignalAll();
+  }
+  /// Lets every batch through from now on.
+  void Open() {
+    common::MutexLock lock(&gate_mu_);
+    open_ = true;
+    gate_cv_.SignalAll();
+  }
+
+ private:
+  common::Mutex gate_mu_;
+  common::CondVar gate_cv_{&gate_mu_};
+  uint64_t arrived_ GUARDED_BY(gate_mu_) = 0;
+  uint64_t released_ GUARDED_BY(gate_mu_) = 0;
+  bool open_ GUARDED_BY(gate_mu_) = false;
+};
+
+// A flush batch views its dirty entries, so an update to a key whose
+// flush is on the wire must not touch the entry being written. Writers
+// update and delete their own keys while a releaser holds each flush at
+// the gate for a seeded pause; after each update the writer reads the key
+// back, from the dirty buffer or, once flushed, from storage, and must see
+// its newest update. At the end every key's newest update is in storage.
+TEST(RaceTest, WriteBackUpdatesWhileFlushInFlight) {
+  const uint64_t seed = RaceSeed("WriteBackUpdatesWhileFlushInFlight", 2510);
+  SCOPED_TRACE("seed " + std::to_string(seed));
+
+  GatedWriteStorage storage;
+  WriteBackOptions opt;
+  opt.flush_threshold = 1;
+  opt.flush_interval_micros = 200;
+  opt.max_batch = 64;  // Every dirty key rides in the batch on the wire.
+  WriteBackManager wb(&storage, opt);
+
+  constexpr int kWriters = 3;
+  constexpr int kKeys = 8;  // Per writer.
+  constexpr int kRounds = 2000;
+  std::atomic<bool> stop{false};
+  std::thread releaser([&storage, &stop, seed] {
+    Random rnd(seed ^ 0x9e3779b97f4a7c15ULL);
+    while (!stop.load(std::memory_order_acquire)) {
+      if (!storage.AwaitHeld(1000)) continue;
+      std::this_thread::sleep_for(std::chrono::microseconds(rnd.Uniform(300)));
+      storage.ReleaseOne();
+    }
+  });
+
+  // newest[t][k]: the newest update to Key(t, k); deleted marks a delete.
+  struct Update {
+    bool written = false;
+    bool deleted = false;
+    std::string value;
+  };
+  std::vector<std::vector<Update>> newest(kWriters,
+                                          std::vector<Update>(kKeys));
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&wb, &storage, &newest, t, seed] {
+      Random rnd(seed + t);
+      for (int r = 0; r < kRounds; ++r) {
+        const int k = static_cast<int>(rnd.Uniform(kKeys));
+        const std::string key = Key(t, k);
+        Update& u = newest[t][k];
+        u.written = true;
+        u.deleted = rnd.Uniform(8) == 0;
+        u.value = u.deleted ? std::string()
+                            : std::to_string(r) + "/" +
+                                  std::string(rnd.Uniform(300), 'v');
+        ASSERT_TRUE(wb.MarkDirty({key}, {u.value}, u.deleted).ok());
+
+        std::vector<bool> found, deletes;
+        std::vector<std::string> values;
+        wb.GetDirty({key}, &found, &values, &deletes);
+        if (found[0]) {
+          ASSERT_EQ(deletes[0], u.deleted) << key;
+          if (!u.deleted) {
+            ASSERT_EQ(values[0], u.value) << key;
+          }
+          continue;
+        }
+        // Flushed already: storage holds it.
+        std::string stored;
+        const Status s = storage.Read(key, &stored);
+        if (u.deleted) {
+          ASSERT_TRUE(s.IsNotFound()) << key;
+        } else {
+          ASSERT_TRUE(s.ok()) << key;
+          ASSERT_EQ(stored, u.value) << key;
+        }
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  stop.store(true, std::memory_order_release);
+  storage.Open();
+  releaser.join();
+
+  ASSERT_TRUE(wb.FlushAll().ok());
+  EXPECT_EQ(wb.dirty_count(), 0u);
+  EXPECT_GT(wb.GetStats().merged_updates, 0u);
+  for (int t = 0; t < kWriters; ++t) {
+    for (int k = 0; k < kKeys; ++k) {
+      const Update& u = newest[t][k];
+      if (!u.written) continue;
+      std::string stored;
+      const Status s = storage.Read(Key(t, k), &stored);
+      if (u.deleted) {
+        EXPECT_TRUE(s.IsNotFound()) << Key(t, k);
+      } else {
+        ASSERT_TRUE(s.ok()) << Key(t, k);
+        EXPECT_EQ(stored, u.value) << Key(t, k);
+      }
+    }
+  }
+}
+
+// --- Seam 2d: write-through delegated updates vs the leader's drain. ----
+
+// Keeps, per key, every value written to it in write order, and pauses
+// each WriteBatch for a seeded few microseconds first so that writers to
+// the same key queue behind the one on the wire.
+class OrderLogStorage : public MockStorageAdapter {
+ public:
+  explicit OrderLogStorage(uint64_t seed) : rnd_(seed) {}
+
+  Status WriteBatch(const std::vector<BatchOp>& ops) override {
+    uint64_t pause;
+    {
+      common::MutexLock lock(&log_mu_);
+      pause = rnd_.Uniform(150);
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(pause));
+    {
+      common::MutexLock lock(&log_mu_);
+      for (const BatchOp& op : ops) {
+        log_[op.key.ToString()].push_back(op.value.ToString());
+      }
+    }
+    return MockStorageAdapter::WriteBatch(ops);
+  }
+
+  std::vector<std::string> Log(const std::string& key) const {
+    common::MutexLock lock(&log_mu_);
+    auto it = log_.find(key);
+    return it == log_.end() ? std::vector<std::string>() : it->second;
+  }
+
+ private:
+  mutable common::Mutex log_mu_;
+  Random rnd_ GUARDED_BY(log_mu_);
+  std::map<std::string, std::vector<std::string>> log_ GUARDED_BY(log_mu_);
+};
+
+// Writers share a few keys, so most updates find a leader in flight and
+// are delegated to its drain, which writes them after the leader's batch.
+// Each value names its writer and its op. Checked: each acknowledged update
+// is covered by a storage write made after it was submitted (its own value,
+// or another writer's newer one); per key, each writer's values reach
+// storage in the order it wrote them, and none twice; and every key ends
+// on some writer's last value.
+TEST(RaceTest, WriteThroughDelegationKeepsPerKeyOrder) {
+  const uint64_t seed = RaceSeed("WriteThroughDelegationKeepsPerKeyOrder",
+                                 2511);
+  SCOPED_TRACE("seed " + std::to_string(seed));
+
+  OrderLogStorage storage(seed);
+  PerKeyCoalescer coalescer(&storage);
+  constexpr int kWriters = 4;
+  constexpr int kOps = 150;
+  constexpr int kKeys = 3;
+  auto key_name = [](int k) { return "shared" + std::to_string(k); };
+  auto value_of = [](int t, int i) {
+    return std::to_string(t) + "/" + std::to_string(i);
+  };
+
+  std::vector<std::vector<std::string>> last(kWriters,
+                                             std::vector<std::string>(kKeys));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      Random rnd(seed + t);
+      for (int i = 0; i < kOps; ++i) {
+        const int n = 1 + static_cast<int>(rnd.Uniform(kKeys));
+        const int first = static_cast<int>(rnd.Uniform(kKeys));
+        const std::string value = value_of(t, i);
+        std::vector<std::string> key_strs;
+        std::vector<size_t> before;
+        for (int j = 0; j < n; ++j) {
+          key_strs.push_back(key_name((first + j) % kKeys));
+          before.push_back(storage.Log(key_strs.back()).size());
+          last[t][(first + j) % kKeys] = value;
+        }
+        std::vector<Slice> keys(key_strs.begin(), key_strs.end());
+        std::vector<Slice> values(keys.size(), Slice(value));
+        std::vector<Status> statuses;
+        coalescer.WriteBatch(keys, values, /*is_delete=*/false, &statuses);
+        for (int j = 0; j < n; ++j) {
+          ASSERT_TRUE(statuses[j].ok()) << statuses[j].ToString();
+          const std::vector<std::string> log = storage.Log(key_strs[j]);
+          const std::string own_prefix = std::to_string(t) + "/";
+          bool covered = false;
+          for (size_t p = before[j]; p < log.size() && !covered; ++p) {
+            covered = log[p] == value || log[p].rfind(own_prefix, 0) != 0;
+          }
+          ASSERT_TRUE(covered) << key_strs[j] << " " << value;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const PerKeyCoalescer::Stats stats = coalescer.GetStats();
+  EXPECT_LT(stats.storage_writes, stats.submitted);  // Some were delegated.
+  for (int k = 0; k < kKeys; ++k) {
+    const std::vector<std::string> log = storage.Log(key_name(k));
+    ASSERT_FALSE(log.empty());
+    std::vector<int> last_op(kWriters, -1);
+    for (const std::string& v : log) {
+      const size_t slash = v.find('/');
+      ASSERT_NE(slash, std::string::npos) << v;
+      const int t = std::stoi(v.substr(0, slash));
+      const int i = std::stoi(v.substr(slash + 1));
+      ASSERT_GT(i, last_op[t]) << key_name(k) << ": " << v;
+      last_op[t] = i;
+    }
+    std::string stored;
+    ASSERT_TRUE(storage.Read(key_name(k), &stored).ok());
+    EXPECT_EQ(stored, log.back());
+    bool is_a_last_value = false;
+    for (int t = 0; t < kWriters; ++t) is_a_last_value |= stored == last[t][k];
+    EXPECT_TRUE(is_a_last_value) << key_name(k) << " ends on " << stored;
   }
 }
 

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -130,6 +131,46 @@ TEST(RespParserTest, RejectsMalformedLengths) {
               ParseRequests(wire, strlen(wire), &cmds, &consumed, &error))
         << wire;
     EXPECT_FALSE(error.empty()) << wire;
+  }
+}
+
+// The number lines of every reply writer, byte for byte: no padding, no
+// plus sign, INT64_MIN in full.
+TEST(RespParserTest, NumberLinesAreExactBytes) {
+  const struct {
+    int64_t v;
+    const char* integer;
+  } kIntegers[] = {{0, ":0\r\n"},
+                   {9, ":9\r\n"},
+                   {10, ":10\r\n"},
+                   {1024, ":1024\r\n"},
+                   {int64_t{1} << 32, ":4294967296\r\n"},
+                   {-1, ":-1\r\n"},
+                   {INT64_MIN, ":-9223372036854775808\r\n"}};
+  for (const auto& c : kIntegers) {
+    std::string wire;
+    AppendInteger(&wire, c.v);
+    EXPECT_EQ(c.integer, wire);
+  }
+
+  const struct {
+    size_t n;
+    const char* header;
+  } kSizes[] = {{0, "*0\r\n"},
+                {9, "*9\r\n"},
+                {10, "*10\r\n"},
+                {1024, "*1024\r\n"},
+                {size_t{1} << 32, "*4294967296\r\n"},
+                {SIZE_MAX, "*18446744073709551615\r\n"}};
+  for (const auto& c : kSizes) {
+    std::string wire;
+    AppendArrayHeader(&wire, c.n);
+    EXPECT_EQ(c.header, wire);
+    if (c.n > 1024) continue;  // A bulk that long is not built here.
+    wire.clear();
+    AppendBulk(&wire, std::string(c.n, 'x'));
+    EXPECT_EQ("$" + std::string(c.header + 1) + std::string(c.n, 'x') + "\r\n",
+              wire);
   }
 }
 
