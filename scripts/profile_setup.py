@@ -12,8 +12,9 @@ the sampler preloaded into every process it starts. Only the program named
 by --exe samples itself. When set-up is done the servers shut down, the
 sampler writes its stacks, and this script symbolizes them with nm and
 c++filt. It prints, for each process of --exe, its peak and current
-resident size (VmHWM, VmRSS) and the user and system CPU of each of its
-threads, read from /proc when set-up is done. Two tables follow: the
+resident size (VmHWM, VmRSS) and the user and system CPU and the
+voluntary and involuntary context switches of each of its threads, read
+from /proc when set-up is done. Two tables follow: the
 functions with the largest inclusive share (samples with the function
 anywhere on the stack) and those with the largest self share (samples
 with the function innermost). --callers FUNC
@@ -60,14 +61,30 @@ def stat_cpu(path):
     return name, int(fields[11]) / tick, int(fields[12]) / tick
 
 
+def context_switches(status_path):
+    """(voluntary, involuntary) context switches from a /proc status file
+    of a thread."""
+    counts = {}
+    with open(status_path) as f:
+        for line in f:
+            key, _, value = line.partition(":")
+            if key in ("voluntary_ctxt_switches",
+                       "nonvoluntary_ctxt_switches"):
+                counts[key] = int(value)
+    return (counts.get("voluntary_ctxt_switches", 0),
+            counts.get("nonvoluntary_ctxt_switches", 0))
+
+
 def process_report(pid):
-    """The per-thread CPU and peak and current resident size of a live
-    process, as printable lines."""
+    """The per-thread CPU and context switches and the peak and current
+    resident size of a live process, as printable lines."""
     _, user, sys_ = stat_cpu(f"/proc/{pid}/stat")
     threads = []
     for tid in os.listdir(f"/proc/{pid}/task"):
+        task = f"/proc/{pid}/task/{tid}"
         try:
-            threads.append(stat_cpu(f"/proc/{pid}/task/{tid}/stat"))
+            threads.append(stat_cpu(f"{task}/stat") +
+                           context_switches(f"{task}/status"))
         except OSError:
             pass  # The thread ended.
     mem = {}
@@ -79,13 +96,15 @@ def process_report(pid):
     lines = [f"pid {pid}: VmHWM {mem.get('VmHWM', 0):.1f} MB, VmRSS "
              f"{mem.get('VmRSS', 0):.1f} MB; CPU user {user:.2f} s, sys "
              f"{sys_:.2f} s",
-             f"  {'user s':>7} {'sys s':>7}  thread"]
+             f"  {'user s':>7} {'sys s':>7} {'vol cs':>8} {'invol cs':>8}"
+             f"  thread"]
     threads.sort(key=lambda t: -(t[1] + t[2]))
-    for name, u, s in threads:
-        lines.append(f"  {u:7.2f} {s:7.2f}  {name}")
+    for name, u, s, vol, invol in threads:
+        lines.append(f"  {u:7.2f} {s:7.2f} {vol:8d} {invol:8d}  {name}")
     ended_u = user - sum(t[1] for t in threads)
     ended_s = sys_ - sum(t[2] for t in threads)
-    lines.append(f"  {ended_u:7.2f} {ended_s:7.2f}  [threads that ended]")
+    lines.append(f"  {ended_u:7.2f} {ended_s:7.2f} {'':>8} {'':>8}"
+                 f"  [threads that ended]")
     return lines
 
 

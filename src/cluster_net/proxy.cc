@@ -109,40 +109,10 @@ void ClusterProxy::AddRows() {
          if (cmd.args.size() != 3) return forward(cmd, out);  // EX|PX.
          server::AppendOkOrError(out, engine_.Set(cmd.args[1], cmd.args[2]));
        }},
-      {"MGET",
-       [this](const RespCommand& cmd, std::string* out) {
-         std::vector<Slice> keys(cmd.args.begin() + 1, cmd.args.end());
-         std::vector<std::string> values;
-         std::vector<Status> statuses;
-         engine_.MultiGet(keys, &values, &statuses);
-         // Nil is strictly "no such key": a shard that stayed unreachable
-         // must surface as an error, not as a phantom miss.
-         for (const Status& s : statuses) {
-           if (!s.ok() && !s.IsNotFound()) return AppendStatusError(out, s);
-         }
-         server::AppendArrayHeader(out, keys.size());
-         for (size_t i = 0; i < keys.size(); ++i) {
-           server::AppendValueOrNull(out, statuses[i], values[i]);
-         }
-       }},
-      {"MSET",
-       [this](const RespCommand& cmd, std::string* out) {
-         if (cmd.args.size() % 2 != 1) {
-           return server::AppendError(
-               out, "ERR wrong number of arguments for 'mset' command");
-         }
-         std::vector<Slice> keys, values;
-         for (size_t i = 1; i < cmd.args.size(); i += 2) {
-           keys.push_back(cmd.args[i]);
-           values.push_back(cmd.args[i + 1]);
-         }
-         std::vector<Status> statuses;
-         engine_.MultiSet(keys, values, &statuses);
-         for (const Status& s : statuses) {
-           if (!s.ok()) return AppendStatusError(out, s);
-         }
-         server::AppendSimpleString(out, "OK");
-       }},
+      // No handler: the table's read/write trains serve MGET and MSET
+      // through engine_, one scatter–gather per train.
+      {"MGET", nullptr},
+      {"MSET", nullptr},
       {"DEL",
        [this](const RespCommand& cmd, std::string* out) {
          FanOutCount("DEL", cmd, out);

@@ -7,9 +7,10 @@
 // The proxy is a server::Server like a data node: the same multi-reactor
 // event loop, executor and CommandTable, so it answers PING/QUIT/SHUTDOWN/
 // COMMAND/PERF and INFO/METRICS/SLOWLOG/LATENCY/ANALYTICS/HOTKEYS from its
-// own registry, and pipelined GET/SET trains become one cluster-wide
-// MultiGet/MultiSet — a client that pipelines N reads pays one
-// scatter–gather round instead of N routed round trips. Its verb rows:
+// own registry, and pipelined read/write trains (GET/MGET, SET/MSET) become
+// one cluster-wide MultiGet/MultiSet — a client that pipelines N commands
+// pays one scatter–gather round, one sub-batch per node, instead of N.
+// Its verb rows:
 //
 //   GET SET MGET MSET DEL EXISTS   run here over the cluster client (DEL
 //                                  and EXISTS fan out per key and sum);

@@ -65,6 +65,13 @@ class PosixWritableFile final : public WritableFile {
 
   uint64_t Size() const override { return size_; }
 
+  bool DropBufferedTail(uint64_t size) override {
+    if (size > size_ || size_ - size > buffer_.size()) return false;
+    buffer_.resize(buffer_.size() - (size_ - size));
+    size_ = size;
+    return true;
+  }
+
  private:
   /// Writes [p, p + n) until done or a write(2) fails; returns the bytes
   /// written.

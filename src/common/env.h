@@ -30,6 +30,11 @@ class WritableFile {
   virtual Status Sync() = 0;    // fsync.
   virtual Status Close() = 0;
   virtual uint64_t Size() const = 0;
+  /// Takes back what was appended after the first `size` bytes, when none
+  /// of it has left the user-space buffer yet (a record whose append or
+  /// sync failed must not reach the file later); false, changing nothing,
+  /// when some of it already went to the OS.
+  virtual bool DropBufferedTail(uint64_t size) = 0;
 };
 
 /// Positioned-read file.

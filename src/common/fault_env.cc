@@ -63,6 +63,12 @@ class FaultWritableFile final : public WritableFile {
     return inner_ == nullptr ? 0 : inner_->Size();
   }
 
+  bool DropBufferedTail(uint64_t size) override {
+    if (inner_ == nullptr || !inner_->DropBufferedTail(size)) return false;
+    env_->NoteDropped(path_, size);
+    return true;
+  }
+
  private:
   FaultInjectionEnv* env_;
   std::string path_;
@@ -96,6 +102,12 @@ void FaultInjectionEnv::NoteAppend(const std::string& path,
                                    uint64_t new_size) {
   common::MutexLock lock(&mu_);
   ++writes_;
+  files_[path].size = new_size;
+}
+
+void FaultInjectionEnv::NoteDropped(const std::string& path,
+                                    uint64_t new_size) {
+  common::MutexLock lock(&mu_);
   files_[path].size = new_size;
 }
 

@@ -104,6 +104,8 @@ class FaultInjectionEnv : public Env {
   /// Marks the file's bytes durable — only after the real fsync succeeded.
   void NoteSynced(const std::string& path);
   void NoteAppend(const std::string& path, uint64_t new_size);
+  /// The file took back buffered bytes (DropBufferedTail).
+  void NoteDropped(const std::string& path, uint64_t new_size);
 
  private:
   Env* base_;

@@ -170,8 +170,20 @@ Status LsmStore::ApplyBatch(const std::vector<BatchOp>& batch) {
   if (batch.empty()) return Status::OK();
   common::MutexLock lock(&mu_);
   if (bg_error_set_) return bg_error_;
-  TIERBASE_RETURN_IF_ERROR(MakeRoomForWrite());
-  TIERBASE_RETURN_IF_ERROR(wal_->AddMutations(batch));
+  Status s = MakeRoomForWrite();
+  if (!s.ok()) {
+    SetBgErrorLocked(s);  // The log could not rotate.
+    return s;
+  }
+  s = wal_->AddMutations(batch);
+  if (!s.ok()) {
+    // A failed append the log took back left it as it was: that write
+    // fails alone. A poisoned log may hold part of it: latch the error, as
+    // LevelDB's DBImpl::Write does, so that no later write lands after it.
+    // Reads keep serving.
+    if (!wal_->error().ok()) SetBgErrorLocked(s);
+    return s;
+  }
 
   // Publish the batch's last sequence only after every op is in mem_: a
   // reader's snapshot sees all of the batch or none of it.
@@ -182,6 +194,15 @@ Status LsmStore::ApplyBatch(const std::vector<BatchOp>& batch) {
   }
   versions_->set_last_sequence(seq);
   return Status::OK();
+}
+
+void LsmStore::SetBgErrorLocked(const Status& s) {
+  mu_.AssertHeld();
+  if (bg_error_set_) return;
+  TB_LOG_ERROR("lsm error, writes now fail: %s", s.ToString().c_str());
+  bg_error_set_ = true;
+  bg_error_ = s;
+  stall_cv_.SignalAll();
 }
 
 Status LsmStore::SwitchMemtable() {
@@ -273,11 +294,7 @@ void LsmStore::BackgroundWork() {
     Status s = flush ? FlushImmutable() : CompactLevel(level);
 
     common::MutexLock lock(&mu_);
-    if (!s.ok()) {
-      TB_LOG_ERROR("lsm background error: %s", s.ToString().c_str());
-      bg_error_set_ = true;
-      bg_error_ = s;
-    }
+    if (!s.ok()) SetBgErrorLocked(s);
     stall_cv_.SignalAll();
     if (!s.ok()) return;
   }

@@ -57,7 +57,9 @@ class LsmStore : public KvEngine {
   /// acquisition, with one WAL append, and makes it visible at once. The
   /// only write path: Set and Delete are batches of one. The room check
   /// runs once per batch, so a memtable can overshoot memtable_bytes by one
-  /// batch (LevelDB's MakeRoomForWrite).
+  /// batch (LevelDB's MakeRoomForWrite). A log error that may have left
+  /// part of the batch in the WAL (see WalWriter) fails this and every
+  /// later write; reads keep serving.
   Status ApplyBatch(const std::vector<BatchOp>& batch);
 
   UsageStats GetUsage() const override;
@@ -95,6 +97,9 @@ class LsmStore : public KvEngine {
   Status NewWal() EXCLUSIVE_LOCKS_REQUIRED(mu_);
   /// Rotates memtable → immutable; creates a fresh WAL.
   Status SwitchMemtable() EXCLUSIVE_LOCKS_REQUIRED(mu_);
+  /// Latches the first error: every later write and WaitIdle fail with
+  /// it, reads keep serving.
+  void SetBgErrorLocked(const Status& s) EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
   /// The background thread: each round does one unit of work, flushing
   /// imm_ if set, else compacting the level PickCompactionLevel names.

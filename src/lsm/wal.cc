@@ -14,11 +14,13 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
   Status s = append ? env::NewAppendableFile(path, &file)
                     : env::NewWritableFile(path, &file);
   if (!s.ok()) return s;
-  return std::unique_ptr<WalWriter>(new WalWriter(std::move(file), options));
+  return std::unique_ptr<WalWriter>(
+      new WalWriter(path, std::move(file), options));
 }
 
 Status WalWriter::AddRecord(const Slice& record) {
   common::MutexLock lock(&mu_);
+  if (!error_.ok()) return error_;
   framed_.clear();
   PutFixed32(&framed_,
              crc32c::Mask(crc32c::Value(record.data(), record.size())));
@@ -30,6 +32,7 @@ Status WalWriter::AddRecord(const Slice& record) {
 Status WalWriter::AddMutations(const std::vector<WalMutation>& ops) {
   if (ops.empty()) return Status::OK();
   common::MutexLock lock(&mu_);
+  if (!error_.ok()) return error_;
   size_t total = 0;
   for (const WalMutation& op : ops) {
     total += 8 + 1 + VarintLength(op.key.size()) + op.key.size() +
@@ -57,23 +60,33 @@ Status WalWriter::AppendFramedLocked() {
   mu_.AssertHeld();
   // Every record of the append goes down in one Append: two could leave a
   // header without its payload if the second one failed.
-  TIERBASE_RETURN_IF_ERROR(file_->Append(framed_));
+  const uint64_t before = file_->Size();
+  Status s = file_->Append(framed_);
 
   // The paper's "WAL" mode: records accumulate in the writer's buffer and
   // hit the disk on the sync interval ("asynchronous disk flushes every
   // second"), bounding loss to one interval. Interval 0 syncs every append.
   uint64_t now = options_.clock->NowMicros();
-  if (now - last_sync_micros_ >= options_.sync_interval_micros) {
+  if (s.ok() && now - last_sync_micros_ >= options_.sync_interval_micros) {
     last_sync_micros_ = now;
-    return file_->Sync();
+    s = file_->Sync();
   }
-  return Status::OK();
+  if (s.ok() || file_->DropBufferedTail(before)) return s;
+  // Some of the failed append reached the OS, and with it everything
+  // before it (the file writes its buffer in order). Cut the file back to
+  // the end of the last record; should that fail too, a partial record is
+  // a torn tail, which replay drops.
+  error_ = s;
+  env::Truncate(path_, before);
+  return s;
 }
 
 Status WalWriter::Sync() {
   common::MutexLock lock(&mu_);
+  if (!error_.ok()) return error_;
   last_sync_micros_ = options_.clock->NowMicros();
-  return file_->Sync();
+  error_ = file_->Sync();
+  return error_;
 }
 
 Result<std::unique_ptr<WalReader>> WalReader::Open(const std::string& path) {

@@ -52,31 +52,47 @@ class WalWriter {
                                                  const WalOptions& options,
                                                  bool append = false);
   /// Flushes buffered records to the OS on clean shutdown (interval mode
-  /// buffers appends between syncs).
+  /// buffers appends between syncs). A poisoned writer writes nothing.
   ~WalWriter() {
-    if (file_ != nullptr) file_->Close();
+    if (file_ != nullptr && error_.ok()) file_->Close();
   }
 
+  /// A record whose append (or the sync after it) fails never reaches the
+  /// log, where replay would bring it back: while it is still in the
+  /// file's buffer it is taken back and the log stays usable; once some of
+  /// it went to the OS, the file is cut back to the end of the record
+  /// before it and the writer is poisoned (see error()).
   Status AddRecord(const Slice& record);
   /// Logs one record per op, each byte-identical to
   /// AddRecord(EncodeWalMutation(op)), with a single Append: the payloads
   /// are encoded straight into the framing buffer (LevelDB's one log
-  /// write per write group).
+  /// write per write group). Fails as AddRecord does.
   Status AddMutations(const std::vector<WalMutation>& ops);
+  /// A failed sync poisons the writer: what the log holds is unknown.
   Status Sync();
   uint64_t size() const { return file_->Size(); }
+  /// OK while the log is usable; once poisoned, the error that did it.
+  /// Every later call fails with it, and neither the buffered bytes nor
+  /// the destructor write anything more.
+  Status error() const {
+    common::MutexLock lock(&mu_);
+    return error_;
+  }
 
  private:
-  WalWriter(std::unique_ptr<WritableFile> file, const WalOptions& options)
-      : file_(std::move(file)), options_(options) {}
+  WalWriter(std::string path, std::unique_ptr<WritableFile> file,
+            const WalOptions& options)
+      : path_(std::move(path)), file_(std::move(file)), options_(options) {}
 
   /// Appends framed_ to the file, then syncs if the interval has passed.
   Status AppendFramedLocked() EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
+  const std::string path_;
   std::unique_ptr<WritableFile> file_;  // Never reseated; calls serialize
                                         // under mu_.
   WalOptions options_;
-  common::Mutex mu_;
+  mutable common::Mutex mu_;
+  Status error_ GUARDED_BY(mu_);
   uint64_t last_sync_micros_ GUARDED_BY(mu_) = 0;
   // Framing buffer reused across appends, so an append costs no
   // allocation once the buffer has grown to the largest append size.

@@ -49,6 +49,42 @@ constexpr const char* kOk = "OK";
 
 uint64_t NowMicros() { return Clock::Real()->NowMicros(); }
 
+bool IsWrongType(const Status& s) {
+  return s.IsInvalidArgument() &&
+         s.message().find("wrong value type") != std::string::npos;
+}
+
+/// Calls fn(key) for each key position `flags` names in `cmd`, in order;
+/// false as soon as fn does.
+template <typename Fn>
+bool ForEachKey(const RespCommand& cmd, uint8_t flags, Fn fn) {
+  if ((flags & kFlagKey) && cmd.args.size() > 1 && !fn(cmd.args[1])) {
+    return false;
+  }
+  if (flags & kFlagKeysAll) {
+    for (size_t i = 1; i < cmd.args.size(); ++i) {
+      if (!fn(cmd.args[i])) return false;
+    }
+  }
+  if (flags & kFlagKeysPairs) {
+    for (size_t i = 1; i < cmd.args.size(); i += 2) {
+      if (!fn(cmd.args[i])) return false;
+    }
+  }
+  return true;
+}
+
+/// Inside a train, MGET and MSET are the verbs whose name starts with M.
+bool IsMultiKey(const RespCommand& cmd) {
+  return cmd.args[0][0] == 'M' || cmd.args[0][0] == 'm';
+}
+
+/// The keys a train command names: every argument after the verb of a
+/// read, every other one of a write (key, value pairs).
+size_t TrainKeys(const RespCommand& cmd, bool read) {
+  return read ? cmd.args.size() - 1 : (cmd.args.size() - 1) / 2;
+}
+
 }  // namespace
 
 bool ParseArgInt(const Slice& arg, int64_t* out) {
@@ -61,8 +97,7 @@ bool ParseArgInt(const Slice& arg, int64_t* out) {
 }
 
 void AppendStatusError(std::string* out, const Status& s) {
-  if (s.IsInvalidArgument() &&
-      s.message().find("wrong value type") != std::string::npos) {
+  if (IsWrongType(s)) {
     AppendError(out,
                 "WRONGTYPE Operation against a key holding the wrong kind "
                 "of value");
@@ -161,6 +196,10 @@ void CommandTable::AddRow(const CommandSpec& spec, Handler handler) {
     get_row_ = static_cast<int>(at);
   } else if (strcmp(spec.name, "SET") == 0) {
     set_row_ = static_cast<int>(at);
+  } else if (strcmp(spec.name, "MGET") == 0) {
+    mget_row_ = static_cast<int>(at);
+  } else if (strcmp(spec.name, "MSET") == 0) {
+    mset_row_ = static_cast<int>(at);
   }
   rows_.insert(rows_.begin() + at, Row{spec, std::move(handler), hist});
 }
@@ -194,54 +233,35 @@ void CommandTable::ExecuteBatch(const std::vector<RespCommand>& cmds,
   }
   metrics::ScopedPerfContext perf_scope(pctx);
 
-  // Coalesced batches must be uniformly admissible in cluster mode: every
-  // key owned here and (for SETs) not a read-only replica. A train with
-  // any inadmissible command falls back to per-command dispatch so each
-  // gets its own -MOVED / -READONLY reply.
-  auto batch_admissible = [&](size_t begin, size_t end, bool write) {
-    if (cluster_ == nullptr) return true;
-    if (write && cluster_->is_replica()) return false;
-    // One routing-snapshot fetch for the whole train, then lock-free
-    // per-key checks.
-    cluster_net::NodeClusterState::RouteChecker checker =
-        cluster_->route_checker();
-    for (size_t k = begin; k < end; ++k) {
-      if (checker.Misrouted(cmds[k].args[1])) return false;
-    }
-    return true;
-  };
-  // Length of the train of `argc`-argument `verb` commands at cmds[i].
-  auto train_end = [&](size_t i, size_t argc, const char* verb) {
-    size_t j = i;
-    while (j < cmds.size() && cmds[j].args.size() == argc &&
-           EqualsUpper(cmds[j].args[0], verb)) {
-      ++j;
-    }
-    return j;
-  };
-  const bool trains = backend_.engine != nullptr;
-
   size_t i = 0;
   while (i < cmds.size()) {
-    // Coalesce trains of plain single-key GETs / two-argument SETs that a
-    // pipelining client queued back-to-back into one batched engine call.
-    const bool get = trains && get_row_ >= 0 && cmds[i].args.size() == 2;
-    const bool set = trains && set_row_ >= 0 && cmds[i].args.size() == 3;
-    const size_t j = get   ? train_end(i, 2, "GET")
-                     : set ? train_end(i, 3, "SET")
-                           : i;
-    if (j - i >= 2 && batch_admissible(i, j, /*write=*/set)) {
+    // A run of reads (or of writes) that a pipelining client queued
+    // back-to-back becomes one batched engine call.
+    const Train kind = TrainOf(cmds[i]);
+    size_t j = i + 1;
+    if (kind != Train::kNone) {
+      while (j < cmds.size() && TrainOf(cmds[j]) == kind) ++j;
+    }
+    const RespCommand* begin = cmds.data() + i;
+    const RespCommand* end = cmds.data() + j;
+    if (j - i >= 2 && TrainAdmissible(begin, end, kind)) {
       const uint64_t t0 = telemetry_ ? NowMicros() : 0;
-      if (get) {
-        CoalescedGets(cmds, i, j, out);
-      } else {
-        CoalescedSets(cmds, i, j, out);
-      }
+      ExecuteTrain(begin, end, kind, out);
       if (telemetry_) {
+        // Every command of the train observed the train's elapsed time.
         const uint64_t elapsed = NowMicros() - t0;
-        RecordLatency(get ? get_row_ : set_row_, elapsed, j - i);
+        const uint64_t multi =
+            static_cast<uint64_t>(std::count_if(begin, end, IsMultiKey));
+        const bool read = kind == Train::kRead;
+        if (multi > 0) {
+          RecordLatency(read ? mget_row_ : mset_row_, elapsed, multi);
+        }
+        if (multi < j - i) {
+          RecordLatency(read ? get_row_ : set_row_, elapsed, j - i - multi);
+        }
         if (slowlog_.ShouldLog(elapsed)) {
-          RecordSlowTrain(cmds, i, j, elapsed);
+          RecordSlow(begin, end, read ? kFlagKeysAll : kFlagKeysPairs,
+                     elapsed);
         }
       }
       coalesced_->Inc(j - i);
@@ -261,40 +281,21 @@ void CommandTable::RecordLatency(int row, uint64_t micros, uint64_t count) {
   (row >= 0 ? rows_[row].hist : other_hist_)->Record(micros, count);
 }
 
-void CommandTable::RecordSlow(const RespCommand& cmd, uint8_t flags,
+void CommandTable::RecordSlow(const RespCommand* begin,
+                              const RespCommand* end, uint8_t flags,
                               uint64_t micros) {
   std::vector<std::string> args;
-  args.push_back(cmd.args[0].ToString());
+  args.push_back(begin->args[0].ToString());
   size_t total_keys = 0;
-  auto push_key = [&](const Slice& key) {
-    ++total_keys;
-    if (args.size() <= kSlowlogMaxKeys) args.push_back(key.ToString());
-  };
-  if ((flags & kFlagKey) && cmd.args.size() > 1) push_key(cmd.args[1]);
-  if (flags & kFlagKeysAll) {
-    for (size_t i = 1; i < cmd.args.size(); ++i) push_key(cmd.args[i]);
-  }
-  if (flags & kFlagKeysPairs) {
-    for (size_t i = 1; i < cmd.args.size(); i += 2) push_key(cmd.args[i]);
+  for (const RespCommand* cmd = begin; cmd != end; ++cmd) {
+    ForEachKey(*cmd, flags, [&](const Slice& key) {
+      ++total_keys;
+      if (args.size() <= kSlowlogMaxKeys) args.push_back(key.ToString());
+      return true;
+    });
   }
   if (total_keys > kSlowlogMaxKeys) {
     args.push_back("... (" + std::to_string(total_keys - kSlowlogMaxKeys) +
-                   " more keys)");
-  }
-  slowlog_.Add(micros, std::move(args));
-}
-
-void CommandTable::RecordSlowTrain(const std::vector<RespCommand>& cmds,
-                                   size_t begin, size_t end,
-                                   uint64_t micros) {
-  std::vector<std::string> args;
-  args.push_back(cmds[begin].args[0].ToString());
-  const size_t keys = end - begin;
-  for (size_t k = begin; k < end && k - begin < kSlowlogMaxKeys; ++k) {
-    args.push_back(cmds[k].args[1].ToString());
-  }
-  if (keys > kSlowlogMaxKeys) {
-    args.push_back("... (" + std::to_string(keys - kSlowlogMaxKeys) +
                    " more keys)");
   }
   slowlog_.Add(micros, std::move(args));
@@ -312,72 +313,126 @@ bool CommandTable::ClusterAdmits(const RespCommand& cmd, uint8_t flags,
   // the rare misrouted path to format the -MOVED payload.
   cluster_net::NodeClusterState::RouteChecker checker =
       cluster_->route_checker();
-  std::string moved;
-  auto admit = [&](const Slice& key) {
+  return ForEachKey(cmd, flags, [&](const Slice& key) {
     if (!checker.Misrouted(key)) return true;
+    std::string moved;
     if (!cluster_->CheckMoved(key, &moved)) {
       moved = "MOVED 0 stale-route ?:0";  // Routing changed mid-check.
     }
     AppendError(out, moved);
     return false;
-  };
-  if ((flags & kFlagKey) && cmd.args.size() > 1) {
-    if (!admit(cmd.args[1])) return false;
+  });
+}
+
+CommandTable::Train CommandTable::TrainOf(const RespCommand& cmd) const {
+  const size_t argc = cmd.args.size();
+  if (backend_.engine == nullptr || argc < 2) return Train::kNone;
+  const Slice& name = cmd.args[0];
+  if (argc == 2 && get_row_ >= 0 && EqualsUpper(name, "GET")) {
+    return Train::kRead;
   }
-  if (flags & kFlagKeysAll) {
-    for (size_t i = 1; i < cmd.args.size(); ++i) {
-      if (!admit(cmd.args[i])) return false;
-    }
+  if (argc == 3 && set_row_ >= 0 && EqualsUpper(name, "SET")) {
+    return Train::kWrite;
   }
-  if (flags & kFlagKeysPairs) {
-    for (size_t i = 1; i < cmd.args.size(); i += 2) {
-      if (!admit(cmd.args[i])) return false;
+  if (mget_row_ >= 0 && EqualsUpper(name, "MGET")) return Train::kRead;
+  if (argc % 2 == 1 && mset_row_ >= 0 && EqualsUpper(name, "MSET")) {
+    return Train::kWrite;
+  }
+  return Train::kNone;
+}
+
+bool CommandTable::TrainAdmissible(const RespCommand* begin,
+                                   const RespCommand* end, Train kind) {
+  // A train with any inadmissible command falls back to per-command
+  // dispatch, so each command gets its own -MOVED / -READONLY.
+  if (cluster_ == nullptr) return true;
+  if (kind == Train::kWrite && cluster_->is_replica()) return false;
+  // One routing-snapshot fetch for the whole train, then lock-free per-key
+  // checks.
+  cluster_net::NodeClusterState::RouteChecker checker =
+      cluster_->route_checker();
+  const uint8_t flags = kind == Train::kRead ? kFlagKeysAll : kFlagKeysPairs;
+  for (const RespCommand* cmd = begin; cmd != end; ++cmd) {
+    if (!ForEachKey(*cmd, flags, [&](const Slice& key) {
+          return !checker.Misrouted(key);
+        })) {
+      return false;
     }
   }
   return true;
 }
 
-void CommandTable::CoalescedGets(const std::vector<RespCommand>& cmds,
-                                 size_t begin, size_t end, std::string* out) {
-  std::vector<Slice> keys;
-  keys.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) keys.push_back(cmds[i].args[1]);
-  std::vector<std::string> values;
-  std::vector<Status> statuses;
-  backend_.engine->MultiGet(keys, &values, &statuses);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    AppendValueOrNull(out, statuses[i], values[i]);
-    if (!statuses[i].ok() && !statuses[i].IsNotFound()) errors_->Inc();
+void CommandTable::ExecuteTrain(const RespCommand* begin,
+                                const RespCommand* end, Train kind,
+                                std::string* out) {
+  const bool read = kind == Train::kRead;
+  size_t total = 0;
+  for (const RespCommand* cmd = begin; cmd != end; ++cmd) {
+    total += TrainKeys(*cmd, read);
   }
-}
-
-void CommandTable::CoalescedSets(const std::vector<RespCommand>& cmds,
-                                 size_t begin, size_t end, std::string* out) {
   std::vector<Slice> keys, values;
-  keys.reserve(end - begin);
-  values.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    keys.push_back(cmds[i].args[1]);
-    values.push_back(cmds[i].args[2]);
+  keys.reserve(total);
+  values.reserve(read ? 0 : total);
+  for (const RespCommand* cmd = begin; cmd != end; ++cmd) {
+    for (size_t i = 1; i < cmd->args.size(); i += read ? 1 : 2) {
+      keys.push_back(cmd->args[i]);
+      if (!read) values.push_back(cmd->args[i + 1]);
+    }
   }
   std::vector<Status> statuses;
-  {
+  std::vector<std::string> found;
+  if (read) {
+    backend_.engine->MultiGet(keys, &found, &statuses);
+  } else {
     // Apply + oplog-append atomically so replicas see writes in apply
     // order (see NodeClusterState::write_order_mu).
     common::OptionalMutexLock order_lock(
-      cluster_ != nullptr ? &cluster_->write_order_mu() : nullptr);
+        cluster_ != nullptr ? &cluster_->write_order_mu() : nullptr);
     backend_.engine->MultiSet(keys, values, &statuses);
     if (cluster_ != nullptr) {
       metrics::ScopedPerfStage oplog_stage(
           metrics::PerfContext::kOplogAppend);
-      for (size_t i = 0; i < statuses.size(); ++i) {
-        if (statuses[i].ok()) cluster_->RecordSet(keys[i], values[i], 0);
+      for (size_t k = 0; k < statuses.size(); ++k) {
+        if (statuses[k].ok()) cluster_->RecordSet(keys[k], values[k], 0);
       }
     }
   }
-  for (const Status& s : statuses) {
-    AppendOkOrError(out, s);
-    if (!s.ok()) errors_->Inc();
+
+  size_t at = 0;  // The command's first key in keys/statuses.
+  for (const RespCommand* cmd = begin; cmd != end; ++cmd) {
+    const size_t n = TrainKeys(*cmd, read);
+    const Status* first = &statuses[at];
+    const Status* last = first + n;
+    const size_t before = out->size();
+    if (read && !IsMultiKey(*cmd)) {
+      AppendValueOrNull(out, *first, found[at]);
+    } else if (read) {
+      // MGET: null for a missing or wrong-type key (Redis), but any other
+      // failure fails the command: an unreadable key must not pass for a
+      // missing one.
+      const Status* bad = std::find_if(first, last, [](const Status& s) {
+        return !s.ok() && !s.IsNotFound() && !IsWrongType(s);
+      });
+      if (bad != last) {
+        AppendStatusError(out, *bad);
+      } else {
+        AppendArrayHeader(out, n);
+        for (size_t k = at; k < at + n; ++k) {
+          if (statuses[k].ok()) {
+            AppendBulk(out, found[k]);
+          } else {
+            AppendNullBulk(out);
+          }
+        }
+      }
+    } else {
+      // SET/MSET: +OK, or the error of the command's first failing key.
+      const Status* bad =
+          std::find_if(first, last, [](const Status& s) { return !s.ok(); });
+      AppendOkOrError(out, bad != last ? *bad : Status::OK());
+    }
+    if ((*out)[before] == '-') errors_->Inc();
+    at += n;
   }
 }
 
@@ -394,7 +449,8 @@ void CommandTable::ExecuteOne(const RespCommand& cmd, std::string* out,
   const uint64_t elapsed = NowMicros() - t0;
   RecordLatency(row, elapsed, 1);
   if (slowlog_.ShouldLog(elapsed) && !cmd.args.empty()) {
-    RecordSlow(cmd, row >= 0 ? rows_[row].spec.flags : 0, elapsed);
+    RecordSlow(&cmd, &cmd + 1, row >= 0 ? rows_[row].spec.flags : 0,
+               elapsed);
   }
 }
 
@@ -503,6 +559,17 @@ void CommandTable::ExecuteOneImpl(const RespCommand& cmd, std::string* out,
     }
     if (!ClusterAdmits(cmd, entry.spec.flags, out)) {
       errors_->Inc();
+      return;
+    }
+    if (!entry.handler) {
+      // MGET/MSET: served from the engine as a train of one.
+      const Train kind = TrainOf(cmd);
+      if (kind == Train::kNone) {  // An MSET key without a value.
+        AppendWrongArity(out, name);
+        errors_->Inc();
+        return;
+      }
+      ExecuteTrain(&cmd, &cmd + 1, kind, out);
       return;
     }
     entry.handler(cmd, out);

@@ -13,19 +13,22 @@
 //     driving the per-connection PerfContext (see common/perf_context.h;
 //     the state travels in via PerfState because the table is shared
 //     across executor threads and must stay stateless per request);
-//   * GET/SET trains: runs of consecutive plain GETs (and plain
-//     two-argument SETs) inside a pipelined batch become one
-//     KvEngine::MultiGet / MultiSet on the backend engine, so a client that
-//     pipelines N reads pays one batched call instead of N. Replies are
-//     emitted in command order regardless of coalescing;
+//   * read/write trains: a run of consecutive reads (GET k, MGET k...) in a
+//     pipelined batch becomes one KvEngine::MultiGet on the backend
+//     engine, and a run of consecutive writes (SET k v, MSET k v...) one
+//     MultiSet, so a client that pipelines N commands pays one batched call
+//     instead of N (on the proxy, one round trip per node). Replies stay
+//     one per command, in command order. A lone MGET or MSET runs the same
+//     code as a train of one: the table holds the only copy of their
+//     semantics;
 //   * on a cluster data node (set_cluster), -MOVED / -READONLY admission.
 //
 // A front end supplies only its verb rows ({name, arity, key/write flags,
 // handler}) and the Backend its trains run on. The node's rows
 // (AddNodeCommands, node_commands.cc) map the verbs onto TierBase; the
-// proxy registers GET/SET/MGET/MSET/DEL/EXISTS over the cluster client and
-// forwards the node's other single-key verbs; the coordinator registers
-// CLUSTER.
+// proxy registers GET/SET/DEL/EXISTS over the cluster client, MGET/MSET
+// without handlers (the trains serve them), and forwards the node's other
+// single-key verbs; the coordinator registers CLUSTER.
 
 #ifndef TIERBASE_SERVER_COMMAND_H_
 #define TIERBASE_SERVER_COMMAND_H_
@@ -94,9 +97,10 @@ class CommandTable {
   /// What a front end's table runs on. Pointers are not owned and must
   /// outlive the table.
   struct Backend {
-    /// GET/SET trains run on it as one MultiGet/MultiSet (nullptr: no
-    /// trains); INFO reports its name() as `engine`; SHUTDOWN without
-    /// NOSAVE runs its WaitIdle() first and refuses to stop when it fails.
+    /// Read/write trains run on it as one MultiGet/MultiSet (nullptr: no
+    /// trains, and no MGET/MSET rows); INFO reports its name() as
+    /// `engine`; SHUTDOWN without NOSAVE runs its WaitIdle() first and
+    /// refuses to stop when it fails.
     KvEngine* engine = nullptr;
     /// ANALYTICS, HOTKEYS and INFO "# Workload" read it; nullptr answers
     /// "analytics disabled".
@@ -106,7 +110,9 @@ class CommandTable {
   explicit CommandTable(Backend backend);
 
   /// Adds a verb row and its `cmd_<name>_latency_us` histogram. Call before
-  /// the server starts dispatching; names are unique per table.
+  /// the server starts dispatching; names are unique per table. MGET and
+  /// MSET rows take an empty handler: the table serves them from the
+  /// backend engine, which must then be set.
   void AddRow(const CommandSpec& spec, Handler handler);
 
   /// Attaches cluster membership (not owned; must outlive the table).
@@ -144,7 +150,7 @@ class CommandTable {
   uint64_t commands() const { return commands_->value(); }
   uint64_t batches() const { return batches_->value(); }
   /// Commands served through a coalesced MultiGet/MultiSet run (pipelined
-  /// GET/SET trains, ≥ 2 commands per run).
+  /// read/write trains, ≥ 2 commands per run).
   uint64_t coalesced_commands() const { return coalesced_->value(); }
   uint64_t errors() const { return errors_->value(); }
 
@@ -178,23 +184,31 @@ class CommandTable {
   /// commands (a coalesced train shares the train's elapsed time). `row`
   /// -1 = the pre-table/unknown family.
   void RecordLatency(int row, uint64_t micros, uint64_t count);
-  /// Logs a slow command with its arguments redacted to keys.
-  void RecordSlow(const RespCommand& cmd, uint8_t flags, uint64_t micros);
-  /// Logs a slow coalesced train as one redacted entry.
-  void RecordSlowTrain(const std::vector<RespCommand>& cmds, size_t begin,
-                       size_t end, uint64_t micros);
+  /// Logs a slow command, or a slow train [begin, end) as one entry: the
+  /// first command's name, then the keys `flags` names in each command
+  /// (values are redacted).
+  void RecordSlow(const RespCommand* begin, const RespCommand* end,
+                  uint8_t flags, uint64_t micros);
 
   /// Cluster gate shared by every keyed row: emits -READONLY for writes on
   /// a replica and -MOVED for misrouted keys. Returns false when an error
   /// was emitted (the command must not execute).
   bool ClusterAdmits(const RespCommand& cmd, uint8_t flags, std::string* out);
 
-  /// Executes cmds[begin..end) single GETs as one MultiGet.
-  void CoalescedGets(const std::vector<RespCommand>& cmds, size_t begin,
-                     size_t end, std::string* out);
-  /// Executes cmds[begin..end) plain SETs as one MultiSet.
-  void CoalescedSets(const std::vector<RespCommand>& cmds, size_t begin,
-                     size_t end, std::string* out);
+  enum class Train { kNone, kRead, kWrite };
+  /// The train `cmd` can ride: kRead for GET k and MGET k..., kWrite for
+  /// SET k v and MSET k v..., kNone for anything else (other verbs, SET
+  /// options, an MSET key without a value) or when the table has no
+  /// engine or no such row.
+  Train TrainOf(const RespCommand& cmd) const;
+  /// True when every key of the train [begin, end) is owned here and, for
+  /// writes, this node is no replica: the whole train may run as one call.
+  bool TrainAdmissible(const RespCommand* begin, const RespCommand* end,
+                       Train kind);
+  /// Executes the train [begin, end) of one kind as one MultiGet or
+  /// MultiSet and appends one reply per command.
+  void ExecuteTrain(const RespCommand* begin, const RespCommand* end,
+                    Train kind, std::string* out);
 
   Backend backend_;
   cluster_net::NodeClusterState* cluster_ = nullptr;
@@ -213,9 +227,11 @@ class CommandTable {
   size_t builtin_rows_ = 0;
   // Pre-table and unknown commands ("cmd_other_latency_us").
   metrics::LatencyHistogram* other_hist_ = nullptr;
-  // Rows the trains record into; -1 = no such row, no trains.
+  // Rows the trains record into; -1 = no such row, and no train for it.
   int get_row_ = -1;
   int set_row_ = -1;
+  int mget_row_ = -1;
+  int mset_row_ = -1;
 };
 
 /// Adds TierBase's verb rows to `table` (node_commands.cc): strings, TTL,

@@ -62,8 +62,6 @@ class NodeCommands {
   void Set(const RespCommand& cmd, std::string* out);
   void Del(const RespCommand& cmd, std::string* out);
   void Exists(const RespCommand& cmd, std::string* out);
-  void MGet(const RespCommand& cmd, std::string* out);
-  void MSet(const RespCommand& cmd, std::string* out);
   void Expire(const RespCommand& cmd, std::string* out);
   void Ttl(const RespCommand& cmd, std::string* out);
   void Incr(const RespCommand& cmd, std::string* out);
@@ -113,8 +111,9 @@ const NodeRow kNodeRows[] = {
     {{"SET", 3, 5, kFlagKey | kFlagWrite}, &NodeCommands::Set},
     {{"DEL", 2, 0, kFlagKeysAll | kFlagWrite}, &NodeCommands::Del},
     {{"EXISTS", 2, 0, kFlagKeysAll}, &NodeCommands::Exists},
-    {{"MGET", 2, 0, kFlagKeysAll}, &NodeCommands::MGet},
-    {{"MSET", 3, 0, kFlagKeysPairs | kFlagWrite}, &NodeCommands::MSet},
+    // No handler: the table's read/write trains serve MGET and MSET.
+    {{"MGET", 2, 0, kFlagKeysAll}, nullptr},
+    {{"MSET", 3, 0, kFlagKeysPairs | kFlagWrite}, nullptr},
     {{"EXPIRE", 3, 3, kFlagKey | kFlagWrite}, &NodeCommands::Expire},
     {{"TTL", 2, 2, kFlagKey}, &NodeCommands::Ttl},
     {{"INCR", 2, 2, kFlagKey | kFlagWrite}, &NodeCommands::Incr},
@@ -308,51 +307,6 @@ void NodeCommands::Exists(const RespCommand& cmd, std::string* out) {
     }
   }
   AppendInteger(out, count);
-}
-
-void NodeCommands::MGet(const RespCommand& cmd, std::string* out) {
-  std::vector<Slice> keys(cmd.args.begin() + 1, cmd.args.end());
-  std::vector<std::string> values;
-  std::vector<Status> statuses;
-  db_->MultiGet(keys, &values, &statuses);
-  AppendArrayHeader(out, keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (statuses[i].ok()) {
-      AppendBulk(out, values[i]);
-    } else {
-      AppendNullBulk(out);  // Redis: wrong-type/missing both read as null.
-    }
-  }
-}
-
-void NodeCommands::MSet(const RespCommand& cmd, std::string* out) {
-  if (cmd.args.size() % 2 != 1) {
-    AppendError(out, "ERR wrong number of arguments for 'mset' command");
-    return;
-  }
-  std::vector<Slice> keys, values;
-  for (size_t i = 1; i < cmd.args.size(); i += 2) {
-    keys.push_back(cmd.args[i]);
-    values.push_back(cmd.args[i + 1]);
-  }
-  std::vector<Status> statuses;
-  {
-    common::OptionalMutexLock order_lock(write_order_mu());
-    db_->MultiSet(keys, values, &statuses);
-    if (cluster() != nullptr) {
-      metrics::ScopedPerfStage oplog_stage(metrics::PerfContext::kOplogAppend);
-      for (size_t i = 0; i < keys.size(); ++i) {
-        if (statuses[i].ok()) cluster()->RecordSet(keys[i], values[i], 0);
-      }
-    }
-  }
-  for (const Status& s : statuses) {
-    if (!s.ok()) {
-      AppendStatusError(out, s);
-      return;
-    }
-  }
-  AppendSimpleString(out, kOk);
 }
 
 void NodeCommands::Expire(const RespCommand& cmd, std::string* out) {
@@ -764,11 +718,14 @@ void AddNodeCommands(CommandTable* table, TierBase* db) {
   auto node = std::make_shared<NodeCommands>(db, table);
   node->RegisterInstruments();
   for (const NodeRow& row : kNodeRows) {
-    table->AddRow(row.spec,
-                  [node, fn = row.handler](const RespCommand& cmd,
-                                           std::string* out) {
-                    ((*node).*fn)(cmd, out);
-                  });
+    CommandTable::Handler handler;
+    if (row.handler != nullptr) {
+      handler = [node, fn = row.handler](const RespCommand& cmd,
+                                         std::string* out) {
+        ((*node).*fn)(cmd, out);
+      };
+    }
+    table->AddRow(row.spec, std::move(handler));
   }
 }
 

@@ -355,6 +355,79 @@ TEST_F(ClusterNetTest, MisroutedKeysAnswerMoved) {
   EXPECT_TRUE(v.IsError());
 }
 
+// A pipelined train with one misrouted command (or any write on a replica)
+// runs command by command, so each command keeps its own reply.
+TEST_F(ClusterNetTest, TrainsFallBackToPerCommandMovedAndReadonly) {
+  StartCoordinator();
+  DataNode* n1 = StartNode("n1");
+  DataNode* n2 = StartNode("n2");
+  DataNode* r1 = StartNode("r1");
+  ASSERT_TRUE(Register(*n1).ok());
+  ASSERT_TRUE(Register(*n2).ok());
+  ASSERT_TRUE(Register(*r1, /*replica_of=*/"n1").ok());
+
+  Router router = coordinator_->Routing().BuildRouter();
+  std::vector<std::string> n1_keys;
+  std::string n2_key;
+  for (int i = 0; n1_keys.size() < 2 || n2_key.empty(); ++i) {
+    ASSERT_LT(i, 10000);
+    std::string key = "key" + std::to_string(i);
+    if (router.Route(key) == "n1") {
+      n1_keys.push_back(key);
+    } else {
+      n2_key = key;
+    }
+  }
+
+  Client cli;
+  ASSERT_TRUE(cli.Connect("127.0.0.1", n1->port()).ok());
+  cli.Append({"MSET", n1_keys[0], "a", n1_keys[1], "b"});
+  cli.Append({"MSET", n1_keys[0], "c", n2_key, "d"});
+  cli.Append({"SET", n1_keys[1], "e"});
+  cli.Append({"MGET", n1_keys[0], n1_keys[1]});
+  cli.Append({"MGET", n2_key});
+  cli.Append({"GET", n1_keys[1]});
+  ASSERT_TRUE(cli.Flush().ok());
+  RespValue v;
+  ASSERT_TRUE(cli.ReadReply(&v).ok());
+  EXPECT_EQ("OK", v.str);
+  ASSERT_TRUE(cli.ReadReply(&v).ok());
+  ASSERT_TRUE(v.IsError());
+  EXPECT_EQ(0u, v.str.find("MOVED ")) << v.str;
+  ASSERT_TRUE(cli.ReadReply(&v).ok());
+  EXPECT_EQ("OK", v.str);
+  ASSERT_TRUE(cli.ReadReply(&v).ok());
+  ASSERT_EQ(RespValue::Type::kArray, v.type) << v.str;
+  ASSERT_EQ(2u, v.elements.size());
+  EXPECT_EQ("a", v.elements[0].str);  // The misrouted MSET wrote nothing.
+  EXPECT_EQ("e", v.elements[1].str);
+  ASSERT_TRUE(cli.ReadReply(&v).ok());
+  ASSERT_TRUE(v.IsError());
+  EXPECT_EQ(0u, v.str.find("MOVED ")) << v.str;
+  ASSERT_TRUE(cli.ReadReply(&v).ok());
+  EXPECT_EQ("e", v.str);
+
+  // The replica refuses each write of a train, and still serves reads.
+  ASSERT_TRUE(cli.Call({"WAIT", "1", "5000"}, &v).ok());
+  EXPECT_GE(v.integer, 1) << "replica never caught up";
+  Client rcli;
+  ASSERT_TRUE(rcli.Connect("127.0.0.1", r1->port()).ok());
+  rcli.Append({"MSET", n1_keys[0], "x"});
+  rcli.Append({"SET", n1_keys[0], "y"});
+  rcli.Append({"MSET", n1_keys[1], "z"});
+  rcli.Append({"MGET", n1_keys[0], n1_keys[1]});
+  ASSERT_TRUE(rcli.Flush().ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(rcli.ReadReply(&v).ok());
+    ASSERT_TRUE(v.IsError()) << i;
+    EXPECT_EQ(0u, v.str.find("READONLY")) << v.str;
+  }
+  ASSERT_TRUE(rcli.ReadReply(&v).ok());
+  ASSERT_EQ(2u, v.elements.size()) << v.str;
+  EXPECT_EQ("a", v.elements[0].str);
+  EXPECT_EQ("e", v.elements[1].str);
+}
+
 TEST_F(ClusterNetTest, SmartClientRoutesAndScatterGathers) {
   StartCoordinator();
   DataNode* n1 = StartNode("n1");
@@ -816,6 +889,72 @@ TEST_F(ClusterNetTest, ProxyServesNaiveClientsAndScatterGathers) {
   // Both nodes got a share of the writes.
   EXPECT_GT(n1->db->cache()->GetUsage().keys, 0u);
   EXPECT_GT(n2->db->cache()->GetUsage().keys, 0u);
+
+  proxy.Stop();
+}
+
+TEST_F(ClusterNetTest, ProxyTrainOfMsetsShipsOneSubBatchPerNode) {
+  StartCoordinator();
+  DataNode* n1 = StartNode("n1");
+  DataNode* n2 = StartNode("n2");
+  ASSERT_TRUE(Register(*n1).ok());
+  ASSERT_TRUE(Register(*n2).ok());
+
+  ClusterProxy::Options options;
+  options.port = 0;
+  options.backend.coordinators.push_back(
+      "127.0.0.1:" + std::to_string(coordinator_->port()));
+  ClusterProxy proxy(options);
+  ASSERT_TRUE(proxy.Start().ok());
+
+  Client cli;
+  ASSERT_TRUE(cli.Connect("127.0.0.1", proxy.port()).ok());
+  RespValue v;
+  ASSERT_TRUE(cli.Call({"PING"}, &v).ok());
+  const std::map<std::string, uint64_t> before =
+      proxy.backend()->GetStats().node_batches;
+
+  // Eight MSETs in one write, each with keys on both nodes: one train, so
+  // one MSET sub-batch per node rather than eight.
+  constexpr int kMsets = 8;
+  for (int m = 0; m < kMsets; ++m) {
+    std::vector<std::string> args = {"MSET"};
+    for (int k = 0; k < 8; ++k) {
+      args.push_back("t" + std::to_string(m * 8 + k));
+      args.push_back(std::to_string(m));
+    }
+    cli.Append(std::vector<Slice>(args.begin(), args.end()));
+  }
+  ASSERT_TRUE(cli.Flush().ok());
+  for (int m = 0; m < kMsets; ++m) {
+    ASSERT_TRUE(cli.ReadReply(&v).ok());
+    EXPECT_EQ("OK", v.str) << v.str;
+  }
+  const std::map<std::string, uint64_t> after =
+      proxy.backend()->GetStats().node_batches;
+  for (const char* node : {"n1", "n2"}) {
+    const uint64_t had = before.count(node) ? before.at(node) : 0;
+    ASSERT_TRUE(after.count(node)) << node;
+    EXPECT_EQ(had + 1, after.at(node)) << node;
+  }
+
+  // The same holds for a train of MGETs, and every value came through.
+  for (int m = 0; m < kMsets; ++m) {
+    std::vector<std::string> args = {"MGET"};
+    for (int k = 0; k < 8; ++k) args.push_back("t" + std::to_string(m * 8 + k));
+    cli.Append(std::vector<Slice>(args.begin(), args.end()));
+  }
+  ASSERT_TRUE(cli.Flush().ok());
+  for (int m = 0; m < kMsets; ++m) {
+    ASSERT_TRUE(cli.ReadReply(&v).ok());
+    ASSERT_EQ(8u, v.elements.size()) << v.str;
+    for (const RespValue& e : v.elements) EXPECT_EQ(std::to_string(m), e.str);
+  }
+  const std::map<std::string, uint64_t> last =
+      proxy.backend()->GetStats().node_batches;
+  for (const char* node : {"n1", "n2"}) {
+    EXPECT_EQ(after.at(node) + 1, last.at(node)) << node;
+  }
 
   proxy.Stop();
 }

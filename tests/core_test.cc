@@ -377,19 +377,55 @@ TEST_F(TierBaseTest, WriteBackFlushAllOnShutdownNoDataLoss) {
   EXPECT_EQ(storage.size(), 50u);
 }
 
+// A storage tier whose first WriteBatch waits until Release(), so a test
+// can fill the dirty set while a flush is on the wire.
+class HeldFirstWriteStorage : public MockStorageAdapter {
+ public:
+  Status WriteBatch(const std::vector<BatchOp>& ops) override {
+    {
+      common::MutexLock lock(&mu_);
+      while (!released_) cv_.Wait();
+    }
+    return MockStorageAdapter::WriteBatch(ops);
+  }
+  void Release() {
+    common::MutexLock lock(&mu_);
+    released_ = true;
+    cv_.SignalAll();
+  }
+
+ private:
+  common::Mutex mu_;
+  common::CondVar cv_{&mu_};
+  bool released_ GUARDED_BY(mu_) = false;
+};
+
 TEST(WriteBackManagerTest, BackpressureBlocksThenRecovers) {
-  MockStorageAdapter storage;
+  HeldFirstWriteStorage storage;
   WriteBackOptions options;
   options.max_dirty = 16;
   options.flush_threshold = 8;
   options.flush_interval_micros = 1'000;
   options.max_batch = 8;
   WriteBackManager manager(&storage, options);
+  // The first flush holds until a writer has waited on backpressure (or
+  // 10 s pass, which turns a hang into a failure), so the writers cannot
+  // outrun it by timing alone.
+  std::thread releaser([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (manager.GetStats().backpressure_waits == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    storage.Release();
+  });
   // Push far beyond max_dirty; backpressure must engage but all writes land.
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(
         manager.MarkDirty({"key" + std::to_string(i)}, {"v"}, false).ok());
   }
+  releaser.join();
   ASSERT_TRUE(manager.FlushAll().ok());
   EXPECT_EQ(storage.size(), 500u);
   auto stats = manager.GetStats();

@@ -14,6 +14,11 @@
 //
 // Crash points are chosen by seeded RNGs — reproducible, not flaky.
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -414,6 +419,96 @@ TEST_F(CrashRecoveryTest, FailedSyncFailsTheWrite) {
   fault_->FailNthSync(1);
   EXPECT_TRUE((*store)->Set("k2", "v2").IsIOError());
   ASSERT_TRUE((*store)->Set("k3", "v3").ok());
+}
+
+// A write whose WAL append failed after part of it reached the file must
+// not come back on replay, and no later write may land after it. The file
+// size limit makes the append short; a forked child keeps the limit, and
+// the SIGXFSZ it raises, out of this process.
+TEST_F(CrashRecoveryTest, FailedWalAppendNeverComesBackAfterRestart) {
+  lsm::LsmOptions options;
+  options.dir = dir_ + "/lsm";
+  options.wal_sync_interval_micros = 0;
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    signal(SIGXFSZ, SIG_IGN);
+    auto store = lsm::LsmStore::Open(options);
+    if (!store.ok()) _exit(10);
+    if (!(*store)->Set("a", "1").ok()) _exit(11);
+    std::vector<std::string> names;
+    if (!env::ListDir(options.dir, &names).ok()) _exit(12);
+    uint64_t wal_bytes = 0;
+    for (const auto& n : names) {
+      if (n.size() > 4 && n.substr(n.size() - 4) == ".wal") {
+        wal_bytes = env::FileSize(options.dir + "/" + n);
+      }
+    }
+    if (wal_bytes == 0) _exit(13);
+    rlimit saved;
+    if (getrlimit(RLIMIT_FSIZE, &saved) != 0) _exit(14);
+    rlimit limited = saved;
+    limited.rlim_cur = wal_bytes + 100;
+    if (setrlimit(RLIMIT_FSIZE, &limited) != 0) _exit(15);
+    if ((*store)->Set("b", std::string(100000, 'b')).ok()) _exit(16);
+    std::string value;
+    if (!(*store)->Get("b", &value).IsNotFound()) _exit(17);
+    if (setrlimit(RLIMIT_FSIZE, &saved) != 0) _exit(18);
+    // Latched: later writes fail, reads still serve.
+    if ((*store)->Set("c", "3").ok()) _exit(19);
+    if (!(*store)->Get("a", &value).ok() || value != "1") _exit(20);
+    if ((*store)->WaitIdle().ok()) _exit(21);
+    store->reset();
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  auto reopened = lsm::LsmStore::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  std::string value;
+  ASSERT_TRUE((*reopened)->Get("a", &value).ok());
+  EXPECT_EQ(value, "1");
+  EXPECT_TRUE((*reopened)->Get("b", &value).IsNotFound());
+  EXPECT_TRUE((*reopened)->Get("c", &value).IsNotFound());
+  EXPECT_EQ((*reopened)->GetStats().wal.records_replayed, 1u);
+}
+
+// A write whose WAL sync failed while its record was still buffered is
+// taken back: it never reaches the file, and the log keeps serving.
+TEST_F(CrashRecoveryTest, FailedWalSyncNeverComesBackAfterRestart) {
+  lsm::LsmOptions options;
+  options.dir = dir_ + "/lsm";
+  options.wal_sync_interval_micros = 0;
+  for (bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "crash" : "clean close");
+    ASSERT_TRUE(env::RemoveDirRecursive(options.dir).ok() ||
+                !env::FileExists(options.dir));
+    auto store = lsm::LsmStore::Open(options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Set("a", "1").ok());
+    fault_->FailNthSync(1);
+    EXPECT_TRUE((*store)->Set("b", "2").IsIOError());
+    std::string value;
+    EXPECT_TRUE((*store)->Get("b", &value).IsNotFound());
+    ASSERT_TRUE((*store)->Set("c", "3").ok());
+    if (crash) {
+      Crash([&] { store->reset(); });
+    } else {
+      store->reset();
+    }
+
+    auto reopened = lsm::LsmStore::Open(options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ASSERT_TRUE((*reopened)->Get("a", &value).ok());
+    EXPECT_EQ(value, "1");
+    EXPECT_TRUE((*reopened)->Get("b", &value).IsNotFound());
+    ASSERT_TRUE((*reopened)->Get("c", &value).ok());
+    EXPECT_EQ(value, "3");
+    EXPECT_EQ((*reopened)->GetStats().wal.records_replayed, 2u);
+  }
 }
 
 TEST_F(CrashRecoveryTest, FailedWalCreationFailsOpen) {

@@ -503,6 +503,143 @@ TEST_F(ServerTest, MixedPipelineKeepsReplyOrder) {
   EXPECT_EQ("PONG", v.str);
 }
 
+// Runs `lines` on a fresh cache-only node table, as one pipelined batch or
+// one batch per command, and returns every reply byte. The histogram and
+// coalescing counts of the run land in *mset_count, *mget_count and
+// *coalesced.
+std::string RunOnFreshTable(const std::vector<std::vector<std::string>>& lines,
+                            bool pipelined, uint64_t* mset_count,
+                            uint64_t* mget_count, uint64_t* coalesced) {
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kCacheOnly;
+  auto db = TierBase::Open(options, nullptr);
+  EXPECT_TRUE(db.ok());
+  CommandTable table(CommandTable::Backend{db->get(), nullptr});
+  AddNodeCommands(&table, db->get());
+  std::vector<RespCommand> cmds(lines.size());
+  for (size_t i = 0; i < lines.size(); ++i) {
+    for (const std::string& arg : lines[i]) cmds[i].args.emplace_back(arg);
+  }
+  std::string out;
+  bool close = false, shutdown = false;
+  if (pipelined) {
+    table.ExecuteBatch(cmds, &out, &close, &shutdown);
+  } else {
+    for (const RespCommand& cmd : cmds) {
+      table.ExecuteBatch({cmd}, &out, &close, &shutdown);
+    }
+  }
+  auto count = [&](const char* key) {
+    return table.registry()->FindHistogram(key)->Snapshot().Count();
+  };
+  *mset_count = count("cmd_mset_latency_us");
+  *mget_count = count("cmd_mget_latency_us");
+  *coalesced = table.coalesced_commands();
+  return out;
+}
+
+TEST_F(ServerTest, ReadWriteTrainsAnswerLikeOneCommandAtATime) {
+  const std::vector<std::vector<std::string>> lines = {
+      // A write train of 6: SETs and MSETs, with keys repeated within and
+      // across MSETs (the last write of a key wins).
+      {"SET", "a", "1"},
+      {"MSET", "a", "2", "b", "3", "a", "4"},
+      {"mset", "b", "5", "c", "6"},
+      {"SET", "c", "7"},
+      {"MSET", "d", "8"},
+      {"MSET", "a", "9", "d", "10"},
+      // A read train of 5.
+      {"MGET", "a", "b", "c", "d", "nosuch"},
+      {"GET", "a"},
+      {"GET", "nosuch"},
+      {"mget", "d"},
+      {"MGET", "a", "a"},
+      // Neither train: a hash, SET with options, arity errors.
+      {"HSET", "h", "f", "v"},
+      {"SET", "e", "11", "EX", "100"},
+      {"MSET", "k"},
+      {"MSET", "k", "v", "k2"},
+      {"MGET"},
+      // A read train of 3 over the hash: MGET reads nil, GET WRONGTYPE.
+      {"MGET", "h", "a"},
+      {"GET", "h"},
+      {"GET", "e"},
+      // A write train of 2, then a lone MGET.
+      {"MSET", "g", "12", "a", "13"},
+      {"SET", "b", "14"},
+      {"MGET", "g", "a", "b", "c", "d", "e"},
+  };
+  uint64_t msets[2], mgets[2], coalesced[2];
+  const std::string one_at_a_time = RunOnFreshTable(
+      lines, /*pipelined=*/false, &msets[0], &mgets[0], &coalesced[0]);
+  const std::string pipelined = RunOnFreshTable(
+      lines, /*pipelined=*/true, &msets[1], &mgets[1], &coalesced[1]);
+  EXPECT_EQ(one_at_a_time, pipelined);
+
+  // Spot checks that the shared replies are the right ones.
+  EXPECT_NE(std::string::npos,
+            pipelined.find("*5\r\n$1\r\n9\r\n$1\r\n5\r\n$1\r\n7\r\n"
+                           "$2\r\n10\r\n$-1\r\n"));
+  EXPECT_NE(std::string::npos,
+            pipelined.find("-ERR wrong number of arguments for 'mset'"));
+  EXPECT_NE(std::string::npos, pipelined.find("*2\r\n$-1\r\n$1\r\n9\r\n"));
+  EXPECT_NE(std::string::npos, pipelined.find("-WRONGTYPE"));
+  EXPECT_NE(std::string::npos,
+            pipelined.find("*6\r\n$2\r\n12\r\n$2\r\n13\r\n$2\r\n14\r\n"
+                           "$1\r\n7\r\n$2\r\n10\r\n$2\r\n11\r\n"));
+
+  // Every MSET and MGET is counted once, coalesced or not; the four
+  // trains hold 6 + 5 + 3 + 2 commands, and the last MGET runs alone.
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(7u, msets[run]) << run;  // Two of them fail arity.
+    EXPECT_EQ(6u, mgets[run]) << run;  // One fails arity.
+  }
+  EXPECT_EQ(0u, coalesced[0]);
+  EXPECT_EQ(16u, coalesced[1]);
+}
+
+// A storage tier whose every MultiRead fails.
+class UnreadableStorage : public MockStorageAdapter {
+ public:
+  Status MultiRead(const std::vector<std::string>&, std::vector<std::string>*,
+                   std::vector<bool>*) override {
+    return Status::IOError("injected read failure");
+  }
+};
+
+TEST_F(ServerTest, MgetAnswersAnErrorWhenStorageCannotRead) {
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteThrough;
+  storage_ = std::make_unique<UnreadableStorage>();
+  ASSERT_TRUE(storage_->Write("cold", "only-in-storage").ok());
+  auto db = TierBase::Open(options, storage_.get());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  db_ = std::move(*db);
+  ServerOptions server_options;
+  server_options.net.port = 0;
+  srv_ = std::make_unique<Server>(db_.get(), server_options);
+  ASSERT_TRUE(srv_->Start().ok());
+  Client client;
+  ASSERT_TRUE(Connect(&client).ok());
+  RespValue v;
+  ASSERT_TRUE(client.Call({"HSET", "h", "f", "v"}, &v).ok());
+
+  // A key the cache misses takes the failing read: an error, not a nil
+  // that would claim the key does not exist. GET says the same.
+  ASSERT_TRUE(client.Call({"MGET", "h", "cold"}, &v).ok());
+  ASSERT_TRUE(v.IsError());
+  EXPECT_NE(std::string::npos, v.str.find("injected read failure")) << v.str;
+  ASSERT_TRUE(client.Call({"GET", "cold"}, &v).ok());
+  ASSERT_TRUE(v.IsError());
+  EXPECT_NE(std::string::npos, v.str.find("injected read failure")) << v.str;
+
+  // A wrong-type key still reads as nil, as in Redis.
+  ASSERT_TRUE(client.Call({"MGET", "h"}, &v).ok());
+  ASSERT_EQ(RespType::kArray, v.type);
+  ASSERT_EQ(1u, v.elements.size());
+  EXPECT_TRUE(v.elements[0].IsNull());
+}
+
 TEST_F(ServerTest, ClientKilledMidFrameLeavesServerServing) {
   StartServer();
 
