@@ -5,9 +5,10 @@
 #      write-back tier has drained it into durable storage (INFO
 #      wb_dirty:0), then kill -9s the server mid-YCSB and restarts it on
 #      the same data directory (the LSM's WAL replay).
-#   2. wal: loads the baseline into the cache tier's own WAL, kill -9s the
-#      server and restarts it (TierBase's WAL replay); INFO
-#      wal_replayed_records must cover the baseline.
+#   2. wal: loads the baseline into the cache tier's own WAL, plus 100
+#      keys as 10 MSETs of 10 keys (each MSET is one WAL append), kill -9s
+#      the server and restarts it (TierBase's WAL replay); INFO
+#      wal_replayed_records must cover both.
 #
 # After each restart recovery must report zero lost synced keys (every
 # baseline key reads back with its exact value), and the INFO wal_* and
@@ -23,6 +24,7 @@ SERVER="$BUILD_DIR/tierbase_server"
 CLI="$BUILD_DIR/tierbase_cli"
 YCSB="$BUILD_DIR/ycsb_runner"
 BASELINE_KEYS="${BASELINE_KEYS:-100}"
+BATCH_KEYS=100  # The wal phase's MSET keys: 10 MSETs of 10 keys.
 
 DATA_DIR="$(mktemp -d /tmp/tb_crash_smoke.XXXXXX)"
 PORT_FILE="$DATA_DIR/port"
@@ -64,6 +66,28 @@ load_baseline() {
       || fail "SET stable:$i failed"
     [ "$out" = "OK" ] || fail "SET stable:$i: got '$out'"
   done
+}
+
+load_batches() {
+  for first in $(seq 1 10 "$BATCH_KEYS"); do
+    args=()
+    for i in $(seq "$first" $((first + 9))); do
+      args+=("batch:$i" "bvalue-$i")
+    done
+    out="$("$CLI" -p "$PORT" MSET "${args[@]}")" \
+      || fail "MSET batch:$first.. failed"
+    [ "$out" = "OK" ] || fail "MSET batch:$first..: got '$out'"
+  done
+}
+
+check_batches() {
+  lost=0
+  for i in $(seq 1 "$BATCH_KEYS"); do
+    out="$("$CLI" -p "$PORT" GET "batch:$i")" || fail "GET batch:$i failed"
+    [ "$out" = "\"bvalue-$i\"" ] || { echo "lost/torn batch:$i -> $out"; lost=$((lost + 1)); }
+  done
+  [ "$lost" -eq 0 ] || fail "recovery lost $lost of $BATCH_KEYS MSET keys"
+  echo "crash-smoke: recovery reports zero lost MSET keys"
 }
 
 kill_server() {
@@ -142,14 +166,16 @@ shutdown_server
 # --- Phase 2: the cache tier's own WAL (wal policy). ---
 boot_server wal "$DATA_DIR/wal"
 load_baseline
+load_batches
 kill_server
 
 boot_server wal "$DATA_DIR/wal"
 check_baseline
+check_batches
 check_recovery_rows
 replayed="$(info_row wal_replayed_records)"
-[ "$replayed" -ge "$BASELINE_KEYS" ] \
-  || fail "wal_replayed_records $replayed < $BASELINE_KEYS baseline keys"
+[ "$replayed" -ge $((BASELINE_KEYS + BATCH_KEYS)) ] \
+  || fail "wal_replayed_records $replayed < $((BASELINE_KEYS + BATCH_KEYS)) logged keys"
 shutdown_server
 
 if pgrep -x tierbase_server >/dev/null; then

@@ -482,11 +482,10 @@ Status HashEngine::Delete(const Slice& key) {
   return expired ? Status::NotFound("") : Status::OK();
 }
 
-void HashEngine::GroupByShard(const std::vector<Slice>& keys,
+void HashEngine::GroupByShard(const Slice* keys, size_t n,
                               std::vector<uint64_t>* hashes,
                               std::vector<uint32_t>* order,
                               std::vector<uint32_t>* shard_begin) const {
-  const size_t n = keys.size();
   const size_t num_shards = shards_.size();
   hashes->resize(n);
   shard_begin->assign(num_shards + 1, 0);
@@ -515,7 +514,7 @@ void HashEngine::MultiGet(const std::vector<Slice>& keys,
 
   std::vector<uint64_t> hashes;
   std::vector<uint32_t> order, shard_begin;
-  GroupByShard(keys, &hashes, &order, &shard_begin);
+  GroupByShard(keys.data(), keys.size(), &hashes, &order, &shard_begin);
   if (options_.analytics != nullptr) {
     for (size_t i = 0; i < keys.size(); ++i) {
       options_.analytics->RecordRead(keys[i], hashes[i]);
@@ -535,20 +534,22 @@ void HashEngine::MultiGet(const std::vector<Slice>& keys,
   }
 }
 
-void HashEngine::MultiSet(const std::vector<Slice>& keys,
-                          const std::vector<Slice>& values,
-                          std::vector<Status>* statuses) {
-  statuses->assign(keys.size(), Status::OK());
-  if (keys.empty()) return;
+void HashEngine::MultiSet(const Slice* keys, const Slice* values, size_t n,
+                          uint64_t ttl_micros, Status* statuses) {
+  if (n == 0) return;
+  if (n == 1) {  // A plain set: no grouping, and no multi-op counts.
+    statuses[0] = SetEx(keys[0], values[0], ttl_micros);
+    return;
+  }
   multi_batches_.fetch_add(1, std::memory_order_relaxed);
 
   std::vector<uint64_t> hashes;
   std::vector<uint32_t> order, shard_begin;
-  GroupByShard(keys, &hashes, &order, &shard_begin);
+  GroupByShard(keys, n, &hashes, &order, &shard_begin);
   if (options_.analytics != nullptr) {
-    for (size_t i = 0; i < keys.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       options_.analytics->RecordWrite(keys[i], hashes[i], values[i].size(),
-                                      0);
+                                      ttl_micros);
     }
   }
 
@@ -559,7 +560,8 @@ void HashEngine::MultiSet(const std::vector<Slice>& keys,
     multi_shard_locks_.fetch_add(1, std::memory_order_relaxed);
     for (uint32_t pos = shard_begin[s]; pos < shard_begin[s + 1]; ++pos) {
       const uint32_t i = order[pos];
-      (*statuses)[i] = SetLocked(shard, keys[i], hashes[i], values[i], 0);
+      statuses[i] =
+          SetLocked(shard, keys[i], hashes[i], values[i], ttl_micros);
     }
   }
 }

@@ -133,7 +133,16 @@ class HashEngine : public KvEngine {
                 std::vector<Status>* statuses) override;
   void MultiSet(const std::vector<Slice>& keys,
                 const std::vector<Slice>& values,
-                std::vector<Status>* statuses) override;
+                std::vector<Status>* statuses) override {
+    statuses->resize(keys.size());
+    MultiSet(keys.data(), values.data(), keys.size(), 0, statuses->data());
+  }
+  /// MultiSet of n keys with one TTL for the whole batch (microseconds
+  /// from now; 0 = no expiry). Fills statuses[0..n). A batch of one is a
+  /// plain SetEx: it counts in neither multi_batches() nor
+  /// multi_shard_locks().
+  void MultiSet(const Slice* keys, const Slice* values, size_t n,
+                uint64_t ttl_micros, Status* statuses);
   /// Set with TTL (microseconds from now; 0 = no expiry).
   Status SetEx(const Slice& key, const Slice& value, uint64_t ttl_micros);
   /// Compare-and-set: succeeds iff the current value equals `expected`
@@ -402,7 +411,7 @@ class HashEngine : public KvEngine {
   /// Computes hashes and a per-shard grouping of [0, n) so Multi ops can
   /// visit each shard once. Returns, via `order`, the indices sorted by
   /// shard; `shard_begin[s]..shard_begin[s+1]` delimits shard s's range.
-  void GroupByShard(const std::vector<Slice>& keys,
+  void GroupByShard(const Slice* keys, size_t n,
                     std::vector<uint64_t>* hashes,
                     std::vector<uint32_t>* order,
                     std::vector<uint32_t>* shard_begin) const;

@@ -46,6 +46,8 @@ struct WriteBackOptions {
 };
 
 struct TierBaseOptions {
+  /// Picks the durable step every write batch (a lone SET included) takes
+  /// before or after its cache install.
   CachingPolicy policy = CachingPolicy::kCacheOnly;
 
   /// Cache-tier engine configuration (budget, shards, compressor, PMem).
@@ -53,12 +55,11 @@ struct TierBaseOptions {
 
   /// Directory for WAL files (kWalFile/kWalPmem backing log).
   std::string wal_dir;
+  /// fsync the log at most once per interval; 0 syncs every append, and a
+  /// write batch (a whole MSET) is one append.
   uint64_t wal_sync_interval_micros = 1'000'000;
   /// PMem device for kWalPmem's ring buffer (not owned).
   PmemDevice* wal_pmem_device = nullptr;
-
-  /// Populate cache on a storage-tier read hit (tiered policies).
-  bool populate_on_miss = true;
 
   WriteBackOptions write_back;
 

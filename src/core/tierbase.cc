@@ -1,5 +1,6 @@
 #include "core/tierbase.h"
 
+#include <algorithm>
 #include <limits>
 #include <map>
 
@@ -186,89 +187,169 @@ Status TierBase::RecoverFromWal() {
   return Status::OK();
 }
 
-Status TierBase::LogMutation(const Slice& key, const Slice& value,
-                             bool is_delete) {
-  metrics::ScopedPerfStage wal_stage(metrics::PerfContext::kWalAppend);
-  if (options_.policy == CachingPolicy::kWalFile) {
-    return wal_->AddMutations({{key, value, is_delete}});
-  }
-  // WAL-PMem: durable on the ring per record; batch-moved to the file when
-  // the ring fills (§4.3 "batch-moved to cloud storage"). Peek + sync +
-  // discard: the ring's durable head must not advance before the file
-  // copy is synced, or a crash in between loses acknowledged records.
-  const std::string rec = lsm::EncodeWalMutation(is_delete, key, value);
-  Status s = wal_ring_->Append(rec);
-  if (s.IsBusy()) {
-    std::vector<std::string> batch;
-    TIERBASE_RETURN_IF_ERROR(wal_ring_->Peek(1024, &batch));
-    for (const auto& r : batch) {
-      TIERBASE_RETURN_IF_ERROR(wal_->AddRecord(r));
-    }
-    TIERBASE_RETURN_IF_ERROR(wal_->Sync());
-    TIERBASE_RETURN_IF_ERROR(wal_ring_->Discard(batch.size()));
-    s = wal_ring_->Append(rec);
-  }
-  return s;
-}
-
 Status TierBase::Set(const Slice& key, const Slice& value) {
-  return SetInternal(key, value, 0);
+  return SetEx(key, value, 0);
 }
 
 Status TierBase::SetEx(const Slice& key, const Slice& value,
                        uint64_t ttl_micros) {
-  return SetInternal(key, value, ttl_micros);
+  Status status;
+  Write(&key, &value, 1, ttl_micros, /*is_delete=*/false, &status);
+  return status;
 }
 
-Status TierBase::SetInternal(const Slice& key, const Slice& value,
-                             uint64_t ttl_micros) {
-  stats_sets_.fetch_add(1, std::memory_order_relaxed);
+void TierBase::MultiSet(const std::vector<Slice>& keys,
+                        const std::vector<Slice>& values,
+                        std::vector<Status>* statuses) {
+  statuses->assign(keys.size(), Status::OK());
+  Write(keys.data(), values.data(), keys.size(), 0, /*is_delete=*/false,
+        statuses->data());
+}
 
-  switch (options_.policy) {
-    case CachingPolicy::kCacheOnly:
-      TIERBASE_RETURN_IF_ERROR(cache_->SetEx(key, value, ttl_micros));
-      break;
+Status TierBase::Delete(const Slice& key) {
+  const Slice no_value;
+  Status status;
+  Write(&key, &no_value, 1, 0, /*is_delete=*/true, &status);
+  return status;
+}
 
-    case CachingPolicy::kWalFile:
-    case CachingPolicy::kWalPmem:
-      TIERBASE_RETURN_IF_ERROR(LogMutation(key, value, /*is_delete=*/false));
-      TIERBASE_RETURN_IF_ERROR(cache_->SetEx(key, value, ttl_micros));
-      break;
+void TierBase::Write(const Slice* keys, const Slice* values, size_t n,
+                     uint64_t ttl_micros, bool is_delete, Status* statuses) {
+  if (!is_delete) stats_sets_.fetch_add(n, std::memory_order_relaxed);
+  if (n == 0) return;
 
-    case CachingPolicy::kWriteThrough: {
-      // §4.1.1: the update is held in a temporary buffer (here: the
-      // coalescer's pending slot) and only applied to the main cache after
-      // the storage tier acknowledges; on failure the cache entry is
-      // invalidated so subsequent reads fetch the authoritative value.
-      std::vector<Status> stored;
-      StoreBatch({key}, {value}, /*is_delete=*/false, &stored);
-      TIERBASE_RETURN_IF_ERROR(stored[0]);
-      TIERBASE_RETURN_IF_ERROR(cache_->SetEx(key, value, ttl_micros));
-      break;
+  // §4.1.2: write-back updates the cache at once and defers the storage
+  // write. Every other write reaches the cache only once Persist accepted
+  // it (§4.1.1 holds a write-through update until storage acknowledges).
+  const bool install_first =
+      options_.policy == CachingPolicy::kWriteBack && !is_delete;
+  if (!install_first) Persist(keys, values, n, is_delete, statuses);
+
+  if (is_delete) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!statuses[i].ok()) continue;
+      Status s = cache_->Delete(keys[i]);
+      if (!tiered()) statuses[i] = s;  // NotFound for a missing key.
     }
+    return;
+  }
 
-    case CachingPolicy::kWriteBack: {
-      // §4.1.2: update the cache immediately, defer the storage write
-      // (StoreBatch drops the cache copy again if the dirty set rejects
-      // the update).
-      Status s = cache_->SetEx(key, value, ttl_micros);
-      if (s.IsOutOfSpace()) {
-        // The entry outgrows its cache shard, or kNoEviction's budget is
-        // spent; skip the cache copy. The dirty buffer (replicated in
-        // production) serves reads until the batch flush lands, and
-        // MarkDirty's max_dirty backpressure — not a synchronous flush —
-        // bounds the backlog.
-        s = Status::OK();
-      }
-      TIERBASE_RETURN_IF_ERROR(s);
-      std::vector<Status> stored;
-      StoreBatch({key}, {value}, /*is_delete=*/false, &stored);
-      TIERBASE_RETURN_IF_ERROR(stored[0]);
-      break;
+  // Install the batch as it came, its statuses in place, or a copy of the
+  // ops Persist accepted.
+  std::vector<uint32_t> failed;  // Ops the cache could not take.
+  if (std::all_of(statuses, statuses + n,
+                  [](const Status& s) { return s.ok(); })) {
+    cache_->MultiSet(keys, values, n, ttl_micros, statuses);
+    for (size_t i = 0; i < n; ++i) {
+      if (!statuses[i].ok()) failed.push_back(static_cast<uint32_t>(i));
+    }
+  } else {
+    std::vector<Slice> ok_keys, ok_values;
+    std::vector<uint32_t> ok_index;
+    for (size_t i = 0; i < n; ++i) {
+      if (!statuses[i].ok()) continue;
+      ok_keys.push_back(keys[i]);
+      ok_values.push_back(values[i]);
+      ok_index.push_back(static_cast<uint32_t>(i));
+    }
+    std::vector<Status> installed(ok_keys.size());
+    cache_->MultiSet(ok_keys.data(), ok_values.data(), ok_keys.size(),
+                     ttl_micros, installed.data());
+    for (size_t m = 0; m < installed.size(); ++m) {
+      if (installed[m].ok()) continue;
+      statuses[ok_index[m]] = installed[m];
+      failed.push_back(ok_index[m]);
     }
   }
 
-  return Status::OK();
+  // A value the cache cannot take (one larger than a shard's budget, or
+  // any once kNoEviction's budget is spent) keeps no cached copy. Under a
+  // tiered policy the dirty buffer or storage serves it, so the op answers
+  // storage's status. Otherwise the op fails, and a tombstone takes it out
+  // of the log, so a restart brings back neither it nor its old value.
+  std::vector<Slice> tombstones;
+  for (uint32_t i : failed) {
+    cache_->Delete(keys[i]);
+    if (tiered()) {
+      statuses[i] = Status::OK();
+    } else {
+      tombstones.push_back(keys[i]);
+    }
+  }
+  if (!tombstones.empty()) {
+    const std::vector<Slice> no_values(tombstones.size());
+    std::vector<Status> logged(tombstones.size());
+    Persist(tombstones.data(), no_values.data(), tombstones.size(),
+            /*is_delete=*/true, logged.data());
+  }
+
+  if (install_first) Persist(keys, values, n, is_delete, statuses);
+}
+
+void TierBase::Persist(const Slice* keys, const Slice* values, size_t n,
+                       bool is_delete, Status* statuses) {
+  switch (options_.policy) {
+    case CachingPolicy::kCacheOnly:
+      return;
+
+    case CachingPolicy::kWalFile: {
+      metrics::ScopedPerfStage wal_stage(metrics::PerfContext::kWalAppend);
+      std::vector<lsm::WalMutation> ops;
+      ops.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        ops.push_back({keys[i], values[i], is_delete});
+      }
+      std::fill_n(statuses, n, wal_->AddMutations(ops));
+      return;
+    }
+
+    case CachingPolicy::kWalPmem: {
+      // Durable on the ring per record; batch-moved to the file when the
+      // ring fills (§4.3 "batch-moved to cloud storage"). Peek + sync +
+      // discard: the ring's durable head must not advance before the file
+      // copy is synced, or a crash in between loses acknowledged records.
+      metrics::ScopedPerfStage wal_stage(metrics::PerfContext::kWalAppend);
+      for (size_t i = 0; i < n; ++i) {
+        const std::string rec =
+            lsm::EncodeWalMutation(is_delete, keys[i], values[i]);
+        Status s = wal_ring_->Append(rec);
+        if (s.IsBusy()) {
+          std::vector<std::string> moved;
+          s = wal_ring_->Peek(1024, &moved);
+          for (size_t r = 0; s.ok() && r < moved.size(); ++r) {
+            s = wal_->AddRecord(moved[r]);
+          }
+          if (s.ok()) s = wal_->Sync();
+          if (s.ok()) s = wal_ring_->Discard(moved.size());
+          if (s.ok()) s = wal_ring_->Append(rec);
+        }
+        statuses[i] = s;
+      }
+      return;
+    }
+
+    case CachingPolicy::kWriteThrough: {
+      metrics::ScopedPerfStage st(metrics::PerfContext::kStorageWrite);
+      std::vector<Status> stored;
+      write_through_->WriteBatch(std::vector<Slice>(keys, keys + n),
+                                 std::vector<Slice>(values, values + n),
+                                 is_delete, &stored);
+      std::move(stored.begin(), stored.end(), statuses);
+      break;
+    }
+
+    case CachingPolicy::kWriteBack:
+      std::fill_n(statuses, n,
+                  write_back_->MarkDirty(std::vector<Slice>(keys, keys + n),
+                                         std::vector<Slice>(values, values + n),
+                                         is_delete));
+      break;
+  }
+  // Tiered: what storage holds for a rejected op is unknown, so its cache
+  // copy goes and reads fetch the authoritative value.
+  for (size_t i = 0; i < n; ++i) {
+    if (!statuses[i].ok()) cache_->Delete(keys[i]);
+  }
 }
 
 Status TierBase::Get(const Slice& key, std::string* value) {
@@ -293,7 +374,7 @@ Status TierBase::Get(const Slice& key, std::string* value) {
   std::vector<std::string> values;
   std::vector<Status> statuses;
   const uint64_t dirty_hits =
-      ReadMisses({key}, options_.populate_on_miss, &values, &statuses);
+      ReadMisses({key}, /*populate=*/true, &values, &statuses);
   stats_hits_.fetch_add(dirty_hits, std::memory_order_relaxed);
   stats_misses_.fetch_add(1 - dirty_hits, std::memory_order_relaxed);
   if (statuses[0].ok()) *value = std::move(values[0]);
@@ -395,9 +476,8 @@ void TierBase::MultiGet(const std::vector<Slice>& keys,
   for (uint32_t i : misses) miss_keys.push_back(keys[i]);
   std::vector<std::string> miss_values;
   std::vector<Status> miss_statuses;
-  const uint64_t dirty_hits =
-      ReadMisses(miss_keys, options_.populate_on_miss, &miss_values,
-                 &miss_statuses);
+  const uint64_t dirty_hits = ReadMisses(miss_keys, /*populate=*/true,
+                                         &miss_values, &miss_statuses);
   stats_hits_.fetch_add(dirty_hits, std::memory_order_relaxed);
   stats_misses_.fetch_add(misses.size() - dirty_hits,
                           std::memory_order_relaxed);
@@ -406,115 +486,6 @@ void TierBase::MultiGet(const std::vector<Slice>& keys,
     (*statuses)[i] = miss_statuses[m];
     if (miss_statuses[m].ok()) (*values)[i] = std::move(miss_values[m]);
   }
-}
-
-void TierBase::MultiSet(const std::vector<Slice>& keys,
-                        const std::vector<Slice>& values,
-                        std::vector<Status>* statuses) {
-  const size_t n = keys.size();
-  stats_sets_.fetch_add(n, std::memory_order_relaxed);
-  statuses->assign(n, Status::OK());
-  if (n == 0) return;
-
-  switch (options_.policy) {
-    case CachingPolicy::kCacheOnly:
-      cache_->MultiSet(keys, values, statuses);
-      break;
-
-    case CachingPolicy::kWalFile:
-    case CachingPolicy::kWalPmem: {
-      // Log sequentially (the WAL is a single append stream), then apply
-      // the surviving ops to the cache as one batch.
-      std::vector<Slice> logged_keys, logged_values;
-      std::vector<uint32_t> logged_index;
-      for (size_t i = 0; i < n; ++i) {
-        Status s = LogMutation(keys[i], values[i], /*is_delete=*/false);
-        if (s.ok()) {
-          logged_keys.push_back(keys[i]);
-          logged_values.push_back(values[i]);
-          logged_index.push_back(static_cast<uint32_t>(i));
-        } else {
-          (*statuses)[i] = s;
-        }
-      }
-      std::vector<Status> cache_statuses;
-      cache_->MultiSet(logged_keys, logged_values, &cache_statuses);
-      for (size_t m = 0; m < logged_index.size(); ++m) {
-        (*statuses)[logged_index[m]] = cache_statuses[m];
-      }
-      break;
-    }
-
-    case CachingPolicy::kWriteThrough: {
-      // §4.1.1 batched: the whole batch is coalesced into one storage
-      // call; the cache is updated only for acknowledged writes and
-      // invalidated for failed ones.
-      StoreBatch(keys, values, /*is_delete=*/false, statuses);
-      std::vector<Slice> ok_keys, ok_values;
-      std::vector<uint32_t> ok_index;
-      for (size_t i = 0; i < n; ++i) {
-        if ((*statuses)[i].ok()) {
-          ok_keys.push_back(keys[i]);
-          ok_values.push_back(values[i]);
-          ok_index.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      std::vector<Status> cache_statuses;
-      cache_->MultiSet(ok_keys, ok_values, &cache_statuses);
-      for (size_t m = 0; m < ok_index.size(); ++m) {
-        (*statuses)[ok_index[m]] = cache_statuses[m];
-      }
-      break;
-    }
-
-    case CachingPolicy::kWriteBack: {
-      // §4.1.2 batched: update the cache immediately, then mark the whole
-      // batch dirty under one dirty-set lock acquisition.
-      std::vector<Status> cache_statuses;
-      cache_->MultiSet(keys, values, &cache_statuses);
-      std::vector<Slice> dirty_keys, dirty_values;
-      std::vector<uint32_t> dirty_index;
-      for (size_t i = 0; i < n; ++i) {
-        // OutOfSpace: the entry outgrows its cache shard, or kNoEviction's
-        // budget is spent; the dirty buffer still serves reads until the
-        // flush lands.
-        if (cache_statuses[i].ok() || cache_statuses[i].IsOutOfSpace()) {
-          dirty_keys.push_back(keys[i]);
-          dirty_values.push_back(values[i]);
-          dirty_index.push_back(static_cast<uint32_t>(i));
-        } else {
-          (*statuses)[i] = cache_statuses[i];
-        }
-      }
-      std::vector<Status> stored;
-      StoreBatch(dirty_keys, dirty_values, /*is_delete=*/false, &stored);
-      for (size_t m = 0; m < dirty_index.size(); ++m) {
-        (*statuses)[dirty_index[m]] = stored[m];
-      }
-      break;
-    }
-  }
-}
-
-Status TierBase::Delete(const Slice& key) {
-  switch (options_.policy) {
-    case CachingPolicy::kCacheOnly:
-      return cache_->Delete(key);
-    case CachingPolicy::kWalFile:
-    case CachingPolicy::kWalPmem:
-      TIERBASE_RETURN_IF_ERROR(LogMutation(key, Slice(), /*is_delete=*/true));
-      return cache_->Delete(key);
-    case CachingPolicy::kWriteThrough:
-    case CachingPolicy::kWriteBack: {
-      // Write-through deletes in storage; write-back keeps a tombstone in
-      // the dirty set. Either way the cached value goes.
-      std::vector<Status> stored;
-      StoreBatch({key}, {Slice()}, /*is_delete=*/true, &stored);
-      cache_->Delete(key);
-      return stored[0];
-    }
-  }
-  return Status::OK();
 }
 
 bool TierBase::Exists(const Slice& key) {
@@ -529,9 +500,8 @@ bool TierBase::Exists(const Slice& key) {
 Status TierBase::Cas(const Slice& key, const Slice& expected,
                      const Slice& value, bool allow_create) {
   // Tiered modes: fetch the authoritative value into the cache first
-  // (deferred cache-fetching path for update ops on missing keys, §4.1.2).
-  // It is cached whatever populate_on_miss says: cache_->Cas compares
-  // against the cached copy.
+  // (deferred cache-fetching path for update ops on missing keys, §4.1.2),
+  // since cache_->Cas compares against the cached copy.
   if (tiered() && !cache_->Exists(key)) {
     std::vector<std::string> values;
     std::vector<Status> statuses;
@@ -543,39 +513,22 @@ Status TierBase::Cas(const Slice& key, const Slice& expected,
     }
   }
 
+  const bool creates =
+      allow_create && expected.empty() && !cache_->Exists(key);
   TIERBASE_RETURN_IF_ERROR(cache_->Cas(key, expected, value, allow_create));
 
-  // Propagate the accepted write like a Set.
-  switch (options_.policy) {
-    case CachingPolicy::kCacheOnly:
-      break;
-    case CachingPolicy::kWalFile:
-    case CachingPolicy::kWalPmem:
-      TIERBASE_RETURN_IF_ERROR(LogMutation(key, value, /*is_delete=*/false));
-      break;
-    case CachingPolicy::kWriteThrough:
-    case CachingPolicy::kWriteBack: {
-      std::vector<Status> stored;
-      StoreBatch({key}, {value}, /*is_delete=*/false, &stored);
-      return stored[0];
+  Status persisted;
+  Persist(&key, &value, 1, /*is_delete=*/false, &persisted);
+  if (!persisted.ok() && !tiered()) {
+    // The log holds the value from before this CAS (Persist dropped a
+    // tiered policy's cache copy already): put it back.
+    if (creates) {
+      cache_->Delete(key);
+    } else {
+      cache_->Cas(key, value, expected);
     }
   }
-  return Status::OK();
-}
-
-void TierBase::StoreBatch(const std::vector<Slice>& keys,
-                          const std::vector<Slice>& values, bool is_delete,
-                          std::vector<Status>* statuses) {
-  if (write_through_ != nullptr) {
-    metrics::ScopedPerfStage st(metrics::PerfContext::kStorageWrite);
-    write_through_->WriteBatch(keys, values, is_delete, statuses);
-  } else {
-    statuses->assign(keys.size(),
-                     write_back_->MarkDirty(keys, values, is_delete));
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (!(*statuses)[i].ok()) cache_->Delete(keys[i]);
-  }
+  return persisted;
 }
 
 UsageStats TierBase::GetUsage() const {

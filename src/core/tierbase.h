@@ -12,9 +12,11 @@
 // Write-through uses per-key write queues and write coalescing (§4.1.1);
 // write-back uses dirty tracking with batched merged flushes, backpressure,
 // and deferred cache-fetching (§4.1.2). Each mechanism has one, batched,
-// implementation: a single-key miss, SET, DEL or CAS is a batch of one. The
-// dual-replica configuration of §6.4 is the networked cluster's job
-// (src/cluster_net/: OpLog replication to a replica node). Value
+// implementation: a single-key miss is a batch of one, and every write (a
+// lone SET, SETEX or DEL included) is one batch through one private Write,
+// whose durable step, Persist, holds each policy's rule once; CAS shares
+// Persist. The dual-replica configuration of §6.4 is the networked
+// cluster's job (src/cluster_net/: OpLog replication to a replica node). Value
 // compression (§4.2) and PMem placement (§4.3) are configured through the
 // embedded cache engine options.
 
@@ -56,10 +58,10 @@ class TierBase : public KvEngine {
   void MultiGet(const std::vector<Slice>& keys,
                 std::vector<std::string>* values,
                 std::vector<Status>* statuses) override;
-  /// Batched writes under every caching policy: cache-only and WAL modes
-  /// use the cache's per-shard batching; write-through coalesces the batch
-  /// into one storage call; write-back marks the whole batch dirty under
-  /// one dirty-set lock.
+  /// Batched writes under every caching policy: one cache MultiSet, with
+  /// the whole batch logged in one WAL append (kWalFile), coalesced into
+  /// one storage call (write-through) or marked dirty under one dirty-set
+  /// lock (write-back). Set, SetEx and Delete are batches of one.
   void MultiSet(const std::vector<Slice>& keys,
                 const std::vector<Slice>& values,
                 std::vector<Status>* statuses) override;
@@ -73,7 +75,9 @@ class TierBase : public KvEngine {
   /// then storage. Populates nothing.
   bool Exists(const Slice& key);
   /// Compare-and-set; in tiered modes a cache miss triggers a (deferred)
-  /// fetch before comparing, per §4.1.2's update-on-missing-key path.
+  /// fetch before comparing, per §4.1.2's update-on-missing-key path. The
+  /// accepted value then goes through Persist; when a WAL policy rejects
+  /// it, the cache is put back to what the log holds.
   Status Cas(const Slice& key, const Slice& expected, const Slice& value,
              bool allow_create = false);
 
@@ -132,9 +136,27 @@ class TierBase : public KvEngine {
 
   Status Init();
   Status RecoverFromWal();
-  Status LogMutation(const Slice& key, const Slice& value, bool is_delete);
-  Status SetInternal(const Slice& key, const Slice& value,
-                     uint64_t ttl_micros);
+  /// The one write path: keys[i] = values[i] with one TTL for the batch,
+  /// or deletes of every key when `is_delete`. Persist runs first and the
+  /// cache takes only what it accepted, except a write-back set, which
+  /// installs first (§4.1.2). Under cache-only and the WAL policies an op
+  /// whose install fails answers the cache's error (a delete of a missing
+  /// key answers NotFound), and a WAL policy logs a tombstone for it;
+  /// under the tiered policies every op answers storage's status, and a
+  /// value the cache cannot take is skipped. The batch is n keys (and
+  /// values) whose n statuses come in OK, so a lone op is a batch of one
+  /// on the caller's stack.
+  void Write(const Slice* keys, const Slice* values, size_t n,
+             uint64_t ttl_micros, bool is_delete, Status* statuses);
+  /// The durable step of a write batch (tombstones when `is_delete`), and
+  /// the only write-path switch over the policy: nothing (cache-only), one
+  /// WAL append (kWalFile) or one ring append per op (kWalPmem), one
+  /// coalescer batch (write-through), one MarkDirty (write-back). Sets the
+  /// status of every op it handles; statuses come in OK. Under the tiered
+  /// policies the cache copy of every rejected op is dropped, so reads
+  /// never serve a write its caller saw fail.
+  void Persist(const Slice* keys, const Slice* values, size_t n,
+               bool is_delete, Status* statuses);
   /// The tiered miss path for `keys`, which all missed the cache: one
   /// dirty-buffer lookup (write-back), one FetchMany for the rest and,
   /// when `populate`, one cache MultiSet of the fetched values. Fills
@@ -143,13 +165,6 @@ class TierBase : public KvEngine {
   uint64_t ReadMisses(const std::vector<Slice>& keys, bool populate,
                       std::vector<std::string>* values,
                       std::vector<Status>* statuses);
-  /// Hands keys[i] = values[i] (tombstones when `is_delete`) to the tiered
-  /// policy's storage mechanism as one batch: the write-through coalescer
-  /// or the write-back dirty set. The cache copy of every rejected op is
-  /// dropped, so reads never serve a write its caller saw fail.
-  void StoreBatch(const std::vector<Slice>& keys,
-                  const std::vector<Slice>& values, bool is_delete,
-                  std::vector<Status>* statuses);
   bool tiered() const {
     return options_.policy == CachingPolicy::kWriteThrough ||
            options_.policy == CachingPolicy::kWriteBack;

@@ -690,22 +690,6 @@ TEST_F(TierBaseTest, HitRatioTracksCacheEffectiveness) {
   EXPECT_EQ(stats.cache_misses, 100u);
 }
 
-TEST_F(TierBaseTest, PopulateOnMissDisabled) {
-  MockStorageAdapter storage;
-  ASSERT_TRUE(storage.Write("k", "v").ok());
-  TierBaseOptions options;
-  options.policy = CachingPolicy::kWriteThrough;
-  options.populate_on_miss = false;
-  auto db = TierBase::Open(options, &storage);
-  ASSERT_TRUE(db.ok());
-  std::string value;
-  ASSERT_TRUE((*db)->Get("k", &value).ok());
-  ASSERT_TRUE((*db)->Get("k", &value).ok());
-  auto stats = (*db)->GetStats();
-  EXPECT_EQ(stats.cache_misses, 2u);  // Never cached.
-  EXPECT_EQ(stats.storage_populates, 0u);
-}
-
 // --- Cache budget integration: tiered mode evicts but storage retains. ---
 
 TEST_F(TierBaseTest, EvictionIsSafeUnderWriteThrough) {
@@ -756,6 +740,44 @@ TEST_F(TierBaseTest, EvictionIsSafeUnderWriteBack) {
   for (int i = 0; i < 500; i += 25) {
     ASSERT_TRUE((*db)->Get("key" + std::to_string(i), &value).ok()) << i;
     EXPECT_EQ(value, value_of(i)) << i;
+  }
+}
+
+// A value larger than a cache shard's whole budget cannot be cached, but
+// storage (or the write-back dirty buffer) takes it: the write answers
+// storage's OK and reads serve the full value, not an older cached copy.
+TEST_F(TierBaseTest, TieredWriteLargerThanShardBudgetSucceeds) {
+  for (CachingPolicy policy :
+       {CachingPolicy::kWriteThrough, CachingPolicy::kWriteBack}) {
+    SCOPED_TRACE(CachingPolicyName(policy));
+    MockStorageAdapter storage;
+    TierBaseOptions options;
+    options.policy = policy;
+    options.cache.memory_budget = 32 * 1024;
+    auto db = TierBase::Open(options, &storage);
+    ASSERT_TRUE(db.ok());
+    const std::string big(100 * 1024, 'b');
+
+    ASSERT_TRUE((*db)->Set("k", "small").ok());
+    Status s = (*db)->Set("k", big);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    std::vector<Status> statuses;
+    (*db)->MultiSet({"a", "m"}, {"a1", big}, &statuses);
+    EXPECT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+    EXPECT_TRUE(statuses[1].ok()) << statuses[1].ToString();
+
+    std::string value;
+    ASSERT_TRUE((*db)->Get("k", &value).ok());
+    EXPECT_EQ(value, big);
+    ASSERT_TRUE((*db)->Get("m", &value).ok());
+    EXPECT_EQ(value, big);
+    ASSERT_TRUE((*db)->Get("a", &value).ok());
+    EXPECT_EQ(value, "a1");
+    ASSERT_TRUE((*db)->WaitIdle().ok());
+    ASSERT_TRUE(storage.Read("k", &value).ok());
+    EXPECT_EQ(value, big);
+    ASSERT_TRUE(storage.Read("m", &value).ok());
+    EXPECT_EQ(value, big);
   }
 }
 
@@ -1306,7 +1328,7 @@ TEST(TierBaseBatchOfOneTest, InFlightReadIsTheFetchWindow) {
   EXPECT_EQ((*db)->GetStats().cache_misses, 6u);
 }
 
-TEST(TierBaseBatchOfOneTest, CasFetchesMissingKeyWithoutPopulateOnMiss) {
+TEST(TierBaseBatchOfOneTest, CasFetchesMissingKey) {
   for (CachingPolicy policy :
        {CachingPolicy::kWriteThrough, CachingPolicy::kWriteBack}) {
     SCOPED_TRACE(CachingPolicyName(policy));
@@ -1314,7 +1336,6 @@ TEST(TierBaseBatchOfOneTest, CasFetchesMissingKeyWithoutPopulateOnMiss) {
     ASSERT_TRUE(storage.Write("k", "stored").ok());
     TierBaseOptions options;
     options.policy = policy;
-    options.populate_on_miss = false;
     auto db = TierBase::Open(options, &storage);
     ASSERT_TRUE(db.ok());
 

@@ -547,6 +547,145 @@ TEST_F(CrashRecoveryTest, LeftoverManifestTmpIgnored) {
 
 // --- TierBase WAL policy. ---
 
+// A CAS the log rejected must not stay in the cache: it answers the error,
+// and reads keep serving what the log holds, before and after a restart.
+// Covers both halves: an update puts the old value back, and a create
+// (allow_create, INCR's path on a missing key) takes the key out again.
+TEST_F(CrashRecoveryTest, WalRejectedCasIsNotReadable) {
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWalFile;
+  options.wal_dir = dir_;
+  options.wal_sync_interval_micros = 0;  // Each append syncs.
+  {
+    auto db = TierBase::Open(options, nullptr);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->Set("k", "v1").ok());
+
+    fault_->FailNthSync(1);
+    EXPECT_TRUE((*db)->Cas("k", "v1", "v2").IsIOError());
+    std::string value;
+    ASSERT_TRUE((*db)->Get("k", &value).ok());
+    EXPECT_EQ(value, "v1");
+
+    fault_->FailNthSync(1);
+    EXPECT_TRUE(
+        (*db)->Cas("new", "", "1", /*allow_create=*/true).IsIOError());
+    EXPECT_TRUE((*db)->Get("new", &value).IsNotFound());
+
+    // The log still takes writes, and the CAS compares against v1.
+    ASSERT_TRUE((*db)->Cas("k", "v1", "v3").ok());
+  }
+  auto db = TierBase::Open(options, nullptr);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  std::string value;
+  ASSERT_TRUE((*db)->Get("k", &value).ok());
+  EXPECT_EQ(value, "v3");
+  EXPECT_TRUE((*db)->Get("new", &value).IsNotFound());
+}
+
+// A value larger than a cache shard's budget answers OutOfSpace under a
+// WAL policy, though the log took it; recovery must still open and keep
+// the key out, as the cache did before the restart.
+TEST_F(CrashRecoveryTest, WalOpensAfterValueLargerThanShardBudget) {
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWalFile;
+  options.wal_dir = dir_;
+  options.wal_sync_interval_micros = 0;
+  options.cache.memory_budget = 32 * 1024;
+  {
+    auto db = TierBase::Open(options, nullptr);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->Set("small", "v").ok());
+    EXPECT_TRUE((*db)->Set("big", std::string(100 * 1024, 'b')).IsOutOfSpace());
+  }
+  auto db = TierBase::Open(options, nullptr);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  std::string value;
+  ASSERT_TRUE((*db)->Get("small", &value).ok());
+  EXPECT_EQ(value, "v");
+  EXPECT_TRUE((*db)->Get("big", &value).IsNotFound());
+}
+
+// Under kNoEviction a SET into a full budget answers OutOfSpace. The log
+// took the value first, so the write must leave it again: recovery installs
+// keys in key order, and "a" sorts before every acknowledged key, so a
+// replayed "a" would push an acknowledged key out of the budget.
+TEST_F(CrashRecoveryTest, WalRejectedSetDoesNotComeBackAfterRestart) {
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWalFile;
+  options.wal_dir = dir_;
+  options.wal_sync_interval_micros = 0;
+  options.cache.shards = 1;
+  options.cache.memory_budget = 4 * 1024;
+  options.cache.eviction = cache::EvictionPolicy::kNoEviction;
+  const std::string value(100, 'z');
+  std::vector<std::string> acked;
+  {
+    auto db = TierBase::Open(options, nullptr);
+    ASSERT_TRUE(db.ok());
+    for (int i = 0; i < 1000; ++i) {
+      const std::string key = "z" + std::to_string(1000 + i);
+      Status s = (*db)->Set(key, value);
+      if (s.IsOutOfSpace()) break;
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      acked.push_back(key);
+    }
+    ASSERT_GT(acked.size(), 1u);
+    ASSERT_LT(acked.size(), 1000u);
+    EXPECT_TRUE((*db)->Set("a", std::string(200, 'a')).IsOutOfSpace());
+    std::string got;
+    EXPECT_TRUE((*db)->Get("a", &got).IsNotFound());
+  }
+  auto db = TierBase::Open(options, nullptr);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  std::string got;
+  EXPECT_TRUE((*db)->Get("a", &got).IsNotFound());
+  for (const std::string& key : acked) {
+    ASSERT_TRUE((*db)->Get(key, &got).ok()) << key;
+    EXPECT_EQ(got, value);
+  }
+}
+
+// kWalFile logs a whole MultiSet with one append, so with per-append sync
+// the batch costs one write and one fsync, and a crash right after the
+// acknowledgment keeps every key.
+TEST_F(CrashRecoveryTest, WalMultiSetIsOneAppendAndOneSync) {
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWalFile;
+  options.wal_dir = dir_;
+  options.wal_sync_interval_micros = 0;
+  constexpr int kKeys = 16;
+  std::vector<std::string> keys, values;
+  for (int i = 0; i < kKeys; ++i) {
+    keys.push_back("bk" + std::to_string(i));
+    values.push_back("bv" + std::to_string(i));
+  }
+  {
+    auto db = TierBase::Open(options, nullptr);
+    ASSERT_TRUE(db.ok());
+    std::unique_ptr<TierBase> instance = std::move(*db);
+    const uint64_t writes = fault_->write_count();
+    const uint64_t syncs = fault_->sync_count();
+    std::vector<Status> statuses;
+    instance->MultiSet(std::vector<Slice>(keys.begin(), keys.end()),
+                       std::vector<Slice>(values.begin(), values.end()),
+                       &statuses);
+    for (const Status& s : statuses) ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(fault_->write_count() - writes, 1u);
+    EXPECT_EQ(fault_->sync_count() - syncs, 1u);
+    Crash([&] { instance.reset(); });
+  }
+  auto db = TierBase::Open(options, nullptr);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  std::string value;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE((*db)->Get(keys[i], &value).ok()) << keys[i];
+    EXPECT_EQ(value, values[i]);
+  }
+  EXPECT_EQ((*db)->GetStats().wal.records_replayed,
+            static_cast<uint64_t>(kKeys));
+}
+
 // Regression: recovery used to reopen the WAL with O_TRUNC and re-append
 // every record un-synced — crash right after a reboot lost all previously
 // acknowledged+synced data. Recovery now appends to the existing log.

@@ -460,6 +460,7 @@ TEST_F(ServerTest, PipelinedSetsCoalesceIntoMultiSet) {
   RespValue v;
 
   const uint64_t batches_before = db_->cache()->multi_batches();
+  const uint64_t coalesced_before = srv_->commands()->coalesced_commands();
   constexpr int kKeys = 48;
   for (int i = 0; i < kKeys; ++i) {
     client.Append({"SET", "sk" + std::to_string(i), "v"});
@@ -470,6 +471,10 @@ TEST_F(ServerTest, PipelinedSetsCoalesceIntoMultiSet) {
     EXPECT_EQ("OK", v.str);
   }
   EXPECT_GE(db_->cache()->multi_batches(), batches_before + 1);
+  // Every SET reaches the cache through MultiSet, so the train counter is
+  // what shows that all 48 went as one train.
+  EXPECT_GE(srv_->commands()->coalesced_commands(),
+            coalesced_before + kKeys);
   std::string out;
   EXPECT_TRUE(db_->Get("sk47", &out).ok());
   EXPECT_EQ("v", out);
