@@ -191,8 +191,8 @@ int main(int argc, char** argv) {
            static_cast<unsigned long long>(stats.moved_redirects),
            static_cast<unsigned long long>(stats.failures_reported));
     for (const auto& [node, batches] : stats.node_batches) {
-      printf("cluster: routed_batches[%s]=%llu\n", node.c_str(),
-             static_cast<unsigned long long>(batches));
+      printf("cluster: routed_batches[%s]=%llu (a single-key op is one)\n",
+             node.c_str(), static_cast<unsigned long long>(batches));
     }
   }
 

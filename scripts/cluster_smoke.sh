@@ -142,13 +142,34 @@ expect "OK" "$CP" CLUSTER FAIL n1
 EPOCH1=$("$CLI" -p "$CP" CLUSTER EPOCH | tr -dc '0-9')
 [ "$EPOCH1" -gt "$EPOCH0" ] || fail "epoch did not bump on failover"
 "$CLI" -p "$R1" INFO | grep -q "role:master" || fail "replica not promoted"
+# The proxy's first ops after the kill are a batch on its stale routing:
+# an MSET across both shards, then an MGET that must read back the exact
+# values. The round rides failure report, refresh, backoff and retry.
+BATCH=16
+N2_BEFORE=$("$CLI" -p "$N2" DBSIZE | tr -dc '0-9')
+R1_BEFORE=$("$CLI" -p "$R1" DBSIZE | tr -dc '0-9')
+MSET_ARGS=(); MGET_ARGS=(); WANT=""
+for i in $(seq 1 $BATCH); do
+  MSET_ARGS+=("batch:$i" "b$i"); MGET_ARGS+=("batch:$i")
+  WANT+="$i) \"b$i\""$'\n'
+done
+expect "OK" "$PP" MSET "${MSET_ARGS[@]}"
+expect "${WANT%$'\n'}" "$PP" MGET "${MGET_ARGS[@]}"
+N2_GREW=$(( $("$CLI" -p "$N2" DBSIZE | tr -dc '0-9') - N2_BEFORE ))
+R1_GREW=$(( $("$CLI" -p "$R1" DBSIZE | tr -dc '0-9') - R1_BEFORE ))
+[ "$N2_GREW" -gt 0 ] && [ "$R1_GREW" -gt 0 ] || \
+  fail "batch keys one-sided ($N2_GREW on n2, $R1_GREW on r1)"
+[ "$((N2_GREW + R1_GREW))" -eq "$BATCH" ] || \
+  fail "batch wrote $N2_GREW+$R1_GREW keys, want $BATCH"
+[ "$(info_field "$PP" backoff_waits)" -ge 1 ] || \
+  fail "the proxy's batch retried without a backoff"
 for i in $(seq 1 $KEYS); do
   got=$("$CLI" -p "$PP" GET "smoke:$i")
   [ "$got" = "\"v$i\"" ] || fail "lost smoke:$i after failover (got $got)"
 done
 expect "OK" "$PP" SET smoke:after failover
 expect "\"failover\"" "$PP" GET smoke:after
-echo "smoke: master killed, replica promoted (epoch $EPOCH0 -> $EPOCH1), no keys lost"
+echo "smoke: master killed, replica promoted (epoch $EPOCH0 -> $EPOCH1), batch of $BATCH read back, no keys lost"
 
 # --- FLUSHALL on each surviving node directly: the proxy does not serve
 # node-local verbs. ---

@@ -2,22 +2,26 @@
 #include "common/mutex.h"
 #include "common/perf_context.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 
 namespace tierbase::cluster_net {
 
 namespace {
 
-/// Internal retry marker: the reply says our routing snapshot is stale
-/// (-MOVED from a node with a newer epoch, -READONLY from a not-yet
-/// promoted replica, -CLUSTERDOWN). Busy never escapes to callers.
-Status StaleRouteMarker(const std::string& msg) { return Status::Busy(msg); }
-
+/// The reply says our routing snapshot is stale (-MOVED from a node with a
+/// newer epoch, -READONLY from a not-yet promoted replica, -CLUSTERDOWN).
 bool IsStaleRouteReply(const server::RespValue& reply) {
   return reply.IsError() && (reply.str.rfind("MOVED", 0) == 0 ||
                              reply.str.rfind("READONLY", 0) == 0 ||
                              reply.str.rfind("CLUSTERDOWN", 0) == 0);
+}
+
+/// A reply that is `+OK` or an error.
+Status OkOrError(const server::RespValue* reply) {
+  return reply->IsError() ? Status::InvalidArgument(reply->str) : Status::OK();
 }
 
 uint64_t ParseInfoField(const std::string& info, const char* field) {
@@ -151,336 +155,207 @@ server::Client* NetClusterClient::MasterConnLocked(const std::string& shard,
   return raw;
 }
 
-template <typename Op>
-Status NetClusterClient::WithRetriesLocked(const Slice& key, Op op) {
-  Status last = Status::Unavailable("empty cluster");
-  common::RetryState retry(options_.retry, options_.clock, options_.seed);
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    if (attempt > 0) BackoffLocked(&retry);
-    std::string shard = router_.Route(key);
-    if (shard.empty()) {
-      last = Status::Unavailable("no shards in the ring");
-      Status r = RefreshRoutingLocked();
-      if (!r.ok()) return r;
-      continue;
-    }
-    Status why;
+template <typename Encode, typename Decode>
+void NetClusterClient::RoutedRound(const Slice* keys, size_t n,
+                                   Status* statuses, Encode encode,
+                                   Decode decode) {
+  std::fill(statuses, statuses + n, Status::Unavailable("not attempted"));
+  if (n == 0) return;
+  metrics::ScopedPerfStage fanout_stage(metrics::PerfContext::kNetFanout);
+  common::MutexLock lock(&mu_);
+
+  struct NodeBatch {
+    server::Client* conn;
     std::string node_id;
-    bool fast_fail = false;
-    server::Client* conn = MasterConnLocked(shard, &why, &node_id, &fast_fail);
-    if (conn == nullptr) {
-      last = why;
-      // Breaker open: fail the op now. Reporting/refreshing again would
-      // just churn the coordinator — the breaker's half-open probe is the
-      // designated way back.
-      if (fast_fail) return last;
-      if (!node_id.empty()) ReportFailureLocked(node_id);
-      RefreshRoutingLocked();
-      continue;
+    std::vector<size_t> indices;  // Into keys, ascending.
+    Status sent;                  // The flush's outcome.
+  };
+  std::vector<NodeBatch> batches;
+  std::vector<size_t> pending(n);
+  std::iota(pending.begin(), pending.end(), 0);
+  std::vector<size_t> again;  // Keys to retry on the next attempt.
+  std::vector<Slice> args;
+  common::RetryState retry(options_.retry, options_.clock, options_.seed);
+  for (int attempt = 0; attempt < options_.max_retries && !pending.empty();
+       ++attempt) {
+    if (attempt > 0) BackoffLocked(&retry);
+    batches.clear();
+    again.clear();
+
+    // Route: group the pending keys by their shard's master.
+    for (size_t i : pending) {
+      std::string shard = router_.Route(keys[i]);
+      if (shard.empty()) {
+        statuses[i] = Status::Unavailable("no shards in the ring");
+        again.push_back(i);
+        continue;
+      }
+      std::string node_id;
+      bool fast_fail = false;
+      server::Client* conn =
+          MasterConnLocked(shard, &statuses[i], &node_id, &fast_fail);
+      if (conn == nullptr) {
+        // Breaker open: the key fails now and finally. Reporting and
+        // refreshing again would only churn the coordinator; the breaker's
+        // half-open probe is the way back. Other nodes' keys proceed.
+        if (fast_fail) continue;
+        if (!node_id.empty()) ReportFailureLocked(node_id);
+        again.push_back(i);
+        continue;
+      }
+      auto it = std::find_if(
+          batches.begin(), batches.end(),
+          [conn](const NodeBatch& b) { return b.conn == conn; });
+      if (it == batches.end()) {
+        batches.push_back({conn, std::move(node_id), {}, {}});
+        it = batches.end() - 1;
+      }
+      it->indices.push_back(i);
     }
-    Status s = op(conn);
-    if (s.IsIOError() || s.IsTimedOut()) {
-      // Connection-level failure: the node is likely down.
-      last = s;
-      BreakerLocked(node_id)->RecordFailure();
-      ReportFailureLocked(node_id);
-      RefreshRoutingLocked();
-      continue;
+
+    // Scatter: ship every node's command before reading any reply.
+    for (NodeBatch& b : batches) {
+      args.clear();
+      encode(b.indices, &args);
+      b.conn->Append(args);
+      b.sent = b.conn->Flush();
+      if (b.sent.ok()) ++stats_.node_batches[b.node_id];
     }
-    // The node answered — that's breaker success even if the answer was
-    // "stale route" or an application error.
-    BreakerLocked(node_id)->RecordSuccess();
-    if (s.IsBusy()) {
-      // Stale route (-MOVED / -READONLY): refresh, no failure report.
-      last = Status::Unavailable(s.message());
-      ++stats_.moved_redirects;
-      RefreshRoutingLocked();
-      continue;
+
+    // Gather.
+    for (NodeBatch& b : batches) {
+      server::RespValue reply;
+      Status s = b.sent;
+      if (s.ok()) {
+        const uint64_t wait_start = Clock::Real()->NowMicros();
+        s = b.conn->ReadReply(&reply);
+        stats_.node_fanout_micros[b.node_id] +=
+            Clock::Real()->NowMicros() - wait_start;
+      }
+      if (!s.ok()) {
+        // A failed flush or read: the node is likely down. The report
+        // drops the connection.
+        BreakerLocked(b.node_id)->RecordFailure();
+        ReportFailureLocked(b.node_id);
+        for (size_t i : b.indices) statuses[i] = s;
+        again.insert(again.end(), b.indices.begin(), b.indices.end());
+        continue;
+      }
+      // The node answered: a breaker success even if the answer is a
+      // stale route or an application error.
+      BreakerLocked(b.node_id)->RecordSuccess();
+      if (IsStaleRouteReply(reply)) {
+        // -MOVED / -READONLY: refresh and retry, no failure report.
+        ++stats_.moved_redirects;
+        for (size_t i : b.indices) {
+          statuses[i] = Status::Unavailable(reply.str);
+        }
+        again.insert(again.end(), b.indices.begin(), b.indices.end());
+        continue;
+      }
+      decode(b.indices, &reply, statuses);
     }
-    return s;
+
+    // Key order, so a key given twice in a batch keeps its last value.
+    std::sort(again.begin(), again.end());
+    pending.swap(again);
+    if (!pending.empty()) RefreshRoutingLocked();
   }
-  return last;
+}
+
+template <typename Decode>
+Status NetClusterClient::RoutedCall(const Slice& key,
+                                    const std::vector<Slice>& args,
+                                    Decode decode) {
+  Status status;
+  RoutedRound(
+      &key, 1, &status,
+      [&](const std::vector<size_t>&, std::vector<Slice>* out) {
+        *out = args;
+      },
+      [&](const std::vector<size_t>&, server::RespValue* reply,
+          Status* statuses) { statuses[0] = decode(reply); });
+  return status;
 }
 
 Status NetClusterClient::Set(const Slice& key, const Slice& value) {
-  common::MutexLock lock(&mu_);
-  return WithRetriesLocked(key, [&](server::Client* conn) {
-    server::RespValue reply;
-    TIERBASE_RETURN_IF_ERROR(conn->Call({"SET", key, value}, &reply));
-    if (IsStaleRouteReply(reply)) return StaleRouteMarker(reply.str);
-    if (reply.IsError()) return Status::InvalidArgument(reply.str);
-    return Status::OK();
-  });
+  return RoutedCall(key, {"SET", key, value}, OkOrError);
 }
 
 Status NetClusterClient::Get(const Slice& key, std::string* value) {
-  common::MutexLock lock(&mu_);
-  return WithRetriesLocked(key, [&](server::Client* conn) {
-    server::RespValue reply;
-    TIERBASE_RETURN_IF_ERROR(conn->Call({"GET", key}, &reply));
-    if (IsStaleRouteReply(reply)) return StaleRouteMarker(reply.str);
-    if (reply.IsError()) return Status::InvalidArgument(reply.str);
-    if (reply.IsNull()) return Status::NotFound("");
-    *value = std::move(reply.str);
+  return RoutedCall(key, {"GET", key}, [value](server::RespValue* reply) {
+    if (reply->IsError()) return Status::InvalidArgument(reply->str);
+    if (reply->IsNull()) return Status::NotFound("");
+    *value = std::move(reply->str);
     return Status::OK();
   });
 }
 
 Status NetClusterClient::Delete(const Slice& key) {
-  common::MutexLock lock(&mu_);
-  return WithRetriesLocked(key, [&](server::Client* conn) {
-    server::RespValue reply;
-    TIERBASE_RETURN_IF_ERROR(conn->Call({"DEL", key}, &reply));
-    if (IsStaleRouteReply(reply)) return StaleRouteMarker(reply.str);
-    if (reply.IsError()) return Status::InvalidArgument(reply.str);
-    return Status::OK();
-  });
+  return RoutedCall(key, {"DEL", key}, OkOrError);
 }
 
 Status NetClusterClient::Forward(const std::vector<Slice>& args,
                                  const Slice& key,
                                  server::RespValue* reply) {
-  common::MutexLock lock(&mu_);
-  return WithRetriesLocked(key, [&](server::Client* conn) {
-    TIERBASE_RETURN_IF_ERROR(conn->Call(args, reply));
-    if (IsStaleRouteReply(*reply)) return StaleRouteMarker(reply->str);
-    // Other error replies (WRONGTYPE, arity) relay verbatim to the caller.
+  // Error replies (WRONGTYPE, arity) relay verbatim to the caller.
+  return RoutedCall(key, args, [reply](server::RespValue* r) {
+    *reply = std::move(*r);
     return Status::OK();
   });
 }
-
-// ---------------------------------------------------------------------------
-// Scatter–gather batches.
-// ---------------------------------------------------------------------------
 
 void NetClusterClient::MultiGet(const std::vector<Slice>& keys,
                                 std::vector<std::string>* values,
                                 std::vector<Status>* statuses) {
   values->assign(keys.size(), std::string());
-  statuses->assign(keys.size(), Status::Unavailable("not attempted"));
-  if (keys.empty()) return;
-  metrics::ScopedPerfStage fanout_stage(metrics::PerfContext::kNetFanout);
-  common::MutexLock lock(&mu_);
-
-  std::vector<bool> pending(keys.size(), true);
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    // Plan: per healthy-master node, the pending key indices it owns.
-    struct Group {
-      server::Client* conn;
-      std::string node_id;
-      std::vector<size_t> indices;
-    };
-    std::map<std::string, Group> groups;
-    bool any_pending = false;
-    bool need_refresh = false;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (!pending[i]) continue;
-      any_pending = true;
-      std::string shard = router_.Route(keys[i]);
-      Status why;
-      std::string node_id;
-      bool fast_fail = false;
-      server::Client* conn =
-          shard.empty()
-              ? nullptr
-              : MasterConnLocked(shard, &why, &node_id, &fast_fail);
-      if (conn == nullptr) {
-        (*statuses)[i] = shard.empty()
-                             ? Status::Unavailable("no shards in the ring")
-                             : why;
-        if (fast_fail) {
-          // Breaker open: this key fails fast and finally; the other
-          // shards' keys in the batch proceed untouched.
-          pending[i] = false;
-          continue;
+  statuses->resize(keys.size());
+  RoutedRound(
+      keys.data(), keys.size(), statuses->data(),
+      [&keys](const std::vector<size_t>& indices, std::vector<Slice>* args) {
+        args->emplace_back("MGET");
+        for (size_t i : indices) args->push_back(keys[i]);
+      },
+      [values](const std::vector<size_t>& indices, server::RespValue* reply,
+               Status* out) {
+        if (reply->type != server::RespValue::Type::kArray ||
+            reply->elements.size() != indices.size()) {
+          Status bad = reply->IsError()
+                           ? Status::InvalidArgument(reply->str)
+                           : Status::IOError("malformed MGET reply");
+          for (size_t i : indices) out[i] = bad;
+          return;
         }
-        if (!node_id.empty()) ReportFailureLocked(node_id);
-        need_refresh = true;
-        continue;
-      }
-      Group& g = groups[node_id];
-      g.conn = conn;
-      g.node_id = node_id;
-      g.indices.push_back(i);
-    }
-    if (!any_pending) return;
-
-    // Scatter: ship every sub-batch before reading any reply.
-    for (auto& [id, g] : groups) {
-      std::vector<Slice> args;
-      args.reserve(g.indices.size() + 1);
-      args.emplace_back("MGET");
-      for (size_t i : g.indices) args.push_back(keys[i]);
-      g.conn->Append(args);
-      Status s = g.conn->Flush();
-      if (!s.ok()) {
-        for (size_t i : g.indices) (*statuses)[i] = s;
-        BreakerLocked(g.node_id)->RecordFailure();
-        ReportFailureLocked(g.node_id);
-        g.conn = nullptr;
-        need_refresh = true;
-        continue;
-      }
-      ++stats_.node_batches[g.node_id];
-    }
-
-    // Gather.
-    for (auto& [id, g] : groups) {
-      if (g.conn == nullptr) continue;  // Flush already failed.
-      server::RespValue reply;
-      const uint64_t wait_start = Clock::Real()->NowMicros();
-      Status s = g.conn->ReadReply(&reply);
-      stats_.node_fanout_micros[g.node_id] +=
-          Clock::Real()->NowMicros() - wait_start;
-      if (!s.ok()) {
-        for (size_t i : g.indices) (*statuses)[i] = s;
-        BreakerLocked(g.node_id)->RecordFailure();
-        ReportFailureLocked(g.node_id);
-        need_refresh = true;
-        continue;
-      }
-      BreakerLocked(g.node_id)->RecordSuccess();
-      if (IsStaleRouteReply(reply)) {
-        ++stats_.moved_redirects;
-        for (size_t i : g.indices) {
-          (*statuses)[i] = Status::Unavailable(reply.str);
+        for (size_t k = 0; k < indices.size(); ++k) {
+          server::RespValue& e = reply->elements[k];
+          if (e.type == server::RespValue::Type::kBulkString) {
+            (*values)[indices[k]] = std::move(e.str);
+            out[indices[k]] = Status::OK();
+          } else {
+            out[indices[k]] = Status::NotFound("");
+          }
         }
-        need_refresh = true;
-        continue;
-      }
-      if (reply.type != server::RespValue::Type::kArray ||
-          reply.elements.size() != g.indices.size()) {
-        Status bad = reply.IsError() ? Status::InvalidArgument(reply.str)
-                                     : Status::IOError("malformed MGET reply");
-        for (size_t i : g.indices) {
-          (*statuses)[i] = bad;
-          pending[i] = false;  // Final: a malformed reply will not improve.
-        }
-        continue;
-      }
-      for (size_t k = 0; k < g.indices.size(); ++k) {
-        size_t i = g.indices[k];
-        server::RespValue& e = reply.elements[k];
-        if (e.type == server::RespValue::Type::kBulkString) {
-          (*values)[i] = std::move(e.str);
-          (*statuses)[i] = Status::OK();
-        } else {
-          (*statuses)[i] = Status::NotFound("");
-        }
-        pending[i] = false;
-      }
-    }
-
-    if (!need_refresh) return;
-    RefreshRoutingLocked();
-  }
+      });
 }
 
 void NetClusterClient::MultiSet(const std::vector<Slice>& keys,
                                 const std::vector<Slice>& values,
                                 std::vector<Status>* statuses) {
-  statuses->assign(keys.size(), Status::Unavailable("not attempted"));
-  if (keys.empty()) return;
-  metrics::ScopedPerfStage fanout_stage(metrics::PerfContext::kNetFanout);
-  common::MutexLock lock(&mu_);
-
-  std::vector<bool> pending(keys.size(), true);
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    struct Group {
-      server::Client* conn;
-      std::string node_id;
-      std::vector<size_t> indices;
-    };
-    std::map<std::string, Group> groups;
-    bool any_pending = false;
-    bool need_refresh = false;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (!pending[i]) continue;
-      any_pending = true;
-      std::string shard = router_.Route(keys[i]);
-      Status why;
-      std::string node_id;
-      bool fast_fail = false;
-      server::Client* conn =
-          shard.empty()
-              ? nullptr
-              : MasterConnLocked(shard, &why, &node_id, &fast_fail);
-      if (conn == nullptr) {
-        (*statuses)[i] = shard.empty()
-                             ? Status::Unavailable("no shards in the ring")
-                             : why;
-        if (fast_fail) {
-          // Breaker open: this key fails fast and finally; the other
-          // shards' keys in the batch proceed untouched.
-          pending[i] = false;
-          continue;
+  statuses->resize(keys.size());
+  RoutedRound(
+      keys.data(), keys.size(), statuses->data(),
+      [&](const std::vector<size_t>& indices, std::vector<Slice>* args) {
+        args->emplace_back("MSET");
+        for (size_t i : indices) {
+          args->push_back(keys[i]);
+          args->push_back(values[i]);
         }
-        if (!node_id.empty()) ReportFailureLocked(node_id);
-        need_refresh = true;
-        continue;
-      }
-      Group& g = groups[node_id];
-      g.conn = conn;
-      g.node_id = node_id;
-      g.indices.push_back(i);
-    }
-    if (!any_pending) return;
-
-    for (auto& [id, g] : groups) {
-      std::vector<Slice> args;
-      args.reserve(g.indices.size() * 2 + 1);
-      args.emplace_back("MSET");
-      for (size_t i : g.indices) {
-        args.push_back(keys[i]);
-        args.push_back(values[i]);
-      }
-      g.conn->Append(args);
-      Status s = g.conn->Flush();
-      if (!s.ok()) {
-        for (size_t i : g.indices) (*statuses)[i] = s;
-        BreakerLocked(g.node_id)->RecordFailure();
-        ReportFailureLocked(g.node_id);
-        g.conn = nullptr;
-        need_refresh = true;
-        continue;
-      }
-      ++stats_.node_batches[g.node_id];
-    }
-
-    for (auto& [id, g] : groups) {
-      if (g.conn == nullptr) continue;
-      server::RespValue reply;
-      const uint64_t wait_start = Clock::Real()->NowMicros();
-      Status s = g.conn->ReadReply(&reply);
-      stats_.node_fanout_micros[g.node_id] +=
-          Clock::Real()->NowMicros() - wait_start;
-      if (!s.ok()) {
-        for (size_t i : g.indices) (*statuses)[i] = s;
-        BreakerLocked(g.node_id)->RecordFailure();
-        ReportFailureLocked(g.node_id);
-        need_refresh = true;
-        continue;
-      }
-      BreakerLocked(g.node_id)->RecordSuccess();
-      if (IsStaleRouteReply(reply)) {
-        ++stats_.moved_redirects;
-        for (size_t i : g.indices) {
-          (*statuses)[i] = Status::Unavailable(reply.str);
-        }
-        need_refresh = true;
-        continue;
-      }
-      Status outcome = reply.IsError() ? Status::InvalidArgument(reply.str)
-                                       : Status::OK();
-      for (size_t i : g.indices) {
-        (*statuses)[i] = outcome;
-        pending[i] = false;
-      }
-    }
-
-    if (!need_refresh) return;
-    RefreshRoutingLocked();
-  }
+      },
+      [](const std::vector<size_t>& indices, server::RespValue* reply,
+         Status* out) {
+        const Status outcome = OkOrError(reply);
+        for (size_t i : indices) out[i] = outcome;
+      });
 }
 
 UsageStats NetClusterClient::GetUsage() const {

@@ -3,21 +3,26 @@
 // routes each key on the shared consistent-hash ring, and keeps one
 // pipelined connection per data node.
 //
-// Batched ops are scatter–gathered: MultiGet/MultiSet split the batch into
-// per-node sub-batches, ship them as MGET/MSET on every node's connection
-// before reading any reply (so the sub-batches execute concurrently server
-// side), then stitch the replies back into caller order.
+// Every op is one routed round: on each attempt the round groups the
+// op's pending keys by owning node, ships every node's command before it
+// reads any reply (so the sub-batches execute concurrently server side),
+// and reads each reply back into caller order. An op supplies only its
+// wire command per node (GET, SET, DEL, a forwarded command verbatim,
+// MGET or MSET) and how that reply reads back. A single-key op sends its
+// own verb, as a sub-batch of one.
 //
 // Staleness and failure handling follow the paper's pull-based refresh
-// protocol: on -MOVED (a node with a newer epoch rejected the key), on
-// connection failure, or on Unavailable, the client reports the failure to
-// the coordinator (CLUSTER FAIL), refreshes its snapshot, and retries —
-// which is how a master kill converges to the promoted replica without any
-// client restart.
+// protocol: on -MOVED (a node with a newer epoch rejected the key), on a
+// failed connect, flush or reply read, or on Unavailable, the client
+// reports the failure to the coordinator (CLUSTER FAIL), refreshes its
+// snapshot once per attempt, backs off and retries the keys still
+// pending — which is how a master kill converges to the promoted replica
+// without any client restart.
 //
-// Thread model: one internal mutex serializes operations (connections are
-// plain blocking sockets). Use one client per runner thread to measure
-// parallel throughput, exactly like RemoteEngine.
+// Thread model: one internal mutex serializes rounds (connections are
+// plain blocking sockets), so concurrent callers' rounds queue behind
+// each other. Use one client per runner thread to measure parallel
+// throughput, exactly like RemoteEngine.
 
 #ifndef TIERBASE_CLUSTER_NET_CLUSTER_CLIENT_H_
 #define TIERBASE_CLUSTER_NET_CLUSTER_CLIENT_H_
@@ -93,7 +98,7 @@ class NetClusterClient : public KvEngine {
   Status WaitIdle() override;
 
   /// Forwards an arbitrary single-key command to the key's owner with the
-  /// same refresh/retry loop (the proxy relays rich-type commands this
+  /// same routed round (the proxy relays rich-type commands this
   /// way). `key` must be one of `args`.
   Status Forward(const std::vector<Slice>& args, const Slice& key,
                  server::RespValue* reply);
@@ -111,12 +116,13 @@ class NetClusterClient : public KvEngine {
     uint64_t breaker_fast_fails = 0;
     /// "closed" | "open" | "half_open", per node id.
     std::map<std::string, std::string> breaker_states;
-    /// Scatter–gather sub-batches shipped, per node id.
+    /// Sub-batches shipped, per node id. A single-key op is a sub-batch
+    /// of one.
     std::map<std::string, uint64_t> node_batches;
-    /// Cumulative micros spent waiting on each node's scatter–gather
-    /// reply, per node id. fanout_micros / batches is the node's mean
-    /// sub-batch latency — the slowest node bounds the whole gather, so a
-    /// skewed entry here names the straggler.
+    /// Cumulative micros spent waiting on each node's sub-batch reply,
+    /// single-key ops included, per node id. fanout_micros / batches is
+    /// the node's mean sub-batch latency — the slowest node bounds the
+    /// whole gather, so a skewed entry here names the straggler.
     std::map<std::string, uint64_t> node_fanout_micros;
   };
   Stats GetStats() const;
@@ -146,9 +152,19 @@ class NetClusterClient : public KvEngine {
   Status CoordinatorCallLocked(const std::vector<Slice>& args,
                                server::RespValue* reply)
       EXCLUSIVE_LOCKS_REQUIRED(mu_);
-  template <typename Op>
-  Status WithRetriesLocked(const Slice& key, Op op)
-      EXCLUSIVE_LOCKS_REQUIRED(mu_);
+  /// The one routed round behind every op, over keys[0..n). Each attempt
+  /// routes the pending keys, calls `encode(indices, &args)` for each
+  /// owning node's wire command, ships them all, and hands each reply
+  /// that is not a stale route to `decode(indices, &reply, statuses)`.
+  /// Failed connects, flushes and reads and stale routes leave keys
+  /// pending for the next attempt, after one refresh and a backoff.
+  template <typename Encode, typename Decode>
+  void RoutedRound(const Slice* keys, size_t n, Status* statuses,
+                   Encode encode, Decode decode) LOCKS_EXCLUDED(mu_);
+  /// A round of one key: sends `args` and returns `decode(&reply)`.
+  template <typename Decode>
+  Status RoutedCall(const Slice& key, const std::vector<Slice>& args,
+                    Decode decode) LOCKS_EXCLUDED(mu_);
 
   Options options_;
   mutable common::Mutex mu_;

@@ -171,7 +171,9 @@ void ClusterProxy::RegisterInstruments() {
                    metrics::MetricType::kCounter,
                    [this] { return info_stats_.failures_reported; });
   // Per-node keys are dynamic (they follow the routing snapshot), so they
-  // render as an INFO-only block.
+  // render as an INFO-only block. routed_batches_<node> counts the
+  // sub-batches the backend shipped to the node, a single-key op (GET,
+  // SET, DEL, EXISTS, a forwarded verb) as a sub-batch of one.
   reg->AddBlock("Cluster", [this](std::string* out) {
     char line[160];
     for (const auto& [node, batches] : info_stats_.node_batches) {

@@ -297,14 +297,9 @@ void NodeCommands::Del(const RespCommand& cmd, std::string* out) {
 void NodeCommands::Exists(const RespCommand& cmd, std::string* out) {
   int64_t count = 0;
   for (size_t i = 1; i < cmd.args.size(); ++i) {
-    if (db_->cache()->Exists(cmd.args[i])) {
-      ++count;
-    } else if (db_->storage() != nullptr) {
-      // Tiered: the key may live only in the storage tier; a Get both
-      // answers existence and warms the cache.
-      std::string scratch;
-      if (db_->Get(cmd.args[i], &scratch).ok()) ++count;
-    }
+    // Tiered, the key may live only in storage or the dirty buffer. Like
+    // DEL's probe, this one counts no read and populates no cache entry.
+    if (db_->Exists(cmd.args[i])) ++count;
   }
   AppendInteger(out, count);
 }

@@ -1050,6 +1050,54 @@ std::map<std::string, std::map<std::string, std::string>> ParseInfo(
   return out;
 }
 
+// A lone smart-client Get, Set and Delete each reach the owning node as its
+// own verb, never as an MGET or MSET of one key.
+TEST_F(ClusterNetTest, SmartClientSingleKeyOpsSendTheirOwnVerbs) {
+  StartCoordinator();
+  DataNode* n1 = StartNode("n1");
+  DataNode* n2 = StartNode("n2");
+  ASSERT_TRUE(Register(*n1).ok());
+  ASSERT_TRUE(Register(*n2).ok());
+  auto client = SmartClient();
+
+  // A node's cmd_<verb>_latency_us sample counts, from its INFO.
+  auto counts = [](const DataNode& node) {
+    Client cli;
+    EXPECT_TRUE(cli.Connect("127.0.0.1", node.port()).ok());
+    RespValue v;
+    EXPECT_TRUE(cli.Call({"INFO"}, &v).ok());
+    auto info = ParseInfo(v.str);
+    std::map<std::string, uint64_t> out;
+    for (const char* verb : {"get", "set", "del", "mget", "mset"}) {
+      const std::string& row =
+          info["Commandstats"][std::string("cmd_") + verb + "_latency_us"];
+      out[verb] = row.rfind("cnt=", 0) == 0 ? std::stoull(row.substr(4)) : 0;
+    }
+    return out;
+  };
+
+  const auto n1_before = counts(*n1);
+  const auto n2_before = counts(*n2);
+  ASSERT_TRUE(client->Set("lone", "v").ok());
+  DataNode* owner = n1->db->cache()->Exists("lone") ? n1 : n2;
+  DataNode* other = owner == n1 ? n2 : n1;
+  auto expected = owner == n1 ? n1_before : n2_before;
+  ++expected["set"];
+  EXPECT_EQ(expected, counts(*owner));
+  EXPECT_EQ(other == n1 ? n1_before : n2_before, counts(*other));
+
+  std::string value;
+  ASSERT_TRUE(client->Get("lone", &value).ok());
+  EXPECT_EQ("v", value);
+  ++expected["get"];
+  EXPECT_EQ(expected, counts(*owner));
+
+  ASSERT_TRUE(client->Delete("lone").ok());
+  ++expected["del"];
+  EXPECT_EQ(expected, counts(*owner));
+  EXPECT_FALSE(owner->db->cache()->Exists("lone"));
+}
+
 TEST_F(ClusterNetTest, ProxyAndCoordinatorInfoParseWithLiveCounters) {
   StartCoordinator();
   DataNode* n1 = StartNode("n1");

@@ -503,6 +503,51 @@ TEST_F(FaultToleranceClusterTest, BreakerTripsFastFailsAndHalfOpenRecovers) {
   EXPECT_EQ("closed", client->GetStats().breaker_states["n1"]);
 }
 
+TEST_F(FaultToleranceClusterTest, BatchRetriesBackOffLikeSingleKeyOps) {
+  StartCoordinator();
+  ChaosNode* n1 = StartNode("n1");
+  ASSERT_TRUE(Register(*n1).ok());
+
+  FaultInjectionTransport fault;
+  ManualClock clock;
+  NetClusterClient::Options options;
+  options.coordinators.push_back(Endpoint(coordinator_->port()));
+  options.transport = &fault;
+  options.clock = &clock;
+  options.max_retries = 3;
+  // Above every failure below: no op may fail fast on an open breaker.
+  options.breaker.failure_threshold = 1000;
+  auto client_or = NetClusterClient::Connect(options);
+  ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
+  auto client = std::move(*client_or);
+  ASSERT_TRUE(client->Set("bk", "v1").ok());
+
+  // Node and coordinator down: routing stays stale, so every attempt of
+  // every op fails against n1, and each op waits between its attempts.
+  fault.SetPartition(Endpoint(n1->port()), Partition::kDown);
+  fault.SetPartition(Endpoint(coordinator_->port()), Partition::kDown);
+  const uint64_t per_op = options.max_retries - 1;
+  uint64_t waits = client->GetStats().backoff_waits;
+
+  std::string value;
+  EXPECT_FALSE(client->Get("bk", &value).ok());
+  EXPECT_EQ(waits + per_op, client->GetStats().backoff_waits) << "Get";
+  waits = client->GetStats().backoff_waits;
+
+  const std::vector<Slice> keys = {"bk", "b1", "b2", "b3"};
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  client->MultiGet(keys, &values, &statuses);
+  for (const Status& s : statuses) EXPECT_FALSE(s.ok());
+  EXPECT_EQ(waits + per_op, client->GetStats().backoff_waits) << "MultiGet";
+  waits = client->GetStats().backoff_waits;
+
+  client->MultiSet(keys, {"x", "x", "x", "x"}, &statuses);
+  for (const Status& s : statuses) EXPECT_FALSE(s.ok());
+  EXPECT_EQ(waits + per_op, client->GetStats().backoff_waits) << "MultiSet";
+  EXPECT_EQ(0u, client->GetStats().breaker_trips);
+}
+
 TEST_F(FaultToleranceClusterTest, BatchOpsServeSurvivingShardsPastOpenBreaker) {
   StartCoordinator();
   ChaosNode* n1 = StartNode("n1");

@@ -1372,6 +1372,39 @@ std::map<std::string, std::map<std::string, std::string>> ParseInfo(
   return out;
 }
 
+// Write-through: EXISTS of a key only storage holds answers 1 without
+// counting a read or filling the cache.
+TEST_F(ServerTest, ExistsProbesStorageWithoutReadingIntoTheCache) {
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteThrough;
+  options.cache.memory_budget = 64 << 10;
+  StartTieredServer(options);
+  Client client;
+  ASSERT_TRUE(Connect(&client).ok());
+  RespValue v;
+  ASSERT_TRUE(client.Call({"SET", "k", "v"}, &v).ok());
+  constexpr int kFillers = 600;
+  for (int i = 0; i < kFillers; ++i) {
+    client.Append({"SET", "f" + std::to_string(i), std::string(100, 'f')});
+  }
+  ASSERT_TRUE(client.Flush().ok());
+  for (int i = 0; i < kFillers; ++i) {
+    ASSERT_TRUE(client.ReadReply(&v).ok());
+    ASSERT_EQ("OK", v.str) << i;
+  }
+  ASSERT_FALSE(db_->cache()->Exists("k"));  // Evicted; storage has it.
+
+  ASSERT_TRUE(client.Call({"INFO"}, &v).ok());
+  auto before = ParseInfo(v.str)["Stats"];
+  ASSERT_TRUE(client.Call({"EXISTS", "k"}, &v).ok());
+  EXPECT_EQ(1, v.integer);
+  ASSERT_TRUE(client.Call({"INFO"}, &v).ok());
+  auto after = ParseInfo(v.str)["Stats"];
+  EXPECT_EQ(before["gets"], after["gets"]);
+  EXPECT_EQ(before["storage_populates"], after["storage_populates"]);
+  EXPECT_FALSE(db_->cache()->Exists("k"));
+}
+
 TEST_F(ServerTest, InfoParsesWithAdvertisedCountersMonotonic) {
   StartServer();
   Client client;
